@@ -415,7 +415,7 @@ func BenchmarkIPv4Checksum(b *testing.B) {
 	wire := p.Marshal()
 	b.SetBytes(int64(len(wire)))
 	for i := 0; i < b.N; i++ {
-		if _, err := packet.ParseIPv4(wire); err != nil {
+		if err := new(packet.IPv4).Decode(wire); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,22 +55,22 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4) (*packet.IPv6, error) {
 	out := &packet.IPv6{HopLimit: p.TTL, Src: t.SrcV6, Dst: dst}
 	switch p.Protocol {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		out.NextHeader = packet.ProtoUDP
 		out.Payload = u.Marshal(out.Src, out.Dst)
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		out.NextHeader = packet.ProtoTCP
 		out.Payload = tc.Marshal(out.Src, out.Dst)
 	case packet.ProtoICMP:
-		ic, err := packet.ParseICMPv4(p.Payload)
-		if err != nil {
+		var ic packet.ICMP
+		if err := ic.DecodeV4(p.Payload); err != nil {
 			return nil, err
 		}
 		if ic.Type != packet.ICMPv4Echo {
@@ -99,22 +99,22 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
 	out := &packet.IPv4{TTL: p.HopLimit, Src: srcV4, Dst: HostV4}
 	switch p.NextHeader {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		out.Protocol = packet.ProtoUDP
 		out.Payload = u.Marshal(out.Src, out.Dst)
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		out.Protocol = packet.ProtoTCP
 		out.Payload = tc.Marshal(out.Src, out.Dst)
 	case packet.ProtoICMPv6:
-		ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var ic packet.ICMP
+		if err := ic.DecodeV6(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		if ic.Type != packet.ICMPv6EchoReply {

@@ -28,7 +28,8 @@ func TestCLATUDPOut(t *testing.T) {
 	if out.Src != hostV6 || out.Dst != wantDst {
 		t.Fatalf("v6 header: src=%v dst=%v", out.Src, out.Dst)
 	}
-	u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	err = u.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,8 @@ func TestCLATUDPBack(t *testing.T) {
 	if out.Src != echoSrvr || out.Dst != HostV4 {
 		t.Fatalf("v4 header: src=%v dst=%v", out.Src, out.Dst)
 	}
-	u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	err = u.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,8 @@ func TestCLATTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := packet.ParseTCP(out.Payload, out.Src, out.Dst)
+	var tc packet.TCP
+	err = tc.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,8 @@ func TestCLATTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc2, err := packet.ParseTCP(back.Payload, back.Src, back.Dst)
+	var tc2 packet.TCP
+	err = tc2.Decode(back.Payload, back.Src, back.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +114,8 @@ func TestCLATICMPEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, err := packet.ParseICMPv6(out.Payload, out.Src, out.Dst)
+	var ic packet.ICMP
+	err = ic.DecodeV6(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,10 @@ func TestExhaustionSignaledToLAN(t *testing.T) {
 			return
 		}
 		// The tap also hears RA beacons and NS probes; keep only errors.
-		if p, err := packet.ParseIPv6(f.Payload); err == nil && p.NextHeader == packet.ProtoICMPv6 {
-			if ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst); err == nil && ic.Type == packet.ICMPv6DestUnreachable {
+		p := new(packet.IPv6)
+		if p.Decode(f.Payload) == nil && p.NextHeader == packet.ProtoICMPv6 {
+			var ic packet.ICMP
+			if ic.DecodeV6(p.Payload, p.Src, p.Dst) == nil && ic.Type == packet.ICMPv6DestUnreachable {
 				replies = append(replies, p)
 			}
 		}
@@ -71,7 +73,8 @@ func TestExhaustionSignaledToLAN(t *testing.T) {
 	if r.Dst != src {
 		t.Errorf("refusal sent to %v, want the offending source %v", r.Dst, src)
 	}
-	ic, err := packet.ParseICMPv6(r.Payload, r.Src, r.Dst)
+	var ic packet.ICMP
+	err = ic.DecodeV6(r.Payload, r.Src, r.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}

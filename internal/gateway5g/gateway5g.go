@@ -422,6 +422,10 @@ func (g *Gateway) ScopeLeases(pools map[int]dhcp4.DomainPool, lookup func(chaddr
 
 // --- LAN side -----------------------------------------------------------
 
+// v4LimitedBroadcast is 255.255.255.255, hoisted out of the per-frame
+// DHCP and LAN delivery paths.
+var v4LimitedBroadcast = netip.AddrFrom4([4]byte{255, 255, 255, 255})
+
 func (g *Gateway) handleLAN(_ *netsim.NIC, f netsim.Frame) {
 	switch f.EtherType {
 	case netsim.EtherTypeARP:
@@ -434,8 +438,8 @@ func (g *Gateway) handleLAN(_ *netsim.NIC, f netsim.Frame) {
 }
 
 func (g *Gateway) handleLANARP(f netsim.Frame) {
-	a, err := packet.ParseARP(f.Payload)
-	if err != nil {
+	var a packet.ARP
+	if a.Decode(f.Payload) != nil {
 		return
 	}
 	if a.SenderIP.IsValid() && a.SenderIP != (netip.AddrFrom4([4]byte{})) {
@@ -451,19 +455,15 @@ func (g *Gateway) handleLANARP(f netsim.Frame) {
 }
 
 func (g *Gateway) handleLANv4(f netsim.Frame) {
-	p, err := packet.ParseIPv4(f.Payload)
-	if err != nil {
+	var p packet.IPv4
+	if p.Decode(f.Payload) != nil {
 		return
 	}
 	if p.Src.IsValid() && g.cfg.LANv4Prefix.Contains(p.Src) {
 		g.arp[p.Src] = f.Src
 	}
-	bcast := netip.MustParseAddr("255.255.255.255")
-	if p.Dst == g.cfg.LANv4 || p.Dst == bcast {
-		g.handleLocalV4(f, p)
-		if p.Dst != bcast {
-			return
-		}
+	if p.Dst == g.cfg.LANv4 || p.Dst == v4LimitedBroadcast {
+		g.handleLocalV4(f, &p)
 		return
 	}
 	// LAN -> WAN through NAT44.
@@ -474,7 +474,7 @@ func (g *Gateway) handleLANv4(f netsim.Frame) {
 		g.ACLDropped++
 		return
 	}
-	out, err := g.NAT44.TranslateOut(p)
+	out, err := g.NAT44.TranslateOut(&p)
 	if err != nil {
 		return
 	}
@@ -487,19 +487,19 @@ func (g *Gateway) handleLANv4(f netsim.Frame) {
 func (g *Gateway) handleLocalV4(f netsim.Frame, p *packet.IPv4) {
 	switch p.Protocol {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if u.Decode(p.Payload, p.Src, p.Dst) != nil {
 			return
 		}
 		switch u.DstPort {
 		case dhcp4.ServerPort:
-			g.handleDHCP(f, u)
+			g.handleDHCP(&u)
 		case 53:
-			g.handleDNSProxy(f, p, u)
+			g.handleDNSProxy(f, p, &u)
 		}
 	case packet.ProtoICMP:
-		ic, err := packet.ParseICMPv4(p.Payload)
-		if err != nil || ic.Type != packet.ICMPv4Echo {
+		var ic packet.ICMP
+		if ic.DecodeV4(p.Payload) != nil || ic.Type != packet.ICMPv4Echo {
 			return
 		}
 		reply := &packet.IPv4{
@@ -512,7 +512,7 @@ func (g *Gateway) handleLocalV4(f netsim.Frame, p *packet.IPv4) {
 	}
 }
 
-func (g *Gateway) handleDHCP(f netsim.Frame, u *packet.UDP) {
+func (g *Gateway) handleDHCP(u *packet.UDP) {
 	msg, err := dhcp4.Parse(u.Payload)
 	if err != nil {
 		return
@@ -521,9 +521,11 @@ func (g *Gateway) handleDHCP(f netsim.Frame, u *packet.UDP) {
 	if resp == nil {
 		return
 	}
-	bcast := netip.MustParseAddr("255.255.255.255")
 	ru := &packet.UDP{SrcPort: dhcp4.ServerPort, DstPort: dhcp4.ClientPort, Payload: resp.Marshal()}
-	rp := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: g.cfg.LANv4, Dst: bcast, Payload: ru.Marshal(g.cfg.LANv4, bcast)}
+	rp := &packet.IPv4{
+		Protocol: packet.ProtoUDP, TTL: 64, Src: g.cfg.LANv4, Dst: v4LimitedBroadcast,
+		Payload: ru.Marshal(g.cfg.LANv4, v4LimitedBroadcast),
+	}
 	dst := netsim.MAC(resp.CHAddr)
 	if resp.Broadcast {
 		dst = netsim.Broadcast
@@ -553,8 +555,8 @@ func (g *Gateway) handleDNSProxy(f netsim.Frame, p *packet.IPv4, u *packet.UDP) 
 }
 
 func (g *Gateway) handleLANv6(f netsim.Frame) {
-	p, err := packet.ParseIPv6(f.Payload)
-	if err != nil {
+	var p packet.IPv6
+	if p.Decode(f.Payload) != nil {
 		return
 	}
 	if p.Src.IsValid() && !p.Src.IsMulticast() {
@@ -562,7 +564,7 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 	}
 	// Respond to ND traffic addressed to the gateway.
 	if p.NextHeader == packet.ProtoICMPv6 {
-		if g.handleLANICMPv6(f, p) {
+		if g.handleLANICMPv6(f, &p) {
 			return
 		}
 	}
@@ -580,14 +582,14 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 		if !g.haveWAN {
 			return
 		}
-		if g.tooBig(p) {
-			g.sendPTBToLAN(f, p)
+		if g.tooBig(&p) {
+			g.sendPTBToLAN(f, &p)
 			return
 		}
-		out, err := g.NAT64.TranslateV6ToV4(p)
+		out, err := g.NAT64.TranslateV6ToV4(&p)
 		if err != nil {
 			if errors.Is(err, nat64.ErrPortsExhausted) {
-				g.sendExhaustionToLAN(f, p)
+				g.sendExhaustionToLAN(f, &p)
 			}
 			return
 		}
@@ -605,8 +607,8 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 	if p.HopLimit <= 1 {
 		return
 	}
-	if g.tooBig(p) {
-		g.sendPTBToLAN(f, p)
+	if g.tooBig(&p) {
+		g.sendPTBToLAN(f, &p)
 		return
 	}
 	p.HopLimit--
@@ -676,8 +678,8 @@ func (g *Gateway) sendPTBToWAN(p *packet.IPv6) {
 // handleLANICMPv6 processes RS/NS aimed at the gateway; it reports
 // whether the packet was consumed.
 func (g *Gateway) handleLANICMPv6(f netsim.Frame, p *packet.IPv6) bool {
-	ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
-	if err != nil {
+	var ic packet.ICMP
+	if ic.DecodeV6(p.Payload, p.Src, p.Dst) != nil {
 		return true
 	}
 	switch ic.Type {
@@ -689,8 +691,8 @@ func (g *Gateway) handleLANICMPv6(f netsim.Frame, p *packet.IPv6) bool {
 		}
 		return true
 	case packet.ICMPv6NeighborSolicit:
-		ns, err := ndp.ParseNeighborSolicit(ic.Body)
-		if err != nil || ns.Target != g.linkLocal {
+		var ns ndp.NeighborSolicit
+		if ns.Decode(ic.Body) != nil || ns.Target != g.linkLocal {
 			return true
 		}
 		if ns.HasSourceLink {
@@ -720,13 +722,13 @@ func (g *Gateway) handleLANICMPv6(f netsim.Frame, p *packet.IPv6) bool {
 func (g *Gateway) handleWAN(_ *netsim.NIC, f netsim.Frame) {
 	switch f.EtherType {
 	case netsim.EtherTypeIPv4:
-		p, err := packet.ParseIPv4(f.Payload)
-		if err != nil {
+		var p packet.IPv4
+		if p.Decode(f.Payload) != nil {
 			return
 		}
 		switch p.Dst {
 		case g.cfg.WANv4: // NAT64 egress address
-			if v6, err := g.NAT64.TranslateV4ToV6(p); err == nil {
+			if v6, err := g.NAT64.TranslateV4ToV6(&p); err == nil {
 				g.forwardToLANv6(v6)
 			}
 		case g.cfg.WANv4NAT44:
@@ -734,13 +736,13 @@ func (g *Gateway) handleWAN(_ *netsim.NIC, f netsim.Frame) {
 				g.ACLDropped++
 				return
 			}
-			if v4, err := g.NAT44.TranslateIn(p); err == nil {
+			if v4, err := g.NAT44.TranslateIn(&p); err == nil {
 				g.forwardToLANv4(v4)
 			}
 		}
 	case netsim.EtherTypeIPv6:
-		p, err := packet.ParseIPv6(f.Payload)
-		if err != nil {
+		var p packet.IPv6
+		if p.Decode(f.Payload) != nil {
 			return
 		}
 		if !g.CurrentGUAPrefix().Contains(p.Dst) {
@@ -749,12 +751,12 @@ func (g *Gateway) handleWAN(_ *netsim.NIC, f netsim.Frame) {
 		if p.HopLimit <= 1 {
 			return
 		}
-		if g.tooBig(p) {
-			g.sendPTBToWAN(p)
+		if g.tooBig(&p) {
+			g.sendPTBToWAN(&p)
 			return
 		}
 		p.HopLimit--
-		g.forwardToLANv6(p)
+		g.forwardToLANv6(&p)
 	}
 }
 

@@ -161,15 +161,15 @@ func TestRebootDropsLeasesAndDeprecatesOldPrefix(t *testing.T) {
 		if f.EtherType != netsim.EtherTypeIPv6 {
 			return
 		}
-		p, err := packet.ParseIPv6(f.Payload)
-		if err != nil || p.NextHeader != packet.ProtoICMPv6 {
+		var p packet.IPv6
+		if p.Decode(f.Payload) != nil || p.NextHeader != packet.ProtoICMPv6 {
 			return
 		}
-		ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
-		if err != nil || ic.Type != packet.ICMPv6RouterAdvert {
+		var ic packet.ICMP
+		if ic.DecodeV6(p.Payload, p.Src, p.Dst) != nil || ic.Type != packet.ICMPv6RouterAdvert {
 			return
 		}
-		if ra, err := ndp.ParseRouterAdvert(ic.Body); err == nil {
+		if ra := new(ndp.RouterAdvert); ra.Decode(ic.Body) == nil {
 			ras = append(ras, ra)
 		}
 	}))

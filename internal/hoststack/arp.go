@@ -12,8 +12,8 @@ import (
 var v4LimitedBroadcast = netip.AddrFrom4([4]byte{255, 255, 255, 255})
 
 func (h *Host) handleARP(f netsim.Frame) {
-	a, err := packet.ParseARP(f.Payload)
-	if err != nil {
+	var a packet.ARP
+	if a.Decode(f.Payload) != nil {
 		return
 	}
 	// Learn the sender opportunistically.
@@ -93,40 +93,40 @@ func (h *Host) SendIPv4(p *packet.IPv4) error {
 }
 
 func (h *Host) handleIPv4Frame(f netsim.Frame) {
-	p, err := packet.ParseIPv4(f.Payload)
-	if err != nil {
+	var p packet.IPv4
+	if p.Decode(f.Payload) != nil {
 		return
 	}
 	if !h.ownsV4(p.Dst) && p.Dst != v4LimitedBroadcast {
 		return
 	}
-	h.deliverIPv4(p)
+	h.deliverIPv4(&p)
 }
 
 func (h *Host) deliverIPv4(p *packet.IPv4) {
 	switch p.Protocol {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if u.Decode(p.Payload, p.Src, p.Dst) != nil {
 			return
 		}
 		if handler, ok := h.udpBind[u.DstPort]; ok {
 			handler(p.Src, u.SrcPort, p.Dst, u.Payload)
 		}
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if tc.Decode(p.Payload, p.Src, p.Dst) != nil {
 			return
 		}
-		h.handleTCP(p.Src, p.Dst, tc)
+		h.handleTCP(p.Src, p.Dst, &tc)
 	case packet.ProtoICMP:
 		h.handleICMPv4(p)
 	}
 }
 
 func (h *Host) handleICMPv4(p *packet.IPv4) {
-	ic, err := packet.ParseICMPv4(p.Payload)
-	if err != nil {
+	var ic packet.ICMP
+	if ic.DecodeV4(p.Payload) != nil {
 		return
 	}
 	switch ic.Type {

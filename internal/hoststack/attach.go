@@ -53,11 +53,10 @@ func AttachDHCPServer(h *Host, srv *dhcp4.Server) {
 		if resp == nil {
 			return
 		}
-		bcast := netip.MustParseAddr("255.255.255.255")
 		u := &packet.UDP{SrcPort: dhcp4.ServerPort, DstPort: dhcp4.ClientPort, Payload: resp.Marshal()}
 		p := &packet.IPv4{
-			Protocol: packet.ProtoUDP, TTL: 64, Src: h.v4Addr, Dst: bcast,
-			Payload: u.Marshal(h.v4Addr, bcast),
+			Protocol: packet.ProtoUDP, TTL: 64, Src: h.v4Addr, Dst: v4LimitedBroadcast,
+			Payload: u.Marshal(h.v4Addr, v4LimitedBroadcast),
 		}
 		dstMAC := netsim.MAC(resp.CHAddr)
 		if resp.Broadcast {

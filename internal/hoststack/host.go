@@ -104,6 +104,12 @@ type Host struct {
 	// sequences bit-identical to the pre-fabric testbed.
 	gleanND bool
 
+	// raScratch is the value every received RA decodes into, so its
+	// Prefixes/RDNSS storage is reused from one RA to the next instead
+	// of allocated per RA. It is scratch, read only while processRA
+	// runs, so Checkpoint/Restore need not capture it.
+	raScratch ndp.RouterAdvert
+
 	// nat64Prefix is the translation prefix learned via RFC 8781 PREF64
 	// or RFC 7050 discovery; invalid means "use the well-known prefix".
 	nat64Prefix netip.Prefix

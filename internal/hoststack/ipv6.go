@@ -109,8 +109,8 @@ func (h *Host) flushNDPending(addr netip.Addr) {
 }
 
 func (h *Host) handleIPv6Frame(f netsim.Frame) {
-	p, err := packet.ParseIPv6(f.Payload)
-	if err != nil {
+	var p packet.IPv6
+	if p.Decode(f.Payload) != nil {
 		return
 	}
 	if !h.ownsV6(p.Dst) {
@@ -126,7 +126,7 @@ func (h *Host) handleIPv6Frame(f netsim.Frame) {
 			h.flushNDPending(p.Src)
 		}
 	}
-	h.deliverIPv6(p)
+	h.deliverIPv6(&p)
 }
 
 func (h *Host) deliverIPv6(p *packet.IPv6) {
@@ -134,8 +134,8 @@ func (h *Host) deliverIPv6(p *packet.IPv6) {
 	case packet.ProtoICMPv6:
 		h.handleICMPv6(p)
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if u.Decode(p.Payload, p.Src, p.Dst) != nil {
 			return
 		}
 		if h.clatOwns(packet.ProtoUDP, u.DstPort) {
@@ -146,15 +146,15 @@ func (h *Host) deliverIPv6(p *packet.IPv6) {
 			handler(p.Src, u.SrcPort, p.Dst, u.Payload)
 		}
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if tc.Decode(p.Payload, p.Src, p.Dst) != nil {
 			return
 		}
 		if h.clatOwns(packet.ProtoTCP, tc.DstPort) {
 			h.deliverViaCLAT(p)
 			return
 		}
-		h.handleTCP(p.Src, p.Dst, tc)
+		h.handleTCP(p.Src, p.Dst, &tc)
 	}
 }
 
@@ -169,20 +169,19 @@ func (h *Host) deliverViaCLAT(p *packet.IPv6) {
 }
 
 func (h *Host) handleICMPv6(p *packet.IPv6) {
-	ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
-	if err != nil {
+	var ic packet.ICMP
+	if ic.DecodeV6(p.Payload, p.Src, p.Dst) != nil {
 		return
 	}
 	switch ic.Type {
 	case packet.ICMPv6RouterAdvert:
-		ra, err := ndp.ParseRouterAdvert(ic.Body)
-		if err != nil {
+		if h.raScratch.Decode(ic.Body) != nil {
 			return
 		}
-		h.processRA(p.Src, ra)
+		h.processRA(p.Src, &h.raScratch)
 	case packet.ICMPv6NeighborSolicit:
-		ns, err := ndp.ParseNeighborSolicit(ic.Body)
-		if err != nil || !h.ownsUnicastV6(ns.Target) {
+		var ns ndp.NeighborSolicit
+		if ns.Decode(ic.Body) != nil || !h.ownsUnicastV6(ns.Target) {
 			return
 		}
 		if ns.HasSourceLink {
@@ -199,8 +198,8 @@ func (h *Host) handleICMPv6(p *packet.IPv6) {
 			h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
 		}
 	case packet.ICMPv6NeighborAdvert:
-		na, err := ndp.ParseNeighborAdvert(ic.Body)
-		if err != nil {
+		var na ndp.NeighborAdvert
+		if na.Decode(ic.Body) != nil {
 			return
 		}
 		if na.HasTargetLink {
@@ -225,9 +224,9 @@ func (h *Host) handleICMPv6(p *packet.IPv6) {
 			h.pongReceived(p.Src, id, seq, data)
 		}
 	case packet.ICMPv6PacketTooBig:
-		h.handlePacketTooBig(ic)
+		h.handlePacketTooBig(&ic)
 	case packet.ICMPv6DestUnreachable:
-		h.handleDestUnreachable(ic)
+		h.handleDestUnreachable(&ic)
 	}
 }
 

@@ -28,13 +28,13 @@ func TestDestUnreachableFastFail(t *testing.T) {
 		if f.EtherType != netsim.EtherTypeIPv6 {
 			return
 		}
-		p, err := packet.ParseIPv6(f.Payload)
-		if err != nil || p.NextHeader != packet.ProtoTCP {
+		var p packet.IPv6
+		if p.Decode(f.Payload) != nil || p.NextHeader != packet.ProtoTCP {
 			return
 		}
 		src := f.Src
 		net.Clock.AfterFunc(50*time.Millisecond, func() {
-			reply := nat64.ExhaustionUnreachable(gwLL, p)
+			reply := nat64.ExhaustionUnreachable(gwLL, &p)
 			peer.Transmit(netsim.Frame{Dst: src, EtherType: netsim.EtherTypeIPv6, Payload: reply.Marshal()})
 		})
 	}))

@@ -85,14 +85,14 @@ func (m *SSIDMonitor) observe(f netsim.Frame) {
 	}
 	switch f.EtherType {
 	case netsim.EtherTypeIPv4:
-		p, err := packet.ParseIPv4(f.Payload)
-		if err != nil || isDHCP(p) {
+		var p packet.IPv4
+		if p.Decode(f.Payload) != nil || isDHCP(&p) {
 			return
 		}
 		m.usage(f.Src).V4Data++
 	case netsim.EtherTypeIPv6:
-		p, err := packet.ParseIPv6(f.Payload)
-		if err != nil || isND(p) {
+		var p packet.IPv6
+		if p.Decode(f.Payload) != nil || isND(&p) {
 			return
 		}
 		m.usage(f.Src).V6Data++

@@ -85,8 +85,8 @@ func (s *Switch) rsWatcher(ingress int, f netsim.Frame) bool {
 	if f.EtherType != netsim.EtherTypeIPv6 {
 		return true
 	}
-	p, err := packet.ParseIPv6(f.Payload)
-	if err == nil && p.NextHeader == packet.ProtoICMPv6 && len(p.Payload) > 0 &&
+	var p packet.IPv6
+	if p.Decode(f.Payload) == nil && p.NextHeader == packet.ProtoICMPv6 && len(p.Payload) > 0 &&
 		p.Payload[0] == packet.ICMPv6RouterSolicit {
 		// Reply after the solicitation itself has been forwarded.
 		if s.cfg.ScopedRS {
@@ -125,8 +125,8 @@ func (s *Switch) directedBroadcastFilter(_ int, f netsim.Frame) bool {
 	if f.Dst != netsim.Broadcast || f.EtherType != netsim.EtherTypeIPv4 {
 		return true
 	}
-	p, err := packet.ParseIPv4(f.Payload)
-	if err != nil || p.Protocol != packet.ProtoUDP || len(p.Payload) < packet.UDPHeaderLen {
+	var p packet.IPv4
+	if p.Decode(f.Payload) != nil || p.Protocol != packet.ProtoUDP || len(p.Payload) < packet.UDPHeaderLen {
 		return true
 	}
 	if srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1]); srcPort != dhcp4.ServerPort {
@@ -155,8 +155,8 @@ func (s *Switch) snoopFilter(port int, f netsim.Frame) bool {
 	if !s.blockedPorts[port] || f.EtherType != netsim.EtherTypeIPv4 {
 		return true
 	}
-	p, err := packet.ParseIPv4(f.Payload)
-	if err != nil || p.Protocol != packet.ProtoUDP || len(p.Payload) < packet.UDPHeaderLen {
+	var p packet.IPv4
+	if p.Decode(f.Payload) != nil || p.Protocol != packet.ProtoUDP || len(p.Payload) < packet.UDPHeaderLen {
 		return true
 	}
 	srcPort := uint16(p.Payload[0])<<8 | uint16(p.Payload[1])

@@ -63,11 +63,13 @@ func TestSwitchRAIsLowPreference(t *testing.T) {
 	if len(captured) == 0 {
 		t.Fatal("no RA captured")
 	}
-	p, err := packet.ParseIPv6(captured[0].Payload)
+	var p packet.IPv6
+	err := p.Decode(captured[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
+	var ic packet.ICMP
+	err = ic.DecodeV6(p.Payload, p.Src, p.Dst)
 	if err != nil || ic.Type != packet.ICMPv6RouterAdvert {
 		t.Fatalf("not an RA: %v %d", err, ic.Type)
 	}

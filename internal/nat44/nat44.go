@@ -133,8 +133,8 @@ func (t *Translator) TranslateOut(p *packet.IPv4) (*packet.IPv4, error) {
 	out := &packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: t.public, Dst: p.Dst}
 	switch p.Protocol {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := t.session(p.Protocol, p.Src, u.SrcPort, p.Dst, u.DstPort)
@@ -143,20 +143,20 @@ func (t *Translator) TranslateOut(p *packet.IPv4) (*packet.IPv4, error) {
 		}
 		out.Payload = (&packet.UDP{SrcPort: s.extPort, DstPort: u.DstPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := t.session(p.Protocol, p.Src, tc.SrcPort, p.Dst, tc.DstPort)
 		if err != nil {
 			return nil, err
 		}
-		tc2 := *tc
+		tc2 := tc
 		tc2.SrcPort = s.extPort
 		out.Payload = tc2.Marshal(out.Src, out.Dst)
 	case packet.ProtoICMP:
-		ic, err := packet.ParseICMPv4(p.Payload)
-		if err != nil {
+		var ic packet.ICMP
+		if err := ic.DecodeV4(p.Payload); err != nil {
 			return nil, err
 		}
 		id, seq, data, err := packet.EchoFields(ic.Body)
@@ -195,8 +195,8 @@ func (t *Translator) TranslateIn(p *packet.IPv4) (*packet.IPv4, error) {
 	out := &packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: p.Src}
 	switch p.Protocol {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := lookup(p.Protocol, u.DstPort)
@@ -206,8 +206,8 @@ func (t *Translator) TranslateIn(p *packet.IPv4) (*packet.IPv4, error) {
 		out.Dst = s.inside
 		out.Payload = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.inPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := lookup(p.Protocol, tc.DstPort)
@@ -215,12 +215,12 @@ func (t *Translator) TranslateIn(p *packet.IPv4) (*packet.IPv4, error) {
 			return nil, err
 		}
 		out.Dst = s.inside
-		tc2 := *tc
+		tc2 := tc
 		tc2.DstPort = s.inPort
 		out.Payload = tc2.Marshal(out.Src, out.Dst)
 	case packet.ProtoICMP:
-		ic, err := packet.ParseICMPv4(p.Payload)
-		if err != nil {
+		var ic packet.ICMP
+		if err := ic.DecodeV4(p.Payload); err != nil {
 			return nil, err
 		}
 		id, seq, data, err := packet.EchoFields(ic.Body)

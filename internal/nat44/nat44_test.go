@@ -44,7 +44,8 @@ func TestNAPTRoundTrip(t *testing.T) {
 	if out.Src != public || out.Dst != remote {
 		t.Fatalf("out header: %+v", out)
 	}
-	u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	err = u.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,8 @@ func TestNAPTRoundTrip(t *testing.T) {
 	if back.Dst != inside {
 		t.Fatalf("reply dst = %v", back.Dst)
 	}
-	u2, err := packet.ParseUDP(back.Payload, back.Src, back.Dst)
+	var u2 packet.UDP
+	err = u2.Decode(back.Payload, back.Src, back.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,8 @@ func TestICMPEchoTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, _ := packet.ParseICMPv4(out.Payload)
+	var ic packet.ICMP
+	_ = ic.DecodeV4(out.Payload)
 	extID, seq, _, _ := packet.EchoFields(ic.Body)
 	if seq != 3 {
 		t.Errorf("seq = %d", seq)
@@ -122,7 +125,8 @@ func TestICMPEchoTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic2, _ := packet.ParseICMPv4(back.Payload)
+	var ic2 packet.ICMP
+	_ = ic2.DecodeV4(back.Payload)
 	id, _, _, _ := packet.EchoFields(ic2.Body)
 	if id != 99 || back.Dst != inside {
 		t.Errorf("identifier %d dst %v", id, back.Dst)
@@ -133,7 +137,8 @@ func TestSessionExpiryDropsInbound(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
 	out, _ := tr.TranslateOut(udp4(inside, remote, 5000, 80, "x"))
-	u, _ := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	_ = u.Decode(out.Payload, out.Src, out.Dst)
 
 	clk.t = clk.t.Add(6 * time.Minute)
 	if _, err := tr.TranslateIn(udp4(remote, public, 80, u.SrcPort, "late")); err != ErrNoSession {

@@ -207,7 +207,8 @@ func TestPortReuseAvoidanceProperty(t *testing.T) {
 // an outbound UDP packet.
 func extPortOf(t *testing.T, out *packet.IPv4) uint16 {
 	t.Helper()
-	u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	err := u.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,8 @@ func extPortOf(t *testing.T, out *packet.IPv4) uint16 {
 }
 
 func extPortOfRaw(out *packet.IPv4) uint16 {
-	u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	err := u.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		return 0
 	}

@@ -44,7 +44,8 @@ func TestPortUnreachableTranslated(t *testing.T) {
 	if back.Dst != clientV6 {
 		t.Errorf("error delivered to %v", back.Dst)
 	}
-	ic, err := packet.ParseICMPv6(back.Payload, back.Src, back.Dst)
+	var ic packet.ICMP
+	err = ic.DecodeV6(back.Payload, back.Src, back.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,8 @@ func TestPortUnreachableTranslated(t *testing.T) {
 		t.Errorf("type/code = %d/%d", ic.Type, ic.Code)
 	}
 	// The embedded packet must be the client's ORIGINAL IPv6 packet shape.
-	inner, err := packet.ParseIPv6(ic.Body[4:])
+	var inner packet.IPv6
+	err = inner.Decode(ic.Body[4:])
 	if err != nil {
 		t.Fatalf("embedded: %v", err)
 	}
@@ -63,7 +65,8 @@ func TestPortUnreachableTranslated(t *testing.T) {
 	if inner.Dst != wantDst {
 		t.Errorf("embedded dst = %v", inner.Dst)
 	}
-	u, err := packet.ParseUDP(inner.Payload, inner.Src, inner.Dst)
+	var u packet.UDP
+	err = u.Decode(inner.Payload, inner.Src, inner.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,8 @@ func TestFragNeededBecomesPacketTooBig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, _ := packet.ParseICMPv6(back.Payload, back.Src, back.Dst)
+	var ic packet.ICMP
+	_ = ic.DecodeV6(back.Payload, back.Src, back.Dst)
 	if ic.Type != packet.ICMPv6PacketTooBig {
 		t.Fatalf("type = %d", ic.Type)
 	}
@@ -105,7 +109,8 @@ func TestFragNeededMTUClampedTo1280(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, _ := packet.ParseICMPv6(back.Payload, back.Src, back.Dst)
+	var ic packet.ICMP
+	_ = ic.DecodeV6(back.Payload, back.Src, back.Dst)
 	mtu := uint32(ic.Body[0])<<24 | uint32(ic.Body[1])<<16 | uint32(ic.Body[2])<<8 | uint32(ic.Body[3])
 	if mtu != 1280 {
 		t.Errorf("mtu = %d, want clamped 1280", mtu)
@@ -122,7 +127,8 @@ func TestTimeExceededTranslated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, _ := packet.ParseICMPv6(back.Payload, back.Src, back.Dst)
+	var ic packet.ICMP
+	_ = ic.DecodeV6(back.Payload, back.Src, back.Dst)
 	if ic.Type != packet.ICMPv6TimeExceeded {
 		t.Errorf("type = %d", ic.Type)
 	}

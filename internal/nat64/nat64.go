@@ -322,8 +322,8 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
 	}
 	switch p.NextHeader {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := t.session(packet.ProtoUDP, p.Src, u.SrcPort)
@@ -336,8 +336,8 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
 		out.Protocol = packet.ProtoUDP
 		out.Payload = (&packet.UDP{SrcPort: s.ExtPort, DstPort: u.DstPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := t.session(packet.ProtoTCP, p.Src, tc.SrcPort)
@@ -353,12 +353,12 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
 			s.Closing = false // binding reused by a fresh connection
 		}
 		out.Protocol = packet.ProtoTCP
-		tc2 := *tc
+		tc2 := tc
 		tc2.SrcPort = s.ExtPort
 		out.Payload = tc2.Marshal(out.Src, out.Dst)
 	case packet.ProtoICMPv6:
-		ic, err := packet.ParseICMPv6(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var ic packet.ICMP
+		if err := ic.DecodeV6(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		if ic.Type != packet.ICMPv6EchoRequest {
@@ -445,8 +445,8 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4) (*packet.IPv6, error) {
 
 	switch p.Protocol {
 	case packet.ProtoUDP:
-		u, err := packet.ParseUDP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var u packet.UDP
+		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := lookup(packet.ProtoUDP, u.DstPort)
@@ -457,8 +457,8 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4) (*packet.IPv6, error) {
 		out.NextHeader = packet.ProtoUDP
 		out.Payload = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.SrcPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
 	case packet.ProtoTCP:
-		tc, err := packet.ParseTCP(p.Payload, p.Src, p.Dst)
-		if err != nil {
+		var tc packet.TCP
+		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
 			return nil, err
 		}
 		s, err := lookup(packet.ProtoTCP, tc.DstPort)
@@ -470,16 +470,16 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4) (*packet.IPv6, error) {
 		}
 		out.Dst = s.SrcV6
 		out.NextHeader = packet.ProtoTCP
-		tc2 := *tc
+		tc2 := tc
 		tc2.DstPort = s.SrcPort
 		out.Payload = tc2.Marshal(out.Src, out.Dst)
 	case packet.ProtoICMP:
-		ic, err := packet.ParseICMPv4(p.Payload)
-		if err != nil {
+		var ic packet.ICMP
+		if err := ic.DecodeV4(p.Payload); err != nil {
 			return nil, err
 		}
 		if packet.IsICMPv4Error(ic.Type) {
-			return t.translateICMPv4Error(p, ic)
+			return t.translateICMPv4Error(p, &ic)
 		}
 		if ic.Type != packet.ICMPv4EchoReply {
 			return nil, fmt.Errorf("%w: ICMPv4 type %d", ErrUnsupported, ic.Type)

@@ -63,7 +63,8 @@ func TestUDPRoundTrip(t *testing.T) {
 	if out.TTL != 63 {
 		t.Errorf("TTL = %d, want hop limit decremented to 63", out.TTL)
 	}
-	u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+	var u packet.UDP
+	err = u.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,8 @@ func TestUDPRoundTrip(t *testing.T) {
 	if back.Dst != clientV6 || back.Src != synth(t, serverV4) {
 		t.Fatalf("v6 header: src=%v dst=%v", back.Src, back.Dst)
 	}
-	u2, err := packet.ParseUDP(back.Payload, back.Src, back.Dst)
+	var u2 packet.UDP
+	err = u2.Decode(back.Payload, back.Src, back.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc, err := packet.ParseTCP(out.Payload, out.Src, out.Dst)
+	var tc packet.TCP
+	err = tc.Decode(out.Payload, out.Src, out.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc2, err := packet.ParseTCP(back.Payload, back.Src, back.Dst)
+	var tc2 packet.TCP
+	err = tc2.Decode(back.Payload, back.Src, back.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +151,8 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic, err := packet.ParseICMPv4(out.Payload)
+	var ic packet.ICMP
+	err = ic.DecodeV4(out.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,8 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic2, err := packet.ParseICMPv6(back.Payload, back.Src, back.Dst)
+	var ic2 packet.ICMP
+	err = ic2.DecodeV6(back.Payload, back.Src, back.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +213,10 @@ func TestSessionReuseSamePort(t *testing.T) {
 	tr := newT(t, clk)
 	p1, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a"))
 	p2, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "b"))
-	u1, _ := packet.ParseUDP(p1.Payload, p1.Src, p1.Dst)
-	u2, _ := packet.ParseUDP(p2.Payload, p2.Src, p2.Dst)
+	var u1 packet.UDP
+	_ = u1.Decode(p1.Payload, p1.Src, p1.Dst)
+	var u2 packet.UDP
+	_ = u2.Decode(p2.Payload, p2.Src, p2.Dst)
 	if u1.SrcPort != u2.SrcPort {
 		t.Errorf("same flow mapped to different ports: %d vs %d", u1.SrcPort, u2.SrcPort)
 	}
@@ -222,8 +230,10 @@ func TestDistinctFlowsDistinctPorts(t *testing.T) {
 	tr := newT(t, clk)
 	p1, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a"))
 	p2, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5001, 53, serverV4, "b"))
-	u1, _ := packet.ParseUDP(p1.Payload, p1.Src, p1.Dst)
-	u2, _ := packet.ParseUDP(p2.Payload, p2.Src, p2.Dst)
+	var u1 packet.UDP
+	_ = u1.Decode(p1.Payload, p1.Src, p1.Dst)
+	var u2 packet.UDP
+	_ = u2.Decode(p2.Payload, p2.Src, p2.Dst)
 	if u1.SrcPort == u2.SrcPort {
 		t.Error("distinct flows share an external port")
 	}
@@ -317,7 +327,8 @@ func TestUDPRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+		var u packet.UDP
+		err = u.Decode(out.Payload, out.Src, out.Dst)
 		if err != nil {
 			return false
 		}
@@ -328,7 +339,8 @@ func TestUDPRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u2, err := packet.ParseUDP(back.Payload, back.Src, back.Dst)
+		var u2 packet.UDP
+		err = u2.Decode(back.Payload, back.Src, back.Dst)
 		if err != nil {
 			return false
 		}

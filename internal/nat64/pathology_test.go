@@ -30,8 +30,8 @@ func TestCorruptChecksumsBreaksVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := packet.ParseUDP(out.Payload, out.Src, out.Dst); !errors.Is(err, packet.ErrBadChecksum) {
-		t.Fatalf("ParseUDP err = %v, want ErrBadChecksum", err)
+	if err := new(packet.UDP).Decode(out.Payload, out.Src, out.Dst); !errors.Is(err, packet.ErrBadChecksum) {
+		t.Fatalf("UDP Decode err = %v, want ErrBadChecksum", err)
 	}
 	if tr.ChecksumsCorrupted != 1 {
 		t.Errorf("ChecksumsCorrupted = %d, want 1", tr.ChecksumsCorrupted)
@@ -42,8 +42,8 @@ func TestCorruptChecksumsBreaksVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := packet.ParseTCP(out.Payload, out.Src, out.Dst); !errors.Is(err, packet.ErrBadChecksum) {
-		t.Fatalf("ParseTCP err = %v, want ErrBadChecksum", err)
+	if err := new(packet.TCP).Decode(out.Payload, out.Src, out.Dst); !errors.Is(err, packet.ErrBadChecksum) {
+		t.Fatalf("TCP Decode err = %v, want ErrBadChecksum", err)
 	}
 	if tr.ChecksumsCorrupted != 2 {
 		t.Errorf("ChecksumsCorrupted = %d, want 2", tr.ChecksumsCorrupted)
@@ -61,7 +61,7 @@ func TestCorruptChecksumsOffIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := packet.ParseUDP(out.Payload, out.Src, out.Dst); err != nil {
+	if err := new(packet.UDP).Decode(out.Payload, out.Src, out.Dst); err != nil {
 		t.Fatalf("clean translation failed verification: %v", err)
 	}
 	if tr.ChecksumsCorrupted != 0 {

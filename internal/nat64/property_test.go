@@ -46,7 +46,8 @@ func TestSessionTableInvariants(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			u, err := packet.ParseUDP(out.Payload, out.Src, out.Dst)
+			var u packet.UDP
+			err = u.Decode(out.Payload, out.Src, out.Dst)
 			if err != nil {
 				return false
 			}

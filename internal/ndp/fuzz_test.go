@@ -10,22 +10,26 @@ import (
 func TestParsersNeverPanic(t *testing.T) {
 	parsers := map[string]func([]byte){
 		"RA": func(b []byte) {
-			if ra, err := ParseRouterAdvert(b); err == nil {
+			var ra RouterAdvert
+			if ra.Decode(b) == nil {
 				_ = ra.Marshal()
 			}
 		},
 		"RS": func(b []byte) {
-			if rs, err := ParseRouterSolicit(b); err == nil {
+			var rs RouterSolicit
+			if rs.Decode(b) == nil {
 				_ = rs.Marshal()
 			}
 		},
 		"NS": func(b []byte) {
-			if ns, err := ParseNeighborSolicit(b); err == nil {
+			var ns NeighborSolicit
+			if ns.Decode(b) == nil {
 				_ = ns.Marshal()
 			}
 		},
 		"NA": func(b []byte) {
-			if na, err := ParseNeighborAdvert(b); err == nil {
+			var na NeighborAdvert
+			if na.Decode(b) == nil {
 				_ = na.Marshal()
 			}
 		},

@@ -124,16 +124,20 @@ func (ra *RouterAdvert) Marshal() []byte {
 		copy(opt[16:], addr[:])
 		b = append(b, opt...)
 	}
-	if len(ra.RDNSS) > 0 {
-		opt := make([]byte, 8+16*len(ra.RDNSS))
+	// One RDNSS option holds at most 127 addresses (its length byte
+	// counts 8-byte units); longer lists continue in further options.
+	for rest := ra.RDNSS; len(rest) > 0; {
+		n := min(len(rest), 127)
+		opt := make([]byte, 8+16*n)
 		opt[0] = optRDNSS
-		opt[1] = uint8(1 + 2*len(ra.RDNSS))
+		opt[1] = uint8(1 + 2*n)
 		put32(opt[4:], uint32(ra.RDNSSLifetime/time.Second))
-		for i, a := range ra.RDNSS {
+		for i, a := range rest[:n] {
 			v := a.As16()
 			copy(opt[8+16*i:], v[:])
 		}
 		b = append(b, opt...)
+		rest = rest[n:]
 	}
 	if ra.PREF64.IsValid() {
 		// RFC 8781 §4: 13-bit scaled lifetime (units of 8s) + 3-bit PLC,
@@ -190,16 +194,23 @@ func bitsForPLC(plc uint8) (int, bool) {
 	return 0, false
 }
 
-// ParseRouterAdvert decodes an RA body.
-func ParseRouterAdvert(b []byte) (*RouterAdvert, error) {
+// Decode decodes an RA body from b into ra. Prefixes and RDNSS are
+// rebuilt in the storage ra already holds, so a receiver that decodes
+// every RA into one long-lived value stops allocating once those slices
+// have grown to the largest RA it has seen; the next Decode into ra
+// overwrites them. Every other field is a fixed-size value, so ra
+// retains nothing of b. On error ra is left in an unspecified state.
+func (ra *RouterAdvert) Decode(b []byte) error {
 	if len(b) < 12 {
-		return nil, fmt.Errorf("%w: RA body %d bytes", ErrBadNDP, len(b))
+		return fmt.Errorf("%w: RA body %d bytes", ErrBadNDP, len(b))
 	}
-	ra := &RouterAdvert{
+	*ra = RouterAdvert{
 		CurHopLimit:    b[0],
 		Managed:        b[1]&0x80 != 0,
 		OtherConfig:    b[1]&0x40 != 0,
 		RouterLifetime: time.Duration(be16(b[2:])) * time.Second,
+		Prefixes:       ra.Prefixes[:0],
+		RDNSS:          ra.RDNSS[:0],
 	}
 	switch b[1] >> 3 & 0x3 {
 	case 0x1:
@@ -209,17 +220,18 @@ func ParseRouterAdvert(b []byte) (*RouterAdvert, error) {
 	default:
 		ra.Preference = PrefMedium
 	}
-	return ra, parseOptions(b[12:], func(typ uint8, body []byte) error {
+	for opts := b[12:]; len(opts) > 0; {
+		typ, body, rest, err := nextOption(opts)
+		if err != nil {
+			return err
+		}
+		opts = rest
 		switch typ {
 		case optSourceLinkAddr:
-			if len(body) >= 6 {
-				copy(ra.SourceLinkAddr[:], body[:6])
-				ra.HasSourceLink = true
-			}
+			ra.SourceLinkAddr = [6]byte(body[:6])
+			ra.HasSourceLink = true
 		case optMTU:
-			if len(body) >= 6 {
-				ra.MTU = be32(body[2:])
-			}
+			ra.MTU = be32(body[2:])
 		case optPrefixInfo:
 			if len(body) < 30 {
 				return fmt.Errorf("%w: prefix info %d bytes", ErrBadNDP, len(body))
@@ -233,9 +245,6 @@ func ParseRouterAdvert(b []byte) (*RouterAdvert, error) {
 				PreferredLifetime: time.Duration(be32(body[6:])) * time.Second,
 			})
 		case optRDNSS:
-			if len(body) < 6 {
-				return fmt.Errorf("%w: RDNSS %d bytes", ErrBadNDP, len(body))
-			}
 			ra.RDNSSLifetime = time.Duration(be32(body[2:])) * time.Second
 			for i := 6; i+16 <= len(body); i += 16 {
 				ra.RDNSS = append(ra.RDNSS, netip.AddrFrom16([16]byte(body[i:i+16])))
@@ -247,15 +256,15 @@ func ParseRouterAdvert(b []byte) (*RouterAdvert, error) {
 			sl := be16(body[0:])
 			bits, ok := bitsForPLC(uint8(sl & 0x7))
 			if !ok {
-				return nil // unknown PLC: ignore the option (RFC 8781 §5.1)
+				continue // unknown PLC: ignore the option (RFC 8781 §5.1)
 			}
 			var addr [16]byte
 			copy(addr[:12], body[2:14])
 			ra.PREF64 = netip.PrefixFrom(netip.AddrFrom16(addr), bits)
 			ra.PREF64Lifetime = time.Duration(sl>>3) * 8 * time.Second
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // RouterSolicit is an RS (ICMPv6 type 133 body).
@@ -274,19 +283,15 @@ func (rs *RouterSolicit) Marshal() []byte {
 	return b
 }
 
-// ParseRouterSolicit decodes an RS body.
-func ParseRouterSolicit(b []byte) (*RouterSolicit, error) {
+// Decode decodes an RS body from b into rs. On error rs is left in an
+// unspecified state.
+func (rs *RouterSolicit) Decode(b []byte) error {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: RS body %d bytes", ErrBadNDP, len(b))
+		return fmt.Errorf("%w: RS body %d bytes", ErrBadNDP, len(b))
 	}
-	rs := &RouterSolicit{}
-	return rs, parseOptions(b[4:], func(typ uint8, body []byte) error {
-		if typ == optSourceLinkAddr && len(body) >= 6 {
-			copy(rs.SourceLinkAddr[:], body[:6])
-			rs.HasSourceLink = true
-		}
-		return nil
-	})
+	mac, ok, err := linkAddrOption(b[4:], optSourceLinkAddr)
+	*rs = RouterSolicit{SourceLinkAddr: mac, HasSourceLink: ok}
+	return err
 }
 
 // NeighborSolicit is an NS (ICMPv6 type 135 body).
@@ -308,19 +313,19 @@ func (ns *NeighborSolicit) Marshal() []byte {
 	return b
 }
 
-// ParseNeighborSolicit decodes an NS body.
-func ParseNeighborSolicit(b []byte) (*NeighborSolicit, error) {
+// Decode decodes an NS body from b into ns. On error ns is left in an
+// unspecified state.
+func (ns *NeighborSolicit) Decode(b []byte) error {
 	if len(b) < 20 {
-		return nil, fmt.Errorf("%w: NS body %d bytes", ErrBadNDP, len(b))
+		return fmt.Errorf("%w: NS body %d bytes", ErrBadNDP, len(b))
 	}
-	ns := &NeighborSolicit{Target: netip.AddrFrom16([16]byte(b[4:20]))}
-	return ns, parseOptions(b[20:], func(typ uint8, body []byte) error {
-		if typ == optSourceLinkAddr && len(body) >= 6 {
-			copy(ns.SourceLinkAddr[:], body[:6])
-			ns.HasSourceLink = true
-		}
-		return nil
-	})
+	mac, ok, err := linkAddrOption(b[20:], optSourceLinkAddr)
+	*ns = NeighborSolicit{
+		Target:         netip.AddrFrom16([16]byte(b[4:20])),
+		SourceLinkAddr: mac,
+		HasSourceLink:  ok,
+	}
+	return err
 }
 
 // NeighborAdvert is an NA (ICMPv6 type 136 body).
@@ -354,42 +359,52 @@ func (na *NeighborAdvert) Marshal() []byte {
 	return b
 }
 
-// ParseNeighborAdvert decodes an NA body.
-func ParseNeighborAdvert(b []byte) (*NeighborAdvert, error) {
+// Decode decodes an NA body from b into na. On error na is left in an
+// unspecified state.
+func (na *NeighborAdvert) Decode(b []byte) error {
 	if len(b) < 20 {
-		return nil, fmt.Errorf("%w: NA body %d bytes", ErrBadNDP, len(b))
+		return fmt.Errorf("%w: NA body %d bytes", ErrBadNDP, len(b))
 	}
-	na := &NeighborAdvert{
-		Router:    b[0]&0x80 != 0,
-		Solicited: b[0]&0x40 != 0,
-		Override:  b[0]&0x20 != 0,
-		Target:    netip.AddrFrom16([16]byte(b[4:20])),
+	mac, ok, err := linkAddrOption(b[20:], optTargetLinkAddr)
+	*na = NeighborAdvert{
+		Router:         b[0]&0x80 != 0,
+		Solicited:      b[0]&0x40 != 0,
+		Override:       b[0]&0x20 != 0,
+		Target:         netip.AddrFrom16([16]byte(b[4:20])),
+		TargetLinkAddr: mac,
+		HasTargetLink:  ok,
 	}
-	return na, parseOptions(b[20:], func(typ uint8, body []byte) error {
-		if typ == optTargetLinkAddr && len(body) >= 6 {
-			copy(na.TargetLinkAddr[:], body[:6])
-			na.HasTargetLink = true
-		}
-		return nil
-	})
+	return err
 }
 
-// parseOptions walks the 8-byte-unit TLV option stream.
-func parseOptions(b []byte, fn func(typ uint8, body []byte) error) error {
-	for len(b) > 0 {
-		if len(b) < 2 {
-			return fmt.Errorf("%w: dangling option byte", ErrBadNDP)
-		}
-		l := int(b[1]) * 8
-		if l == 0 || l > len(b) {
-			return fmt.Errorf("%w: option length %d", ErrBadNDP, l)
-		}
-		if err := fn(b[0], b[2:l]); err != nil {
-			return err
-		}
-		b = b[l:]
+// nextOption splits the first option off an 8-byte-unit TLV option
+// stream: its type, its body (after the type and length bytes, so at
+// least 6 bytes long) and the rest of the stream.
+func nextOption(b []byte) (typ uint8, body, rest []byte, err error) {
+	if len(b) < 2 {
+		return 0, nil, nil, fmt.Errorf("%w: dangling option byte", ErrBadNDP)
 	}
-	return nil
+	l := int(b[1]) * 8
+	if l == 0 || l > len(b) {
+		return 0, nil, nil, fmt.Errorf("%w: option length %d", ErrBadNDP, l)
+	}
+	return b[0], b[2:l], b[l:], nil
+}
+
+// linkAddrOption walks an option stream and returns the link-layer
+// address carried by the last option of type typ.
+func linkAddrOption(opts []byte, typ uint8) (mac [6]byte, ok bool, err error) {
+	for len(opts) > 0 {
+		var t uint8
+		var body []byte
+		if t, body, opts, err = nextOption(opts); err != nil {
+			return mac, ok, err
+		}
+		if t == typ {
+			mac, ok = [6]byte(body[:6]), true
+		}
+	}
+	return mac, ok, nil
 }
 
 // EUI64 derives the RFC 4291 modified EUI-64 interface identifier

@@ -31,7 +31,8 @@ func gatewayRA() *RouterAdvert {
 
 func TestRARoundTrip(t *testing.T) {
 	in := gatewayRA()
-	out, err := ParseRouterAdvert(in.Marshal())
+	var out RouterAdvert
+	err := out.Decode(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,8 @@ func TestRARoundTrip(t *testing.T) {
 func TestRAPreferenceRoundTrip(t *testing.T) {
 	for _, pref := range []RouterPreference{PrefLow, PrefMedium, PrefHigh} {
 		ra := &RouterAdvert{RouterLifetime: time.Minute, Preference: pref}
-		out, err := ParseRouterAdvert(ra.Marshal())
+		var out RouterAdvert
+		err := out.Decode(ra.Marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +83,8 @@ func TestRAPreferenceRoundTrip(t *testing.T) {
 
 func TestRAManagedOtherFlags(t *testing.T) {
 	ra := &RouterAdvert{Managed: true, OtherConfig: true}
-	out, err := ParseRouterAdvert(ra.Marshal())
+	var out RouterAdvert
+	err := out.Decode(ra.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +94,11 @@ func TestRAManagedOtherFlags(t *testing.T) {
 }
 
 func TestRATruncatedRejected(t *testing.T) {
-	if _, err := ParseRouterAdvert(make([]byte, 11)); err == nil {
+	if err := new(RouterAdvert).Decode(make([]byte, 11)); err == nil {
 		t.Error("11-byte RA accepted")
 	}
 	b := gatewayRA().Marshal()
-	if _, err := ParseRouterAdvert(b[:len(b)-5]); err == nil {
+	if err := new(RouterAdvert).Decode(b[:len(b)-5]); err == nil {
 		t.Error("truncated option stream accepted")
 	}
 }
@@ -103,14 +106,15 @@ func TestRATruncatedRejected(t *testing.T) {
 func TestRAZeroLengthOptionRejected(t *testing.T) {
 	b := gatewayRA().Marshal()
 	b[13] = 0 // zero out the length of the first option
-	if _, err := ParseRouterAdvert(b); err == nil {
+	if err := new(RouterAdvert).Decode(b); err == nil {
 		t.Error("zero-length option accepted (infinite loop risk)")
 	}
 }
 
 func TestRSRoundTrip(t *testing.T) {
 	rs := &RouterSolicit{SourceLinkAddr: [6]byte{2, 0, 0, 0, 0, 7}, HasSourceLink: true}
-	out, err := ParseRouterSolicit(rs.Marshal())
+	var out RouterSolicit
+	err := out.Decode(rs.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +126,8 @@ func TestRSRoundTrip(t *testing.T) {
 func TestNSNARoundTrip(t *testing.T) {
 	target := netip.MustParseAddr("fd00:976a::9")
 	ns := &NeighborSolicit{Target: target, SourceLinkAddr: [6]byte{2, 0, 0, 0, 0, 1}, HasSourceLink: true}
-	outNS, err := ParseNeighborSolicit(ns.Marshal())
+	var outNS NeighborSolicit
+	err := outNS.Decode(ns.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,8 @@ func TestNSNARoundTrip(t *testing.T) {
 		Router: true, Solicited: true, Override: true,
 		Target: target, TargetLinkAddr: [6]byte{2, 0, 0, 0, 0, 2}, HasTargetLink: true,
 	}
-	outNA, err := ParseNeighborAdvert(na.Marshal())
+	var outNA NeighborAdvert
+	err = outNA.Decode(na.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +188,8 @@ func TestPREF64RoundTrip(t *testing.T) {
 			PREF64:         pref,
 			PREF64Lifetime: 30 * time.Minute,
 		}
-		out, err := ParseRouterAdvert(ra.Marshal())
+		var out RouterAdvert
+		err := out.Decode(ra.Marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +208,8 @@ func TestPREF64UnsupportedLengthOmitted(t *testing.T) {
 		PREF64:         netip.MustParsePrefix("64:ff9b::/95"), // no PLC for /95
 		PREF64Lifetime: time.Minute,
 	}
-	out, err := ParseRouterAdvert(ra.Marshal())
+	var out RouterAdvert
+	err := out.Decode(ra.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +219,8 @@ func TestPREF64UnsupportedLengthOmitted(t *testing.T) {
 }
 
 func TestAbsentPREF64StaysInvalid(t *testing.T) {
-	out, err := ParseRouterAdvert((&RouterAdvert{RouterLifetime: time.Minute}).Marshal())
+	var out RouterAdvert
+	err := out.Decode((&RouterAdvert{RouterLifetime: time.Minute}).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,17 +229,16 @@ func TestAbsentPREF64StaysInvalid(t *testing.T) {
 	}
 }
 
-// Property: RA with arbitrary RDNSS lists round-trips.
+// Property: RA with arbitrary RDNSS lists round-trips, including lists
+// too long for one option's length byte (more than 127 addresses).
 func TestRARDNSSProperty(t *testing.T) {
-	f := func(addrs [][16]byte, lifetime uint16) bool {
-		if len(addrs) > 8 {
-			addrs = addrs[:8]
-		}
+	roundTrips := func(addrs [][16]byte, lifetime uint16) bool {
 		ra := &RouterAdvert{RouterLifetime: time.Minute, RDNSSLifetime: time.Duration(lifetime) * time.Second}
 		for _, a := range addrs {
 			ra.RDNSS = append(ra.RDNSS, netip.AddrFrom16(a))
 		}
-		out, err := ParseRouterAdvert(ra.Marshal())
+		var out RouterAdvert
+		err := out.Decode(ra.Marshal())
 		if err != nil {
 			return false
 		}
@@ -244,8 +252,18 @@ func TestRARDNSSProperty(t *testing.T) {
 		}
 		return len(ra.RDNSS) == 0 || out.RDNSSLifetime == ra.RDNSSLifetime
 	}
+	f := func(addrs [][16]byte, lifetime uint16) bool {
+		return roundTrips(addrs[:min(len(addrs), 8)], lifetime)
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	long := make([][16]byte, 300)
+	for i := range long {
+		long[i][14], long[i][15] = byte(i>>8), byte(i)
+	}
+	if !roundTrips(long, 60) {
+		t.Error("300-address RDNSS list does not round-trip")
 	}
 }
 

@@ -7,6 +7,17 @@ import (
 
 // Frame is an Ethernet-style layer-2 frame. Payload holds an encoded
 // layer-3 packet (ARP, IPv4 or IPv6).
+//
+// Payload ownership, one rule for every delivered frame: Transmit copies
+// the payload into the fabric's arena, and receivers decode that copy in
+// place — the packet and ndp decoders return views (Payload, Options,
+// Body) that alias it rather than copies. Receivers never write through
+// a delivered payload or any view of it; a flood hands one copy to every
+// port (Shared), and a decoded view may already be in another
+// component's hands. The payload and its views stay valid until the
+// fabric recycles its arena (RecycleArena, run by Reset and ResetTo). A
+// receiver that keeps bytes past that point copies them; one that wants
+// to write takes a copy first (Own or Clone).
 type Frame struct {
 	Src       MAC
 	Dst       MAC
@@ -14,9 +25,8 @@ type Frame struct {
 	Payload   []byte
 
 	// Shared marks a payload delivered to multiple receivers at once (a
-	// switch flood fan-out carries one immutable copy for every port).
-	// Receivers may parse and retain a shared payload freely but must
-	// not mutate it in place; call Own (or Clone) first.
+	// switch flood fan-out carries one copy for every port), so a write
+	// through it would reach every co-receiver; Own copies exactly these.
 	Shared bool
 }
 
@@ -37,8 +47,10 @@ func (f Frame) Clone() Frame {
 }
 
 // Own returns a frame whose payload is safe to mutate: a shared
-// (fan-out) payload is copied, a private one is returned as-is. This is
-// the copy-on-write half of the shared-payload flood path — only
+// (fan-out) payload is copied, a private one — this hop's copy, held by
+// no other receiver — is returned as-is, to be written only once the
+// receiver's own decoded views of it are no longer in use. This is the
+// copy-on-write half of the shared-payload flood path — only
 // receivers that actually write pay for a copy.
 func (f Frame) Own() Frame {
 	if !f.Shared {
@@ -215,8 +227,9 @@ const arenaMaxRetired = 8
 // pooled chunks, so delivering a frame costs one chunk allocation per
 // ~hundreds of hops instead of one per hop. Chunks are sourced from a
 // sync.Pool; exhausted chunks are parked on a retired list and only
-// returned to the pool by an explicit RecycleArena call, because
-// receivers are allowed to retain delivered payloads indefinitely.
+// returned to the pool by an explicit RecycleArena call (Reset and
+// ResetTo make one), because receivers decode payloads in place and may
+// hold the views until then (see Frame).
 type payloadArena struct {
 	pool    sync.Pool
 	cur     []byte
@@ -264,8 +277,8 @@ func (a *payloadArena) recycle() {
 }
 
 // RecycleArena returns exhausted payload chunks to the arena's pool for
-// reuse. The caller asserts that no previously delivered frame payload
-// is still referenced — e.g. between iterations of a benchmark or
+// reuse. The caller asserts that no previously delivered frame payload,
+// nor any decoded view of one, is still referenced — e.g. between iterations of a benchmark or
 // scenario sweep after the fabric has gone quiescent. Without explicit
 // recycling the arena stays safe: retired chunks are simply left to the
 // garbage collector.

@@ -44,18 +44,22 @@ func (a *ARP) Marshal() []byte {
 	return b
 }
 
-// ParseARP decodes an Ethernet/IPv4 ARP packet.
-func ParseARP(b []byte) (*ARP, error) {
+// Decode decodes an Ethernet/IPv4 ARP packet from b into a. Every ARP
+// field is fixed-size, so a retains nothing of b. On error a is left in
+// an unspecified state.
+func (a *ARP) Decode(b []byte) error {
 	if len(b) < arpPacketLen {
-		return nil, fmt.Errorf("arp: %w", ErrTruncated)
+		return fmt.Errorf("arp: %w", ErrTruncated)
 	}
 	if be16(b[0:]) != 1 || be16(b[2:]) != 0x0800 || b[4] != 6 || b[5] != 4 {
-		return nil, fmt.Errorf("arp: unsupported hardware/protocol combination")
+		return fmt.Errorf("arp: unsupported hardware/protocol combination")
 	}
-	a := &ARP{Op: be16(b[6:])}
-	copy(a.SenderMAC[:], b[8:14])
-	a.SenderIP = netip.AddrFrom4([4]byte(b[14:18]))
-	copy(a.TargetMAC[:], b[18:24])
-	a.TargetIP = netip.AddrFrom4([4]byte(b[24:28]))
-	return a, nil
+	*a = ARP{
+		Op:        be16(b[6:]),
+		SenderMAC: [6]byte(b[8:14]),
+		SenderIP:  netip.AddrFrom4([4]byte(b[14:18])),
+		TargetMAC: [6]byte(b[18:24]),
+		TargetIP:  netip.AddrFrom4([4]byte(b[24:28])),
+	}
+	return nil
 }

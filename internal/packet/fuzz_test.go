@@ -29,16 +29,18 @@ func neverPanics(t *testing.T, name string, f func(data []byte)) {
 }
 
 func TestParseIPv4NeverPanics(t *testing.T) {
-	neverPanics(t, "ParseIPv4", func(data []byte) {
-		if p, err := ParseIPv4(data); err == nil {
+	neverPanics(t, "IPv4.Decode", func(data []byte) {
+		var p IPv4
+		if p.Decode(data) == nil {
 			_ = p.Marshal()
 		}
 	})
 }
 
 func TestParseIPv6NeverPanics(t *testing.T) {
-	neverPanics(t, "ParseIPv6", func(data []byte) {
-		if p, err := ParseIPv6(data); err == nil {
+	neverPanics(t, "IPv6.Decode", func(data []byte) {
+		var p IPv6
+		if p.Decode(data) == nil {
 			_ = p.Marshal()
 		}
 	})
@@ -47,8 +49,9 @@ func TestParseIPv6NeverPanics(t *testing.T) {
 func TestParseUDPNeverPanics(t *testing.T) {
 	src := netip.MustParseAddr("192.0.2.1")
 	dst := netip.MustParseAddr("192.0.2.2")
-	neverPanics(t, "ParseUDP", func(data []byte) {
-		if u, err := ParseUDP(data, src, dst); err == nil {
+	neverPanics(t, "UDP.Decode", func(data []byte) {
+		var u UDP
+		if u.Decode(data, src, dst) == nil {
 			_ = u.Marshal(src, dst)
 		}
 	})
@@ -57,8 +60,9 @@ func TestParseUDPNeverPanics(t *testing.T) {
 func TestParseTCPNeverPanics(t *testing.T) {
 	src := netip.MustParseAddr("2001:db8::1")
 	dst := netip.MustParseAddr("2001:db8::2")
-	neverPanics(t, "ParseTCP", func(data []byte) {
-		if tc, err := ParseTCP(data, src, dst); err == nil {
+	neverPanics(t, "TCP.Decode", func(data []byte) {
+		var tc TCP
+		if tc.Decode(data, src, dst) == nil {
 			_ = tc.Marshal(src, dst)
 		}
 	})
@@ -67,21 +71,24 @@ func TestParseTCPNeverPanics(t *testing.T) {
 func TestParseICMPNeverPanics(t *testing.T) {
 	src := netip.MustParseAddr("2001:db8::1")
 	dst := netip.MustParseAddr("2001:db8::2")
-	neverPanics(t, "ParseICMPv4", func(data []byte) {
-		if ic, err := ParseICMPv4(data); err == nil {
+	neverPanics(t, "ICMP.DecodeV4", func(data []byte) {
+		var ic ICMP
+		if ic.DecodeV4(data) == nil {
 			_ = ic.MarshalV4()
 		}
 	})
-	neverPanics(t, "ParseICMPv6", func(data []byte) {
-		if ic, err := ParseICMPv6(data, src, dst); err == nil {
+	neverPanics(t, "ICMP.DecodeV6", func(data []byte) {
+		var ic ICMP
+		if ic.DecodeV6(data, src, dst) == nil {
 			_ = ic.MarshalV6(src, dst)
 		}
 	})
 }
 
 func TestParseARPNeverPanics(t *testing.T) {
-	neverPanics(t, "ParseARP", func(data []byte) {
-		if a, err := ParseARP(data); err == nil {
+	neverPanics(t, "ARP.Decode", func(data []byte) {
+		var a ARP
+		if a.Decode(data) == nil {
 			_ = a.Marshal()
 		}
 	})

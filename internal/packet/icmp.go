@@ -70,26 +70,32 @@ func (m *ICMP) MarshalV6(src, dst netip.Addr) []byte {
 	return b
 }
 
-// ParseICMPv4 decodes and checksum-verifies an ICMPv4 message.
-func ParseICMPv4(b []byte) (*ICMP, error) {
+// DecodeV4 decodes and checksum-verifies an ICMPv4 message from b into
+// m. Body aliases b (see the package doc). On error m is left in an
+// unspecified state.
+func (m *ICMP) DecodeV4(b []byte) error {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("icmpv4: %w", ErrTruncated)
+		return fmt.Errorf("icmpv4: %w", ErrTruncated)
 	}
 	if Checksum(b) != 0 {
-		return nil, fmt.Errorf("icmpv4: %w", ErrBadChecksum)
+		return fmt.Errorf("icmpv4: %w", ErrBadChecksum)
 	}
-	return &ICMP{Type: b[0], Code: b[1], Body: append([]byte(nil), b[4:]...)}, nil
+	*m = ICMP{Type: b[0], Code: b[1], Body: b[4:len(b):len(b)]}
+	return nil
 }
 
-// ParseICMPv6 decodes and checksum-verifies an ICMPv6 message.
-func ParseICMPv6(b []byte, src, dst netip.Addr) (*ICMP, error) {
+// DecodeV6 decodes and checksum-verifies an ICMPv6 message from b into
+// m, with the pseudo-header for src/dst. Body aliases b (see the package
+// doc). On error m is left in an unspecified state.
+func (m *ICMP) DecodeV6(b []byte, src, dst netip.Addr) error {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("icmpv6: %w", ErrTruncated)
+		return fmt.Errorf("icmpv6: %w", ErrTruncated)
 	}
 	if PseudoHeaderChecksum(ProtoICMPv6, src, dst, b) != 0 {
-		return nil, fmt.Errorf("icmpv6: %w", ErrBadChecksum)
+		return fmt.Errorf("icmpv6: %w", ErrBadChecksum)
 	}
-	return &ICMP{Type: b[0], Code: b[1], Body: append([]byte(nil), b[4:]...)}, nil
+	*m = ICMP{Type: b[0], Code: b[1], Body: b[4:len(b):len(b)]}
+	return nil
 }
 
 // EchoBody packs an echo identifier, sequence number and data payload.

@@ -77,28 +77,30 @@ func (p *IPv4) Marshal() []byte {
 	return b
 }
 
-// ParseIPv4 decodes an IPv4 packet, verifying version, lengths and the
-// header checksum.
-func ParseIPv4(b []byte) (*IPv4, error) {
+// Decode decodes an IPv4 packet from b into p, verifying version,
+// lengths and the header checksum. Options and Payload alias b (see the
+// package doc); bytes past the total length are ignored. On error p is
+// left in an unspecified state.
+func (p *IPv4) Decode(b []byte) error {
 	if len(b) < IPv4MinHeaderLen {
-		return nil, fmt.Errorf("ipv4 header: %w", ErrTruncated)
+		return fmt.Errorf("ipv4 header: %w", ErrTruncated)
 	}
 	if b[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	hlen := int(b[0]&0x0f) * 4
 	if hlen < IPv4MinHeaderLen || len(b) < hlen {
-		return nil, fmt.Errorf("ipv4 header length %d: %w", hlen, ErrTruncated)
+		return fmt.Errorf("ipv4 header length %d: %w", hlen, ErrTruncated)
 	}
 	total := int(be16(b[2:]))
 	if total < hlen || total > len(b) {
-		return nil, fmt.Errorf("ipv4 total length %d: %w", total, ErrTruncated)
+		return fmt.Errorf("ipv4 total length %d: %w", total, ErrTruncated)
 	}
 	if Checksum(b[:hlen]) != 0 {
-		return nil, fmt.Errorf("ipv4: %w", ErrBadChecksum)
+		return fmt.Errorf("ipv4: %w", ErrBadChecksum)
 	}
 	flags := be16(b[6:])
-	p := &IPv4{
+	*p = IPv4{
 		TOS:      b[1],
 		ID:       be16(b[4:]),
 		DontFrag: flags&0x4000 != 0,
@@ -108,10 +110,10 @@ func ParseIPv4(b []byte) (*IPv4, error) {
 		Protocol: b[9],
 		Src:      netip.AddrFrom4([4]byte(b[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(b[16:20])),
+		Payload:  b[hlen:total:total],
 	}
 	if hlen > IPv4MinHeaderLen {
-		p.Options = append([]byte(nil), b[IPv4MinHeaderLen:hlen]...)
+		p.Options = b[IPv4MinHeaderLen:hlen:hlen]
 	}
-	p.Payload = append([]byte(nil), b[hlen:total]...)
-	return p, nil
+	return nil
 }

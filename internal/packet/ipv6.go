@@ -45,28 +45,31 @@ func (p *IPv6) Marshal() []byte {
 	return b
 }
 
-// ParseIPv6 decodes an IPv6 packet, verifying version and payload length.
-func ParseIPv6(b []byte) (*IPv6, error) {
+// Decode decodes an IPv6 packet from b into p, verifying version and
+// payload length. Payload aliases b (see the package doc); bytes past
+// the payload length are ignored. On error p is left in an unspecified
+// state.
+func (p *IPv6) Decode(b []byte) error {
 	if len(b) < IPv6HeaderLen {
-		return nil, fmt.Errorf("ipv6 header: %w", ErrTruncated)
+		return fmt.Errorf("ipv6 header: %w", ErrTruncated)
 	}
 	if b[0]>>4 != 6 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
-	plen := int(be16(b[4:]))
-	if IPv6HeaderLen+plen > len(b) {
-		return nil, fmt.Errorf("ipv6 payload length %d: %w", plen, ErrTruncated)
+	end := IPv6HeaderLen + int(be16(b[4:]))
+	if end > len(b) {
+		return fmt.Errorf("ipv6 payload length %d: %w", end-IPv6HeaderLen, ErrTruncated)
 	}
-	p := &IPv6{
+	*p = IPv6{
 		TrafficClass: b[0]<<4 | b[1]>>4,
 		FlowLabel:    uint32(b[1]&0x0f)<<16 | uint32(b[2])<<8 | uint32(b[3]),
 		NextHeader:   b[6],
 		HopLimit:     b[7],
 		Src:          netip.AddrFrom16([16]byte(b[8:24])),
 		Dst:          netip.AddrFrom16([16]byte(b[24:40])),
+		Payload:      b[IPv6HeaderLen:end:end],
 	}
-	p.Payload = append([]byte(nil), b[IPv6HeaderLen:IPv6HeaderLen+plen]...)
-	return p, nil
+	return nil
 }
 
 // SolicitedNodeMulticast returns the solicited-node multicast address

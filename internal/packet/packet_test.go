@@ -56,7 +56,8 @@ func TestIPv4RoundTrip(t *testing.T) {
 		Dst:      v4b,
 		Payload:  []byte("payload bytes"),
 	}
-	out, err := ParseIPv4(in.Marshal())
+	var out IPv4
+	err := out.Decode(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,8 @@ func TestIPv4RoundTrip(t *testing.T) {
 
 func TestIPv4DefaultTTL(t *testing.T) {
 	p := &IPv4{Protocol: ProtoTCP, Src: v4a, Dst: v4b}
-	out, err := ParseIPv4(p.Marshal())
+	var out IPv4
+	err := out.Decode(p.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestIPv4DefaultTTL(t *testing.T) {
 func TestIPv4CorruptChecksumRejected(t *testing.T) {
 	b := (&IPv4{Protocol: ProtoUDP, Src: v4a, Dst: v4b}).Marshal()
 	b[10] ^= 0xff
-	if _, err := ParseIPv4(b); err == nil {
+	if err := new(IPv4).Decode(b); err == nil {
 		t.Error("corrupt header accepted")
 	}
 }
@@ -91,7 +93,7 @@ func TestIPv4CorruptChecksumRejected(t *testing.T) {
 func TestIPv4Truncated(t *testing.T) {
 	b := (&IPv4{Protocol: ProtoUDP, Src: v4a, Dst: v4b, Payload: []byte("x")}).Marshal()
 	for _, n := range []int{0, 5, 19} {
-		if _, err := ParseIPv4(b[:n]); err == nil {
+		if err := new(IPv4).Decode(b[:n]); err == nil {
 			t.Errorf("truncated to %d bytes accepted", n)
 		}
 	}
@@ -99,14 +101,15 @@ func TestIPv4Truncated(t *testing.T) {
 
 func TestIPv4WrongVersionRejected(t *testing.T) {
 	b := (&IPv6{NextHeader: ProtoUDP, Src: v6a, Dst: v6b}).Marshal()
-	if _, err := ParseIPv4(b); err == nil {
+	if err := new(IPv4).Decode(b); err == nil {
 		t.Error("IPv6 packet accepted as IPv4")
 	}
 }
 
 func TestIPv4OptionsPreserved(t *testing.T) {
 	in := &IPv4{Protocol: ProtoUDP, Src: v4a, Dst: v4b, Options: []byte{0x94, 0x04, 0, 0}}
-	out, err := ParseIPv4(in.Marshal())
+	var out IPv4
+	err := out.Decode(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,8 @@ func TestIPv6RoundTrip(t *testing.T) {
 		Dst:          v6b,
 		Payload:      []byte("v6 payload"),
 	}
-	out, err := ParseIPv6(in.Marshal())
+	var out IPv6
+	err := out.Decode(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +144,11 @@ func TestIPv6RoundTrip(t *testing.T) {
 
 func TestIPv6Truncated(t *testing.T) {
 	b := (&IPv6{NextHeader: ProtoUDP, Src: v6a, Dst: v6b, Payload: []byte("abc")}).Marshal()
-	if _, err := ParseIPv6(b[:39]); err == nil {
+	if err := new(IPv6).Decode(b[:39]); err == nil {
 		t.Error("truncated header accepted")
 	}
 	b[5] = 200 // claim longer payload than present
-	if _, err := ParseIPv6(b); err == nil {
+	if err := new(IPv6).Decode(b); err == nil {
 		t.Error("overlong payload length accepted")
 	}
 }
@@ -167,7 +171,8 @@ func TestMulticastMAC(t *testing.T) {
 
 func TestUDPRoundTripV4(t *testing.T) {
 	in := &UDP{SrcPort: 68, DstPort: 67, Payload: []byte("dhcp")}
-	out, err := ParseUDP(in.Marshal(v4a, v4b), v4a, v4b)
+	var out UDP
+	err := out.Decode(in.Marshal(v4a, v4b), v4a, v4b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +183,8 @@ func TestUDPRoundTripV4(t *testing.T) {
 
 func TestUDPRoundTripV6(t *testing.T) {
 	in := &UDP{SrcPort: 5353, DstPort: 53, Payload: []byte("dns query")}
-	out, err := ParseUDP(in.Marshal(v6a, v6b), v6a, v6b)
+	var out UDP
+	err := out.Decode(in.Marshal(v6a, v6b), v6a, v6b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func TestUDPChecksumBindsAddresses(t *testing.T) {
 	// Note: swapping src and dst does not change a ones-complement sum, so
 	// verify with a genuinely different address instead.
 	b := (&UDP{SrcPort: 1, DstPort: 2}).Marshal(v4a, v4b)
-	if _, err := ParseUDP(b, v4a, netip.MustParseAddr("10.0.0.1")); err == nil {
+	if err := new(UDP).Decode(b, v4a, netip.MustParseAddr("10.0.0.1")); err == nil {
 		t.Error("UDP accepted with wrong pseudo-header addresses")
 	}
 }
@@ -199,7 +205,7 @@ func TestUDPChecksumBindsAddresses(t *testing.T) {
 func TestUDPZeroChecksumRejectedOnV6(t *testing.T) {
 	b := (&UDP{SrcPort: 1, DstPort: 2}).Marshal(v6a, v6b)
 	b[6], b[7] = 0, 0
-	if _, err := ParseUDP(b, v6a, v6b); err == nil {
+	if err := new(UDP).Decode(b, v6a, v6b); err == nil {
 		t.Error("zero-checksum UDP over IPv6 accepted")
 	}
 }
@@ -212,7 +218,8 @@ func TestTCPRoundTrip(t *testing.T) {
 		Options: []byte{2, 4, 5, 0xb4},
 		Payload: []byte("GET / HTTP/1.1"),
 	}
-	out, err := ParseTCP(in.Marshal(v6a, v6b), v6a, v6b)
+	var out TCP
+	err := out.Decode(in.Marshal(v6a, v6b), v6a, v6b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +239,15 @@ func TestTCPRoundTrip(t *testing.T) {
 func TestTCPCorruptPayloadRejected(t *testing.T) {
 	b := (&TCP{SrcPort: 1, DstPort: 2, Payload: []byte("data")}).Marshal(v4a, v4b)
 	b[len(b)-1] ^= 0x01
-	if _, err := ParseTCP(b, v4a, v4b); err == nil {
+	if err := new(TCP).Decode(b, v4a, v4b); err == nil {
 		t.Error("corrupt TCP payload accepted")
 	}
 }
 
 func TestICMPv4EchoRoundTrip(t *testing.T) {
 	in := &ICMP{Type: ICMPv4Echo, Body: EchoBody(0x1234, 7, []byte("ping"))}
-	out, err := ParseICMPv4(in.MarshalV4())
+	var out ICMP
+	err := out.DecodeV4(in.MarshalV4())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +259,15 @@ func TestICMPv4EchoRoundTrip(t *testing.T) {
 
 func TestICMPv6EchoRoundTrip(t *testing.T) {
 	in := &ICMP{Type: ICMPv6EchoRequest, Body: EchoBody(9, 1, []byte("abc"))}
-	out, err := ParseICMPv6(in.MarshalV6(v6a, v6b), v6a, v6b)
+	var out ICMP
+	err := out.DecodeV6(in.MarshalV6(v6a, v6b), v6a, v6b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Type != ICMPv6EchoRequest {
 		t.Errorf("type = %d", out.Type)
 	}
-	if _, err := ParseICMPv6(in.MarshalV6(v6a, v6b), v6a, netip.MustParseAddr("2001:db8::1")); err == nil {
+	if err := new(ICMP).DecodeV6(in.MarshalV6(v6a, v6b), v6a, netip.MustParseAddr("2001:db8::1")); err == nil {
 		t.Error("ICMPv6 checksum did not bind addresses")
 	}
 }
@@ -279,7 +288,8 @@ func TestARPRoundTrip(t *testing.T) {
 		SenderIP:  v4a,
 		TargetIP:  v4b,
 	}
-	out, err := ParseARP(in.Marshal())
+	var out ARP
+	err := out.Decode(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +300,7 @@ func TestARPRoundTrip(t *testing.T) {
 }
 
 func TestARPTruncated(t *testing.T) {
-	if _, err := ParseARP(make([]byte, 10)); err == nil {
+	if err := new(ARP).Decode(make([]byte, 10)); err == nil {
 		t.Error("truncated ARP accepted")
 	}
 }
@@ -302,7 +312,8 @@ func TestIPv4RoundTripProperty(t *testing.T) {
 			ttl = 1
 		}
 		in := &IPv4{TOS: tos, ID: id, TTL: ttl, Protocol: proto, Src: v4a, Dst: v4b, Payload: payload}
-		out, err := ParseIPv4(in.Marshal())
+		var out IPv4
+		err := out.Decode(in.Marshal())
 		if err != nil {
 			return false
 		}
@@ -318,7 +329,8 @@ func TestIPv4RoundTripProperty(t *testing.T) {
 func TestUDPRoundTripProperty(t *testing.T) {
 	f := func(sp, dp uint16, payload []byte) bool {
 		in := &UDP{SrcPort: sp, DstPort: dp, Payload: payload}
-		out, err := ParseUDP(in.Marshal(v6a, v6b), v6a, v6b)
+		var out UDP
+		err := out.Decode(in.Marshal(v6a, v6b), v6a, v6b)
 		if err != nil {
 			return false
 		}
@@ -337,7 +349,7 @@ func TestTCPChecksumDetectsBitFlips(t *testing.T) {
 	for i := 0; i < len(seg)*8; i++ {
 		mut := append([]byte(nil), seg...)
 		mut[i/8] ^= 1 << (i % 8)
-		if _, err := ParseTCP(mut, v4a, v4b); err == nil {
+		if err := new(TCP).Decode(mut, v4a, v4b); err == nil {
 			// A flip in two different bytes could theoretically cancel, but a
 			// single-bit flip must always be caught by the ones-complement sum.
 			t.Fatalf("bit flip at %d undetected", i)

@@ -52,31 +52,33 @@ func (t *TCP) Marshal(src, dst netip.Addr) []byte {
 	return b
 }
 
-// ParseTCP decodes a TCP segment and verifies its checksum.
-func ParseTCP(b []byte, src, dst netip.Addr) (*TCP, error) {
+// Decode decodes a TCP segment from b into t and verifies its checksum.
+// The segment runs to the end of b. Options and Payload alias b (see the
+// package doc). On error t is left in an unspecified state.
+func (t *TCP) Decode(b []byte, src, dst netip.Addr) error {
 	if len(b) < TCPMinHeaderLen {
-		return nil, fmt.Errorf("tcp header: %w", ErrTruncated)
+		return fmt.Errorf("tcp header: %w", ErrTruncated)
 	}
 	hlen := int(b[12]>>4) * 4
 	if hlen < TCPMinHeaderLen || hlen > len(b) {
-		return nil, fmt.Errorf("tcp data offset %d: %w", hlen, ErrTruncated)
+		return fmt.Errorf("tcp data offset %d: %w", hlen, ErrTruncated)
 	}
 	if PseudoHeaderChecksum(ProtoTCP, src, dst, b) != 0 {
-		return nil, fmt.Errorf("tcp: %w", ErrBadChecksum)
+		return fmt.Errorf("tcp: %w", ErrBadChecksum)
 	}
-	t := &TCP{
+	*t = TCP{
 		SrcPort: be16(b[0:]),
 		DstPort: be16(b[2:]),
 		Seq:     be32(b[4:]),
 		Ack:     be32(b[8:]),
 		Flags:   b[13],
 		Window:  be16(b[14:]),
+		Payload: b[hlen:len(b):len(b)],
 	}
 	if hlen > TCPMinHeaderLen {
-		t.Options = append([]byte(nil), b[TCPMinHeaderLen:hlen]...)
+		t.Options = b[TCPMinHeaderLen:hlen:hlen]
 	}
-	t.Payload = append([]byte(nil), b[hlen:]...)
-	return t, nil
+	return nil
 }
 
 // HasFlags reports whether every flag in mask is set.

@@ -31,26 +31,30 @@ func (u *UDP) Marshal(src, dst netip.Addr) []byte {
 	return b
 }
 
-// ParseUDP decodes a UDP datagram and verifies its checksum against the
-// pseudo-header (unless the checksum field is zero, which IPv4 permits).
-func ParseUDP(b []byte, src, dst netip.Addr) (*UDP, error) {
+// Decode decodes a UDP datagram from b into u and verifies its checksum
+// against the pseudo-header for src/dst (unless the checksum field is
+// zero, which IPv4 permits). Payload aliases b (see the package doc);
+// bytes past the UDP length are ignored. On error u is left in an
+// unspecified state.
+func (u *UDP) Decode(b []byte, src, dst netip.Addr) error {
 	if len(b) < UDPHeaderLen {
-		return nil, fmt.Errorf("udp header: %w", ErrTruncated)
+		return fmt.Errorf("udp header: %w", ErrTruncated)
 	}
 	ulen := int(be16(b[4:]))
 	if ulen < UDPHeaderLen || ulen > len(b) {
-		return nil, fmt.Errorf("udp length %d: %w", ulen, ErrTruncated)
+		return fmt.Errorf("udp length %d: %w", ulen, ErrTruncated)
 	}
 	if be16(b[6:]) != 0 {
 		if PseudoHeaderChecksum(ProtoUDP, src, dst, b[:ulen]) != 0 {
-			return nil, fmt.Errorf("udp: %w", ErrBadChecksum)
+			return fmt.Errorf("udp: %w", ErrBadChecksum)
 		}
 	} else if src.Is6() {
-		return nil, fmt.Errorf("udp over ipv6 requires checksum: %w", ErrBadChecksum)
+		return fmt.Errorf("udp over ipv6 requires checksum: %w", ErrBadChecksum)
 	}
-	return &UDP{
+	*u = UDP{
 		SrcPort: be16(b[0:]),
 		DstPort: be16(b[2:]),
-		Payload: append([]byte(nil), b[8:ulen]...),
-	}, nil
+		Payload: b[UDPHeaderLen:ulen:ulen],
+	}
+	return nil
 }

@@ -30,8 +30,8 @@ func Summarize(f netsim.Frame) string {
 }
 
 func summarizeARP(b []byte) string {
-	a, err := packet.ParseARP(b)
-	if err != nil {
+	var a packet.ARP
+	if a.Decode(b) != nil {
 		return "ARP <malformed>"
 	}
 	if a.Op == packet.ARPRequest {
@@ -42,8 +42,8 @@ func summarizeARP(b []byte) string {
 }
 
 func summarizeIPv4(b []byte) string {
-	p, err := packet.ParseIPv4(b)
-	if err != nil {
+	var p packet.IPv4
+	if p.Decode(b) != nil {
 		return "IPv4 <malformed>"
 	}
 	head := fmt.Sprintf("IPv4 %v > %v", p.Src, p.Dst)
@@ -53,8 +53,8 @@ func summarizeIPv4(b []byte) string {
 	case packet.ProtoTCP:
 		return head + " " + summarizeTCPBytes(p.Payload)
 	case packet.ProtoICMP:
-		ic, err := packet.ParseICMPv4(p.Payload)
-		if err != nil {
+		var ic packet.ICMP
+		if ic.DecodeV4(p.Payload) != nil {
 			return head + " ICMP <malformed>"
 		}
 		return head + " " + icmpV4Name(ic.Type, ic.Code)
@@ -64,8 +64,8 @@ func summarizeIPv4(b []byte) string {
 }
 
 func summarizeIPv6(b []byte) string {
-	p, err := packet.ParseIPv6(b)
-	if err != nil {
+	var p packet.IPv6
+	if p.Decode(b) != nil {
 		return "IPv6 <malformed>"
 	}
 	head := fmt.Sprintf("IPv6 %v > %v", p.Src, p.Dst)
