@@ -28,16 +28,6 @@ import (
 // simulated workload for that experiment, so relative costs compare the
 // interventions rather than wall-clock network behaviour.
 
-func fetcher(tb *testbed.Testbed, c int) portal.Fetcher {
-	return func(url string) (*httpsim.Response, error) {
-		r, err := httpsim.Browse(tb.Clients[c], url)
-		if err != nil {
-			return nil, err
-		}
-		return r.Response, nil
-	}
-}
-
 // quiesce advances virtual time between iterations so NAT sessions,
 // DNS cache entries and closing TCP bindings expire the way they would
 // between real visitors — without it, sustained benchmark load would
@@ -94,7 +84,7 @@ func BenchmarkFig5ErroneousScore(b *testing.B) {
 	opt.RedirectV4 = testbed.MirrorV4
 	tb := testbed.New(opt)
 	tb.AddClient("nov6", profiles.Windows10NoV6())
-	f := fetcher(tb, 0)
+	f := httpsim.Fetcher(tb.Clients[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := portal.Run(f, tb.Mirror)
@@ -526,8 +516,9 @@ func BenchmarkScenarioSharded(b *testing.B) {
 	})
 	b.Run("sharded-8", func(b *testing.B) {
 		b.ReportAllocs()
+		build := func(int) (*testbed.Testbed, error) { return fac.Build() }
 		for i := 0; i < b.N; i++ {
-			rep, err := scenario.RunSharded(fac.Build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
+			rep, err := scenario.RunShardedSized(build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -750,14 +741,14 @@ func BenchmarkChaos(b *testing.B) {
 	const n = 64
 	devices := scenario.Population(1, n, scenario.DefaultMix())
 	spec := scenario.ChaosSpec(1, n, 0, 0.10, 0)
-	fac := testbed.Factory{Spec: spec}
+	build := func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
 	opt := scenario.ShardOptions{
 		Shards: 4, Seed: 1,
 		Run: scenario.RunOptions{RebootsPerDevice: 1, ConvergeTimeout: 30 * time.Second},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := scenario.RunSharded(fac.Build, devices, opt)
+		rep, err := scenario.RunShardedSized(build, devices, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func runGrid(path string) error {
 		for li, loss := range cfg.LossLevels {
 			spec := scenario.ChaosSpec(cfg.Seed, n, li, loss, 0)
 			for _, pname := range cfg.Pathologies {
-				fac := gridFactory(spec, pname)
+				fac := pathology.FactorySized(testbed.Factory{Spec: spec}.Build, gridPathologyName(pname))
 				pool := scenario.NewWorldPool()
 				for _, k := range cfg.Shards {
 					for _, reboots := range cfg.RebootLevels {
@@ -174,17 +174,6 @@ func runGrid(path string) error {
 	}
 	fmt.Fprintf(sum, "grid: %d runs, %d rows -> %s\n", cells, em.Rows(), dest)
 	return nil
-}
-
-// gridFactory builds the cell's world factory: the impaired topology,
-// with the named pathology installed and capacity-budgeted per world
-// when one is configured.
-func gridFactory(spec testbed.Topology, pname string) scenario.SizedWorldFactory {
-	base := testbed.Factory{Spec: spec}.Build
-	if pname == "" || pname == pathology.None {
-		return func(int) (*testbed.Testbed, error) { return base() }
-	}
-	return pathology.FactorySized(base, pname)
 }
 
 // gridPathologyName normalizes the healthy control's cell label.

@@ -126,17 +126,6 @@ func main() {
 	}
 }
 
-func fetcher(tb *testbed.Testbed, clientIdx int) portal.Fetcher {
-	c := tb.Clients[clientIdx]
-	return func(url string) (*httpsim.Response, error) {
-		r, err := httpsim.Browse(c, url)
-		if err != nil {
-			return nil, err
-		}
-		return r.Response, nil
-	}
-}
-
 func fig2() {
 	fmt.Println("paper: a dual-stack laptop running Echolink (IPv4 literals) worked on SC23v6")
 	fmt.Println("       and polluted the IPv6-only client statistics")
@@ -206,13 +195,13 @@ func fig5() {
 	opt.RedirectV4 = testbed.MirrorV4
 	tb := testbed.New(opt)
 	tb.AddClient("win10-nov6", profiles.Windows10NoV6())
-	res := portal.Run(fetcher(tb, 0), tb.Mirror)
+	res := portal.Run(httpsim.Fetcher(tb.Clients[0]), tb.Mirror)
 	fmt.Printf("measured: redirect=test-ipv6.com  buggy=%v  fixed=%v\n",
 		portal.ScoreBuggy(res), portal.ScoreFixed(res))
 
 	tb2 := testbed.New(testbed.DefaultOptions())
 	tb2.AddClient("win10-nov6", profiles.Windows10NoV6())
-	res2 := portal.Run(fetcher(tb2, 0), tb2.Mirror)
+	res2 := portal.Run(httpsim.Fetcher(tb2.Clients[0]), tb2.Mirror)
 	r, err := httpsim.Browse(tb2.Clients[0], "http://ds.test-ipv6.com/")
 	landed := err == nil && strings.Contains(string(r.Response.Body), "lack of IPv6 support")
 	fmt.Printf("measured: redirect=ip6.me        buggy=%v  fixed=%v  intervention-page=%v\n",
@@ -399,7 +388,7 @@ func ablB() {
 				continue
 			}
 			tb.AddClient(fmt.Sprintf("probe%d", i), prof)
-			res := portal.Run(fetcher(tb, len(tb.Clients)-1), tb.Mirror)
+			res := portal.Run(httpsim.Fetcher(tb.Clients[len(tb.Clients)-1]), tb.Mirror)
 			fmt.Printf("measured: %-14s buggy=%v fixed=%v\n", b.name, portal.ScoreBuggy(res), portal.ScoreFixed(res))
 		}
 	}
@@ -454,7 +443,8 @@ func scale() {
 	world.Close()
 
 	start = time.Now()
-	sharded, err := scenario.RunSharded(fac.Build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
+	build := func(int) (*testbed.Testbed, error) { return fac.Build() }
+	sharded, err := scenario.RunShardedSized(build, devices, scenario.ShardOptions{Shards: 8, Seed: 1})
 	if err != nil {
 		fmt.Printf("measured: sharded run error %v\n", err)
 		return

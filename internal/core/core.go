@@ -49,8 +49,25 @@ type Outcome struct {
 	FixedScore portal.Score
 }
 
-// probeURL is the representative destination a user would visit.
-const probeURL = "http://sc24.supercomputing.org/"
+// ProbeURL is the representative destination a user would visit.
+const ProbeURL = "http://sc24.supercomputing.org/"
+
+// Classify maps one browse of ProbeURL to the outcome class the user
+// sees: no connectivity is Broken, the ip6.me intervention page is
+// Informed, and real content is internet over IPv6 or IPv4 depending on
+// the address the browser used.
+func Classify(r *httpsim.FetchResult, err error) OutcomeClass {
+	switch {
+	case err != nil:
+		return Broken
+	case strings.Contains(string(r.Response.Body), portal.IP6MeBody):
+		return Informed
+	case r.UsedAddr.Is6():
+		return TranslatedInternet
+	default:
+		return NativeV4Internet
+	}
+}
 
 // Evaluate classifies one already-attached client.
 func Evaluate(tb *testbed.Testbed, c *hoststack.Host) Outcome {
@@ -66,28 +83,13 @@ func Evaluate(tb *testbed.Testbed, c *hoststack.Host) Outcome {
 		}
 	}
 
-	r, err := httpsim.Browse(c, probeURL)
-	switch {
-	case err != nil:
-		o.Class = Broken
-	case strings.Contains(string(r.Response.Body), portal.IP6MeBody):
-		o.Class = Informed
-	case r.UsedAddr.Is6():
-		o.Class = TranslatedInternet
-		o.UsedAddr = r.UsedAddr.String()
-	default:
-		o.Class = NativeV4Internet
+	r, err := httpsim.Browse(c, ProbeURL)
+	o.Class = Classify(r, err)
+	if o.Class == TranslatedInternet || o.Class == NativeV4Internet {
 		o.UsedAddr = r.UsedAddr.String()
 	}
 
-	fetch := func(url string) (*httpsim.Response, error) {
-		fr, err := httpsim.Browse(c, url)
-		if err != nil {
-			return nil, err
-		}
-		return fr.Response, nil
-	}
-	res := portal.Run(fetch, tb.Mirror)
+	res := portal.Run(httpsim.Fetcher(c), tb.Mirror)
 	o.BuggyScore = portal.ScoreBuggy(res)
 	o.FixedScore = portal.ScoreFixed(res)
 	return o

@@ -271,6 +271,19 @@ func Browse(h *hoststack.Host, url string) (*FetchResult, error) {
 	return browse(h, url, 0)
 }
 
+// Fetcher adapts a client host to the portal test runner: the returned
+// func browses each URL with Browse and keeps only the final response.
+// It is assignable to portal.Fetcher.
+func Fetcher(h *hoststack.Host) func(url string) (*Response, error) {
+	return func(url string) (*Response, error) {
+		r, err := Browse(h, url)
+		if err != nil {
+			return nil, err
+		}
+		return r.Response, nil
+	}
+}
+
 func browse(h *hoststack.Host, url string, depth int) (*FetchResult, error) {
 	if depth > 5 {
 		return nil, errors.New("httpsim: too many redirects")

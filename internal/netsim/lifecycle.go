@@ -3,17 +3,17 @@ package netsim
 import "time"
 
 // This file gives the fabric an explicit lifecycle. A Network is born
-// running (NewNetwork), can be shut down for good (Stop), returned to a
-// pristine pre-start state (Reset), or asked to settle in-flight work
+// running (NewNetwork), can be shut down (Stop), rewound to a captured
+// Mark (ResetTo, in checkpoint.go), or asked to settle in-flight work
 // without following self-rearming beacons forever (Drain). The scenario
-// engine leans on Stop to tear worlds down after a sharded run; tests
-// lean on Reset to reuse one fabric across cases.
+// engine leans on Stop to tear worlds down after a sharded run, and the
+// testbed Checkpoint/Reset lifecycle on Mark and ResetTo to reuse them.
 
 // Stop shuts the fabric down: every pending event and timer is
 // discarded, and any further scheduling — frame transmission, timer
 // arming, deferred callbacks — becomes a silent no-op. Devices stay
 // attached and their state is preserved for inspection, but the world
-// cannot make progress again until Reset. Stop is idempotent.
+// cannot make progress again until ResetTo. Stop is idempotent.
 func (n *Network) Stop() {
 	n.stopped = true
 	n.queue = nil
@@ -23,33 +23,6 @@ func (n *Network) Stop() {
 
 // Stopped reports whether the fabric has been shut down with Stop.
 func (n *Network) Stopped() bool { return n.stopped }
-
-// Reset returns the fabric to its just-created state: pending events and
-// timers are dropped, the hot-path counters are zeroed, exhausted arena
-// chunks are recycled, and the virtual clock rewinds to the epoch. NICs
-// remain cabled, but any device state keyed to wall-clock time (leases,
-// NAT sessions, RA lifetimes) is the owner's responsibility — Reset is
-// meant for worlds about to be rebuilt or re-driven from scratch.
-func (n *Network) Reset() {
-	n.stopped = false
-	n.queue = nil
-	n.seq = 0
-	n.frames = 0
-	n.dropped = 0
-	n.queuePeak = 0
-	n.impairLost = 0
-	n.impairDuplicated = 0
-	n.impairReordered = 0
-	n.impairFlapDropped = 0
-	n.fanoutEvents = 0
-	n.fanoutDeliveries = 0
-	n.ringFrames = 0
-	n.ringBatches = 0
-	n.ringOverflows = 0
-	n.clearRings()
-	n.arena.recycle()
-	n.Clock.reset()
-}
 
 // Drain advances the fabric until it goes idle: it processes events and
 // timers in order, stopping as soon as the next pending occurrence lies

@@ -35,6 +35,7 @@ func TestStopDiscardsPendingAndRefusesNewWork(t *testing.T) {
 func TestResetRewindsToPristineState(t *testing.T) {
 	n := NewNetwork()
 	epoch := n.Clock.Now()
+	pristine := n.Mark()
 
 	n.schedule(time.Millisecond, func() {})
 	n.RunFor(5 * time.Second)
@@ -43,7 +44,7 @@ func TestResetRewindsToPristineState(t *testing.T) {
 	}
 	n.Stop()
 
-	n.Reset()
+	n.ResetTo(pristine)
 	if n.Stopped() {
 		t.Error("Reset left the fabric stopped")
 	}

@@ -15,7 +15,7 @@ import (
 // a delivered payload or any view of it; a flood hands one copy to every
 // port (Shared), and a decoded view may already be in another
 // component's hands. The payload and its views stay valid until the
-// fabric recycles its arena (RecycleArena, run by Reset and ResetTo). A
+// fabric recycles its arena (RecycleArena, run by ResetTo). A
 // receiver that keeps bytes past that point copies them; one that wants
 // to write takes a copy first (Own or Clone).
 type Frame struct {
@@ -105,7 +105,7 @@ type Network struct {
 	impairFlapDropped uint64
 
 	// stopped marks a fabric that has been shut down with Stop: pending
-	// work is discarded and new scheduling becomes a no-op until Reset.
+	// work is discarded and new scheduling becomes a no-op until ResetTo.
 	stopped bool
 
 	arena payloadArena
@@ -118,7 +118,7 @@ type Network struct {
 	fanoutDeliveries uint64 // frames delivered through fan-out events
 
 	// Unicast ring fast path (see ring.go). ringNICs tracks every NIC
-	// that ever allocated a ring so Stop/Reset can clear them; ringsOff
+	// that ever allocated a ring so Stop/ResetTo can clear them; ringsOff
 	// disables the fast path (SetUnicastRings).
 	ringsOff      bool
 	ringNICs      []*NIC
@@ -227,8 +227,8 @@ const arenaMaxRetired = 8
 // pooled chunks, so delivering a frame costs one chunk allocation per
 // ~hundreds of hops instead of one per hop. Chunks are sourced from a
 // sync.Pool; exhausted chunks are parked on a retired list and only
-// returned to the pool by an explicit RecycleArena call (Reset and
-// ResetTo make one), because receivers decode payloads in place and may
+// returned to the pool by an explicit RecycleArena call (ResetTo
+// makes one), because receivers decode payloads in place and may
 // hold the views until then (see Frame).
 type payloadArena struct {
 	pool    sync.Pool

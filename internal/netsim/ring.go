@@ -178,7 +178,7 @@ func (n *Network) drainRing(nc *NIC, deadline time.Time, useDeadline bool) {
 }
 
 // clearRings empties every allocated link ring, releasing payload
-// references. Called from Stop and Reset; the ring storage itself stays
+// references. Called from Stop and ResetTo; the ring storage itself stays
 // allocated so a reused fabric does not pay the warm-up again.
 func (n *Network) clearRings() {
 	for _, nc := range n.ringNICs {

@@ -16,7 +16,7 @@
 // on the simulated fabric that input is a netsim.Frame payload, so the
 // frame's ownership rule applies to the view: receivers never write
 // through it, and it stays valid until the fabric recycles its payload
-// arena (netsim.Network.RecycleArena, run by Reset and ResetTo). A
+// arena (netsim.Network.RecycleArena, run by ResetTo). A
 // receiver that needs the bytes for longer copies them. Receive paths
 // keep decoded headers in stack variables, so a frame costs no heap
 // allocation to parse.

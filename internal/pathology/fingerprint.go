@@ -72,13 +72,7 @@ func Compute(name string) (Fingerprint, error) {
 		}
 		alignToGrid(tb)
 		c := tb.AddClient("probe", prof)
-		res := portal.Run(func(url string) (*httpsim.Response, error) {
-			r, err := httpsim.Browse(c, url)
-			if err != nil {
-				return nil, err
-			}
-			return r.Response, nil
-		}, tb.Mirror)
+		res := portal.Run(httpsim.Fetcher(c), tb.Mirror)
 		f.Points[i] = portal.ScoreFixed(res).Points
 		f.Codes[i] = res.OutcomeCodes()
 		tb.Close()

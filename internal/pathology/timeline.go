@@ -73,13 +73,7 @@ func ComputeTimeline(name string) (Timeline, error) {
 		aligned := tb.Net.Clock.Now()
 		c := tb.AddClient("probe", prof)
 		probe := func(f *Fingerprint) {
-			res := portal.Run(func(url string) (*httpsim.Response, error) {
-				r, err := httpsim.Browse(c, url)
-				if err != nil {
-					return nil, err
-				}
-				return r.Response, nil
-			}, tb.Mirror)
+			res := portal.Run(httpsim.Fetcher(c), tb.Mirror)
 			f.Points[i] = portal.ScoreFixed(res).Points
 			f.Codes[i] = res.OutcomeCodes()
 		}

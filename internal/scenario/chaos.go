@@ -24,20 +24,14 @@ import (
 type ChaosConfig struct {
 	// Seed draws the population and derives every per-cell chaos seed.
 	Seed int64
-	// N is the population size per cell.
+	// N is the population size per cell, drawn from DefaultMix.
 	N int
-	// Mix defaults to DefaultMix.
-	Mix []MixEntry
 	// LossLevels and RebootLevels span the grid (defaults 0/10/30% and
 	// 0/1/2 reboots).
 	LossLevels   []float64
 	RebootLevels []int
-	// Jitter, when set, is applied alongside every non-zero loss level.
-	Jitter time.Duration
-	// Shards / Workers are passed through to RunSharded (default 1 /
-	// GOMAXPROCS).
-	Shards  int
-	Workers int
+	// Shards is passed through to RunShardedSized (default 1).
+	Shards int
 	// ConvergeTimeout bounds per-device re-convergence probing.
 	ConvergeTimeout time.Duration
 	// Sink, when non-nil, streams every cell's per-device rows as they
@@ -84,10 +78,6 @@ func ChaosSweep(cfg ChaosConfig) (*DegradationMatrix, error) {
 	if cfg.N <= 0 {
 		cfg.N = 24
 	}
-	mix := cfg.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
 	losses := cfg.LossLevels
 	if losses == nil {
 		losses = []float64{0, 0.10, 0.30}
@@ -97,16 +87,16 @@ func ChaosSweep(cfg ChaosConfig) (*DegradationMatrix, error) {
 		reboots = []int{0, 1, 2}
 	}
 
-	devices := Population(cfg.Seed, cfg.N, mix)
+	devices := Population(cfg.Seed, cfg.N, DefaultMix())
 	m := &DegradationMatrix{N: cfg.N, Seed: cfg.Seed}
 	cell := 0
 	for _, loss := range losses {
 		for _, nReboots := range reboots {
-			spec := ChaosSpec(cfg.Seed, cfg.N, cell, loss, cfg.Jitter)
-			rep, err := RunSharded(testbed.Factory{Spec: spec}.Build, devices, ShardOptions{
-				Shards:  cfg.Shards,
-				Workers: cfg.Workers,
-				Seed:    cfg.Seed,
+			spec := ChaosSpec(cfg.Seed, cfg.N, cell, loss, 0)
+			build := func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+			rep, err := RunShardedSized(build, devices, ShardOptions{
+				Shards: cfg.Shards,
+				Seed:   cfg.Seed,
 				Run: RunOptions{
 					RebootsPerDevice: nReboots,
 					ConvergeTimeout:  cfg.ConvergeTimeout,

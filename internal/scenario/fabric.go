@@ -3,11 +3,8 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/hoststack"
-	"repro/internal/pathology"
 	"repro/internal/testbed"
 )
 
@@ -28,8 +25,6 @@ type FabricOptions struct {
 	// Domain), so a domain draws the same devices in every world that
 	// contains it.
 	Seed int64
-	// Mix weights the per-domain populations (default DefaultMix).
-	Mix []MixEntry
 	// ActorsPerDomain is how many of each access switch's registered
 	// clients actually run the workload (<= 0 or more than the switch
 	// has registered: all of them). Registered-but-idle rows stay parked
@@ -39,62 +34,53 @@ type FabricOptions struct {
 	// Shards is how many subtree worlds the access switches split
 	// across (default 1: one serial world).
 	Shards int
-	// Workers bounds concurrent subtree worlds (default GOMAXPROCS).
-	Workers int
 	// Run carries the per-device chaos options into every world.
 	// Run.Sink, when set, receives every subtree's rows through one
 	// serialized sink, stamped with the subtree shard index.
 	Run RunOptions
 	// Pool, when non-nil, acquires subtree worlds from the world-reuse
-	// pool (keyed by subtree index) instead of building fresh; repeated
-	// fabric runs over the same topology amortize construction through
-	// the testbed Checkpoint/Reset lifecycle.
+	// pool (keyed by subtree index; a serial run is subtree 0) instead
+	// of building fresh; repeated fabric runs over the same topology
+	// amortize construction through the testbed Checkpoint/Reset
+	// lifecycle.
 	Pool *WorldPool
-	// Pathology, when non-empty, installs the named failure mode
-	// (internal/pathology) into every world this run builds. Capacity
-	// budgets receive each world's own acting-device count, so a
-	// subtree world gets exactly its slice of a global resource pool
-	// and serial ≡ subtree-sharded holds for exhaustion-driven modes.
-	Pathology string
 }
 
 // FabricDevices draws access switch as's acting population: actors
-// devices from the mix, named d<domain>-dev<i>-<profile>. The draw
-// depends only on (seed, as.Domain), never on which world the switch is
-// built into.
+// devices from the mix (<= 0 or more than the switch has registered:
+// all of them), named d<domain>-dev<i>-<profile>. The draw depends only
+// on (seed, as.Domain), never on which world the switch is built into.
 func FabricDevices(seed int64, as testbed.AccessSwitchSpec, actors int, mix []MixEntry) []DeviceSpec {
-	if actors <= 0 || actors > as.Clients {
-		actors = as.Clients
-	}
-	devs := Population(deriveSeed(seed, as.Domain), actors, mix)
+	devs := Population(deriveSeed(seed, as.Domain), actorsOf(actors, as), mix)
 	for i := range devs {
 		devs[i].Name = fmt.Sprintf("d%03d-%s", as.Domain, devs[i].Name)
 	}
 	return devs
 }
 
-// resolveActors clamps the per-domain actor count to the switch's
-// registered population.
-func resolveActors(opt FabricOptions, as testbed.AccessSwitchSpec) int {
-	if opt.ActorsPerDomain <= 0 || opt.ActorsPerDomain > as.Clients {
+// actorsOf clamps a per-domain actor count to the switch's registered
+// population.
+func actorsOf(actors int, as testbed.AccessSwitchSpec) int {
+	if actors <= 0 || actors > as.Clients {
 		return as.Clients
 	}
-	return opt.ActorsPerDomain
+	return actors
 }
 
-// runFabricWorld runs the acting population of every access switch in
-// tb's world, one device at a time: materialize the row, run the trial,
-// park the row. Parking returns the device to its table row, so the
-// world never holds more than one full client Host at once.
-func runFabricWorld(tb *testbed.Testbed, opt FabricOptions) *Report {
-	r := newTrialRunner(tb, opt.Run)
+// runFabricWorld runs the acting population (drawn from DefaultMix) of
+// every access switch in tb's world, one device at a time: materialize
+// the row, run the trial, park the row. Parking returns the device to
+// its table row, so the world never holds more than one full client
+// Host at once.
+func runFabricWorld(tb *testbed.Testbed, seed int64, actors int, ro RunOptions) *Report {
+	r := newTrialRunner(tb, ro)
 	fb := tb.Fabric
+	mix := DefaultMix()
 	for i, as := range tb.Spec.Fabric.Access {
-		devs := FabricDevices(opt.Seed, as, resolveActors(opt, as), opt.Mix)
+		devs := FabricDevices(seed, as, actors, mix)
 		lo, _ := fb.Rows(i)
 		for j, spec := range devs {
 			row := lo + j
-			spec := spec
 			r.runTrial(spec, func() *hoststack.Host {
 				return fb.Materialize(row, spec.Name, spec.Profile)
 			})
@@ -104,166 +90,42 @@ func runFabricWorld(tb *testbed.Testbed, opt FabricOptions) *Report {
 	return r.finish()
 }
 
-// allSwitches returns the index list [0, n).
-func allSwitches(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// applyFabricPathology installs opt.Pathology (if any) into a freshly
-// built world, budgeting it with the acting-device count of the access
-// switches that world contains.
-func applyFabricPathology(tb *testbed.Testbed, full testbed.Topology, opt FabricOptions, keep []int) error {
-	if opt.Pathology == "" {
-		return nil
-	}
-	actors := 0
-	for _, sw := range keep {
-		actors += resolveActors(opt, full.Fabric.Access[sw])
-	}
-	if err := pathology.ApplySized(tb, opt.Pathology, actors); err != nil {
-		return fmt.Errorf("installing pathology %q: %w", opt.Pathology, err)
-	}
-	return nil
-}
-
-// RunFabric executes the acting population of a fabric topology, either
-// serially on one world (Shards <= 1) or partitioned into contiguous
-// access-switch subtrees, each rebuilt as an independent world and run
-// inside a bounded worker pool. On the position-independent
+// RunFabric executes the acting population of a fabric topology,
+// partitioned into opt.Shards contiguous access-switch subtrees (one
+// subtree holding every switch by default), each rebuilt as an
+// independent world and run by the same executor RunShardedSized uses.
+// Concatenating the subtrees in index order walks the access switches
+// exactly as the serial world does, and on the position-independent
 // FabricTopology the merged report equals the serial run's exactly —
-// the same contract RunSharded has on flat worlds, now with the
+// the same contract RunShardedSized has on flat worlds, now with the
 // partition following the fabric's own structure.
 func RunFabric(full testbed.Topology, opt FabricOptions) (*Report, error) {
 	if !full.Fabric.Enabled() {
 		return nil, errors.New("scenario: RunFabric needs a fabric topology")
 	}
-	if opt.Mix == nil {
-		opt.Mix = DefaultMix()
-	}
 	access := len(full.Fabric.Access)
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > access {
-		shards = access
-	}
-
-	buildWorld := func(keep []int, spec testbed.Topology) (*testbed.Testbed, error) {
-		tb, err := testbed.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := applyFabricPathology(tb, full, opt, keep); err != nil {
-			tb.Close()
-			return nil, err
-		}
-		return tb, nil
-	}
-
-	if shards == 1 {
-		var tb *testbed.Testbed
-		var err error
-		if opt.Pool != nil {
-			tb, err = opt.Pool.Get(0, func() (*testbed.Testbed, error) {
-				return buildWorld(allSwitches(access), full)
-			})
-		} else {
-			tb, err = buildWorld(allSwitches(access), full)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario: building fabric world: %w", err)
-		}
-		rep := runFabricWorld(tb, opt)
-		if opt.Pool != nil {
-			detachLogs(rep)
-			opt.Pool.Put(0, tb)
-		} else {
-			tb.Close()
-		}
-		return rep, nil
-	}
-
-	// Contiguous switch groups: concatenating them in index order walks
-	// the access switches exactly as the serial world does.
-	groups := make([][]int, 0, shards)
-	for i := 0; i < shards; i++ {
+	shards := min(max(opt.Shards, 1), access)
+	worlds := make([]shardWorld, shards)
+	for i := range worlds {
 		lo, hi := i*access/shards, (i+1)*access/shards
-		keep := make([]int, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			keep = append(keep, j)
+		actors := 0
+		for _, as := range full.Fabric.Access[lo:hi] {
+			actors += actorsOf(opt.ActorsPerDomain, as)
 		}
-		groups = append(groups, keep)
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-
-	reports := make([]*Report, len(groups))
-	errs := make([]error, len(groups))
-	next := make(chan int)
-	shared := sharedSink(opt.Run.Sink)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				build := func() (*testbed.Testbed, error) {
-					return buildWorld(groups[i], testbed.SubtreeTopology(full, groups[i]))
+		worlds[i] = shardWorld{
+			key:  i,
+			info: ShardInfo{Index: i, Seed: deriveSeed(opt.Seed, i), Devices: actors},
+			build: func() (*testbed.Testbed, error) {
+				keep := make([]int, 0, hi-lo)
+				for sw := lo; sw < hi; sw++ {
+					keep = append(keep, sw)
 				}
-				var tb *testbed.Testbed
-				var err error
-				if opt.Pool != nil {
-					tb, err = opt.Pool.Get(i, build)
-				} else {
-					tb, err = build()
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("scenario: subtree shard %d: %w", i, err)
-					continue
-				}
-				wopt := opt
-				if shared != nil {
-					wopt.Run.Sink = shared
-				}
-				wopt.Run.rowShard = i
-				reports[i] = runFabricWorld(tb, wopt)
-				if opt.Pool != nil {
-					detachLogs(reports[i])
-					opt.Pool.Put(i, tb)
-				} else {
-					tb.Close()
-				}
-			}
-		}()
-	}
-	for i := range groups {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	rep := MergeReports(reports...)
-	rep.Shards = make([]ShardInfo, len(groups))
-	for i, g := range groups {
-		n := 0
-		for _, sw := range g {
-			n += resolveActors(opt, full.Fabric.Access[sw])
+				return testbed.Build(testbed.SubtreeTopology(full, keep))
+			},
+			run: func(tb *testbed.Testbed, ro RunOptions) *Report {
+				return runFabricWorld(tb, opt.Seed, opt.ActorsPerDomain, ro)
+			},
 		}
-		rep.Shards[i] = ShardInfo{Index: i, Seed: deriveSeed(opt.Seed, i), Devices: n}
 	}
-	return rep, nil
+	return runWorlds(worlds, 0, opt.Pool, opt.Run)
 }

@@ -23,17 +23,13 @@ import (
 type PathologyConfig struct {
 	// Seed draws the population.
 	Seed int64
-	// N is the population size per cell.
+	// N is the population size per cell, drawn from DefaultMix.
 	N int
-	// Mix defaults to DefaultMix.
-	Mix []MixEntry
 	// Pathologies lists the registry names to sweep; nil means every
 	// registered pathology in canonical order.
 	Pathologies []string
-	// Shards / Workers are passed through to RunSharded (default 1 /
-	// GOMAXPROCS).
-	Shards  int
-	Workers int
+	// Shards is passed through to RunShardedSized (default 1).
+	Shards int
 	// Sink, when non-nil, streams every cell's per-device rows as they
 	// finish (cells run sequentially in registry order).
 	Sink RowSink
@@ -60,7 +56,7 @@ type PathologyMatrix struct {
 
 // PathologySpec returns the topology a sweep cell builds its worlds
 // from. Exposed so tests and CLIs can reproduce a single cell exactly;
-// the pathology itself is installed post-build by pathology.Factory.
+// the pathology itself is installed post-build by pathology.FactorySized.
 func PathologySpec(n int) testbed.Topology {
 	return testbed.ScaleTopology(testbed.DefaultOptions(), n)
 }
@@ -72,10 +68,7 @@ func PathologySweep(cfg PathologyConfig) (*PathologyMatrix, error) {
 	if cfg.N <= 0 {
 		cfg.N = 24
 	}
-	mix := cfg.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
+	mix := DefaultMix()
 	names := cfg.Pathologies
 	if names == nil {
 		names = pathology.Names()
@@ -86,9 +79,8 @@ func PathologySweep(cfg PathologyConfig) (*PathologyMatrix, error) {
 	for _, name := range names {
 		fac := pathology.FactorySized(testbed.Factory{Spec: PathologySpec(cfg.N)}.Build, name)
 		rep, err := RunShardedSized(fac, devices, ShardOptions{
-			Shards:  cfg.Shards,
-			Workers: cfg.Workers,
-			Seed:    cfg.Seed,
+			Shards: cfg.Shards,
+			Seed:   cfg.Seed,
 			Run: RunOptions{
 				Sink:           cfg.Sink,
 				DiscardDevices: cfg.DiscardDevices,

@@ -23,9 +23,9 @@ func TestPathologyShardedMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		name := names[int(seed-1)%len(names)]
 		devices := Population(seed, n, DefaultMix())
-		fac := pathology.Factory(testbed.Factory{Spec: PathologySpec(n)}.Build, name)
+		fac := pathology.FactorySized(testbed.Factory{Spec: PathologySpec(n)}.Build, name)
 
-		world, err := fac()
+		world, err := fac(n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -34,7 +34,7 @@ func TestPathologyShardedMatchesSerial(t *testing.T) {
 
 		for _, k := range []int{2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d/%s", seed, k, name), func(t *testing.T) {
-				sharded, err := RunSharded(fac, devices, ShardOptions{Shards: k, Seed: seed})
+				sharded, err := RunShardedSized(fac, devices, ShardOptions{Shards: k, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}

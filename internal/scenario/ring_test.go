@@ -56,7 +56,7 @@ func TestRingShardedMatchesSerialUnderImpairment(t *testing.T) {
 
 		for _, k := range []int{2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
-				sharded, err := RunSharded(fac.Build, devices, ShardOptions{
+				sharded, err := RunShardedSized(sized(fac), devices, ShardOptions{
 					Shards: k, Seed: seed, Run: opt,
 				})
 				if err != nil {

@@ -6,30 +6,31 @@
 // intervention, and how IPv4-literal applications (Fig. 2's Echolink
 // station) pollute the statistic either way.
 //
-// Run brings a population up serially on one world; RunSharded splits
-// it across K independently built worlds (a testbed.Factory supplies
-// them) and folds the per-shard reports with MergeReports — on a
-// position-independent topology the merged aggregates equal the serial
-// run's exactly, which the tests pin byte for byte. RunOptions layers
-// fault injection on either engine: per-device gateway reboots with
-// re-convergence probing, over link impairment carried by the world's
-// topology spec. ChaosSweep drives the full loss × churn grid and
-// renders the outcome as a DegradationMatrix whose String output
-// contains only counters and virtual-clock durations, so the chaos
-// experiment's text is reproducible verbatim.
+// Run brings a population up serially on one world; RunShardedSized
+// splits it across K independently built worlds (a SizedWorldFactory
+// supplies them) and folds the per-shard reports with MergeReports — on
+// a position-independent topology the merged aggregates equal the
+// serial run's exactly, which the tests pin byte for byte. RunFabric
+// does the same over the access-switch subtrees of a fabric topology,
+// through the same shard executor. RunOptions layers fault injection on
+// every engine: per-device gateway reboots with re-convergence probing,
+// over link impairment carried by the world's topology spec. ChaosSweep
+// drives the full loss × churn grid and renders the outcome as a
+// DegradationMatrix whose String output contains only counters and
+// virtual-clock durations, so the chaos experiment's text is
+// reproducible verbatim.
 package scenario
 
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dns"
 	"repro/internal/hoststack"
 	"repro/internal/httpsim"
 	"repro/internal/metrics"
-	"repro/internal/portal"
 	"repro/internal/profiles"
 	"repro/internal/testbed"
 )
@@ -195,8 +196,8 @@ type Report struct {
 	HealthyQueries  int
 
 	// PoisonLog / HealthyLog hold the query logs backing those counters:
-	// the live testbed logs after a serial Run, shard-major merged
-	// copies after RunSharded.
+	// the live testbed logs after Run or RunWith, shard-major merged
+	// copies after RunShardedSized or RunFabric.
 	PoisonLog  *dns.QueryLog
 	HealthyLog *dns.QueryLog
 
@@ -211,7 +212,9 @@ type Report struct {
 	// associatively across shards.
 	Traffic *TrafficReport
 
-	// Shards describes how the run was partitioned (nil for serial Run).
+	// Shards describes how the run was partitioned: one entry per world
+	// of a RunShardedSized or RunFabric call (a serial RunFabric reports
+	// one shard), nil after Run or RunWith.
 	Shards []ShardInfo
 }
 
@@ -247,8 +250,9 @@ type RunOptions struct {
 	Traffic *TrafficOptions
 
 	// Sink, when non-nil, receives one Row per device trial the moment
-	// it finishes (see stream.go). Sharded engines serialize a shared
-	// sink and stamp each row's shard index.
+	// it finishes (see stream.go). The shard executor behind
+	// RunShardedSized and RunFabric serializes a shared sink and stamps
+	// each row's shard index.
 	Sink RowSink
 	// DiscardDevices leaves Report.Devices empty: rows flow only
 	// through Sink (if any) and the aggregate fields, which fold
@@ -257,7 +261,7 @@ type RunOptions struct {
 	DiscardDevices bool
 
 	// rowShard is the shard index stamped onto streamed rows; the
-	// sharded engines set it per world.
+	// shard executor sets it per world.
 	rowShard int
 }
 
@@ -305,14 +309,15 @@ func attempt(c *hoststack.Host, spec DeviceSpec) (informed, internet, usedV6 boo
 		resp, err := c.Query(testbed.EcholinkV4, testbed.EcholinkPort, []byte("cq"), time.Second)
 		return false, err == nil && len(resp) > 0, false
 	}
-	r, err := httpsim.Browse(c, "http://sc24.supercomputing.org/")
-	switch {
-	case err != nil:
-		return false, false, false // no connectivity at all
-	case strings.Contains(string(r.Response.Body), portal.IP6MeBody):
+	switch core.Classify(httpsim.Browse(c, core.ProbeURL)) {
+	case core.Informed:
 		return true, false, false
+	case core.TranslatedInternet:
+		return false, true, true
+	case core.NativeV4Internet:
+		return false, true, false
 	default:
-		return false, true, r.UsedAddr.Is6()
+		return false, false, false // no connectivity at all
 	}
 }
 

@@ -13,31 +13,34 @@ import (
 
 // This file is the sharded execution engine: instead of bringing every
 // device up serially on one world, the population is split into K
-// deterministic shards, each shard runs on its own freshly built world
-// inside a bounded worker pool, and the per-shard reports fold into one
+// deterministic shards, each shard runs on its own world inside a
+// bounded worker pool, and the per-shard reports fold into one
 // aggregate with an associative merge. Worlds are fully independent
 // (own fabric, clock, MAC space), so the only cross-goroutine state is
-// the result slots. Beyond wall-clock parallelism there is an
-// algorithmic win: broadcast-domain work (ARP, DHCP, RA flooding) is
-// quadratic in clients-per-switch, so K worlds of N/K clients do ~1/K
-// of the flooding a single N-client world does — the speedup holds even
-// on one core.
+// the result slots and the shared row sink. Beyond wall-clock
+// parallelism there is an algorithmic win: broadcast-domain work (ARP,
+// DHCP, RA flooding) is quadratic in clients-per-switch, so K worlds of
+// N/K clients do ~1/K of the flooding a single N-client world does —
+// the speedup holds even on one core.
+//
+// Both engines share one executor, runWorlds: RunShardedSized hands it
+// one world per slice of the device list, RunFabric one world per
+// access-switch subtree (a serial fabric run is subtree 0). The
+// executor owns world acquisition, row-sink sharing, pooling and the
+// merge, so flat and fabric runs differ only in how a world is built
+// and what runs on it.
 
-// WorldFactory builds one fresh, independent world for a shard.
-// testbed.Factory.Build satisfies it; any closure over testbed.Build
-// does too. It must be safe to call from multiple goroutines — which it
-// is whenever each call returns a brand-new Testbed.
-type WorldFactory func() (*testbed.Testbed, error)
-
-// SizedWorldFactory is WorldFactory for worlds whose resources scale
-// with the population they will run: the engine passes the number of
-// devices this particular world hosts (a shard's slice, or the full
-// population in a serial run), so a capacity-budgeted pathology
-// (pathology.FactorySized) can split a global pool pro rata and keep
-// serial ≡ sharded intact for exhaustion-driven failure modes.
+// SizedWorldFactory builds one fresh, independent world for a shard.
+// The engine passes the number of devices this particular world hosts
+// (a shard's slice, or the full population in a serial run), so a
+// capacity-budgeted pathology (pathology.FactorySized) can split a
+// global pool pro rata and keep serial ≡ sharded intact for
+// exhaustion-driven failure modes. It must be safe to call from
+// multiple goroutines — which it is whenever each call returns a
+// brand-new Testbed.
 type SizedWorldFactory func(devices int) (*testbed.Testbed, error)
 
-// ShardOptions parameterizes RunSharded.
+// ShardOptions parameterizes RunShardedSized.
 type ShardOptions struct {
 	// Shards is the number of worlds the population splits across
 	// (default 1, i.e. a serial run on a fresh world).
@@ -109,79 +112,77 @@ func deriveSeed(seed int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// RunSharded executes the population across opt.Shards freshly built
-// worlds and merges the per-shard reports. Each world is torn down with
-// Close as soon as its shard finishes. The partition, the per-shard
-// seeds and each world's simulation are all deterministic; only the
-// interleaving of workers varies between runs, and the merge is
-// insensitive to it. On a topology where device outcomes are
-// position-independent (see testbed.ScaleTopology), the merged report's
-// aggregate fields equal a serial Run's exactly.
-func RunSharded(factory WorldFactory, devices []DeviceSpec, opt ShardOptions) (*Report, error) {
-	if factory == nil {
-		return nil, errors.New("scenario: RunSharded needs a world factory")
-	}
-	return RunShardedSized(func(int) (*testbed.Testbed, error) { return factory() }, devices, opt)
-}
-
-// RunShardedSized is RunSharded for device-count-aware world factories:
-// each shard's world is built with that shard's own device count, which
-// is how a pathology Budget (a NAT64 port pool sized to quota × devices)
-// splits across worlds so the sharded run has exactly the serial run's
-// per-client capacity.
+// RunShardedSized executes the population across opt.Shards worlds
+// and merges the per-shard reports. Each shard's world is built with
+// that shard's own device count, which is how a pathology Budget (a
+// NAT64 port pool sized to quota × devices) splits across worlds so the
+// sharded run has exactly the serial run's per-client capacity. The
+// partition, the per-shard seeds and each world's simulation are all
+// deterministic; only the interleaving of workers varies between runs,
+// and the merge is insensitive to it. On a topology where device
+// outcomes are position-independent (see testbed.ScaleTopology), the
+// merged report's aggregate fields equal a serial Run's exactly.
 func RunShardedSized(factory SizedWorldFactory, devices []DeviceSpec, opt ShardOptions) (*Report, error) {
 	if factory == nil {
 		return nil, errors.New("scenario: RunShardedSized needs a world factory")
 	}
 	shards := ShardDevices(opt.Seed, devices, opt.Shards)
-	workers := opt.Workers
+	worlds := make([]shardWorld, len(shards))
+	for i, s := range shards {
+		n := len(s.Devices)
+		worlds[i] = shardWorld{
+			key:   n,
+			info:  ShardInfo{Index: s.Index, Seed: s.Seed, Devices: n},
+			build: func() (*testbed.Testbed, error) { return factory(n) },
+			run: func(tb *testbed.Testbed, ro RunOptions) *Report {
+				return RunWith(tb, s.Devices, ro)
+			},
+		}
+	}
+	return runWorlds(worlds, opt.Workers, opt.Pool, opt.Run)
+}
+
+// shardWorld is one unit of work for runWorlds: the pool key its world
+// is parked under, the shard it reports as, how to build its world
+// fresh, and the workload to run on it.
+type shardWorld struct {
+	key   any
+	info  ShardInfo
+	build func() (*testbed.Testbed, error)
+	run   func(tb *testbed.Testbed, ro RunOptions) *Report
+}
+
+// runWorlds is the one shard executor. Up to workers goroutines (default
+// GOMAXPROCS) each take a world from pool under its key — or, with a nil
+// pool, build it fresh — run it with ro (rows stamped with the world's
+// shard index and serialized through one shared sink), then detach the
+// report's query logs and park the world back, or Close it when there
+// is no pool. Errors from every world are joined; otherwise the reports
+// merge in world order and Report.Shards lists each world's ShardInfo.
+func runWorlds(worlds []shardWorld, workers int, pool *WorldPool, ro RunOptions) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
+	if workers > len(worlds) {
+		workers = len(worlds)
 	}
-
-	reports := make([]*Report, len(shards))
-	errs := make([]error, len(shards))
+	if ro.Sink != nil {
+		ro.Sink = &lockedSink{inner: ro.Sink}
+	}
+	reports := make([]*Report, len(worlds))
+	errs := make([]error, len(worlds))
 	next := make(chan int)
-	shared := sharedSink(opt.Run.Sink)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				n := len(shards[i].Devices)
-				var tb *testbed.Testbed
-				var err error
-				if opt.Pool != nil {
-					tb, err = opt.Pool.Get(n, func() (*testbed.Testbed, error) { return factory(n) })
-				} else {
-					tb, err = factory(n)
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("scenario: shard %d: building world: %w", i, err)
-					continue
-				}
-				ro := opt.Run
-				if shared != nil {
-					ro.Sink = shared
-				}
-				ro.rowShard = i
-				reports[i] = RunWith(tb, shards[i].Devices, ro)
-				if opt.Pool != nil {
-					// The report aliases the world's live query logs; the
-					// next checkout's Reset rewinds them, so snapshot first.
-					detachLogs(reports[i])
-					opt.Pool.Put(n, tb)
-				} else {
-					tb.Close()
-				}
+				reports[i], errs[i] = worlds[i].exec(pool, ro)
 			}
 		}()
 	}
-	for i := range shards {
+	for i := range worlds {
 		next <- i
 	}
 	close(next)
@@ -191,9 +192,34 @@ func RunShardedSized(factory SizedWorldFactory, devices []DeviceSpec, opt ShardO
 		return nil, err
 	}
 	rep := MergeReports(reports...)
-	rep.Shards = make([]ShardInfo, len(shards))
-	for i, s := range shards {
-		rep.Shards[i] = ShardInfo{Index: s.Index, Seed: s.Seed, Devices: len(s.Devices)}
+	rep.Shards = make([]ShardInfo, len(worlds))
+	for i, w := range worlds {
+		rep.Shards[i] = w.info
+	}
+	return rep, nil
+}
+
+// exec acquires w's world, runs it and releases it (see runWorlds).
+func (w shardWorld) exec(pool *WorldPool, ro RunOptions) (*Report, error) {
+	var tb *testbed.Testbed
+	var err error
+	if pool != nil {
+		tb, err = pool.Get(w.key, w.build)
+	} else {
+		tb, err = w.build()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario: shard %d: building world: %w", w.info.Index, err)
+	}
+	ro.rowShard = w.info.Index
+	rep := w.run(tb, ro)
+	if pool != nil {
+		// The report aliases the world's live query logs; the next
+		// checkout's Reset rewinds them, so snapshot first.
+		detachLogs(rep)
+		pool.Put(w.key, tb)
+	} else {
+		tb.Close()
 	}
 	return rep, nil
 }

@@ -29,7 +29,7 @@ func TestShardedMatchesSerialAtScale(t *testing.T) {
 	serial := Run(world, devices)
 	world.Close()
 
-	sharded, err := RunSharded(fac.Build, devices, ShardOptions{Shards: 8, Seed: seed})
+	sharded, err := RunShardedSized(sized(fac), devices, ShardOptions{Shards: 8, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,10 +81,11 @@ func TestShardDevicesPartition(t *testing.T) {
 	}
 }
 
-// assertReportsMatch compares the aggregate fields RunSharded promises
-// to reproduce, plus the per-device outcomes in order. HealthyQueries
-// is deliberately absent: the healthy resolver sits behind a per-world
-// cache, so its dedup depends on which devices share a world.
+// assertReportsMatch compares the aggregate fields RunShardedSized
+// promises to reproduce, plus the per-device outcomes in order.
+// HealthyQueries is deliberately absent: the healthy resolver sits
+// behind a per-world cache, so its dedup depends on which devices share
+// a world.
 func assertReportsMatch(t *testing.T, serial, sharded *Report) {
 	t.Helper()
 	type agg struct {
@@ -150,10 +151,16 @@ func assertReportsMatch(t *testing.T, serial, sharded *Report) {
 	}
 }
 
-// TestShardedMatchesSerial is the shard-merge property test the issue
-// asks for: for seeds 1..5 and K ∈ {1, 2, 8}, RunSharded over a
-// position-independent (scale) topology produces the same aggregate
-// report a serial run does.
+// sized adapts a spec factory to the engine's SizedWorldFactory (the
+// world does not depend on the shard's device count).
+func sized(fac testbed.Factory) SizedWorldFactory {
+	return func(int) (*testbed.Testbed, error) { return fac.Build() }
+}
+
+// TestShardedMatchesSerial is the shard-merge property test: for seeds
+// 1..5 and K ∈ {1, 2, 8}, RunShardedSized over a position-independent
+// (scale) topology produces the same aggregate report a serial run
+// does.
 func TestShardedMatchesSerial(t *testing.T) {
 	const n = 24
 	for seed := int64(1); seed <= 5; seed++ {
@@ -169,7 +176,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 
 		for _, k := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
-				sharded, err := RunSharded(fac.Build, devices, ShardOptions{Shards: k, Seed: seed})
+				sharded, err := RunShardedSized(sized(fac), devices, ShardOptions{Shards: k, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +212,7 @@ func TestShardedMatchesSerialMultiCore(t *testing.T) {
 	world.Close()
 
 	for run := 0; run < 3; run++ { // repeat to vary goroutine interleaving
-		sharded, err := RunSharded(fac.Build, devices, ShardOptions{Shards: 8, Workers: 4, Seed: seed})
+		sharded, err := RunShardedSized(sized(fac), devices, ShardOptions{Shards: 8, Workers: 4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,15 +222,15 @@ func TestShardedMatchesSerialMultiCore(t *testing.T) {
 
 func TestRunShardedErrors(t *testing.T) {
 	devices := Population(1, 4, DefaultMix())
-	if _, err := RunSharded(nil, devices, ShardOptions{Shards: 2}); err == nil {
+	if _, err := RunShardedSized(nil, devices, ShardOptions{Shards: 2}); err == nil {
 		t.Error("nil factory accepted")
 	}
-	bad := func() (*testbed.Testbed, error) {
+	bad := func(int) (*testbed.Testbed, error) {
 		spec := testbed.DefaultTopology(testbed.DefaultOptions())
 		spec.GatewayLANv4 = spec.Gateway.WANv4 // outside the LAN: Build must reject
 		return testbed.Build(spec)
 	}
-	if _, err := RunSharded(bad, devices, ShardOptions{Shards: 2}); err == nil {
+	if _, err := RunShardedSized(bad, devices, ShardOptions{Shards: 2}); err == nil {
 		t.Error("factory failures not surfaced")
 	}
 }

@@ -58,14 +58,6 @@ func (s *lockedSink) ObserveRow(r Row) {
 	s.mu.Unlock()
 }
 
-// sharedSink wraps opt's sink for cross-goroutine use (nil-safe).
-func sharedSink(s RowSink) *lockedSink {
-	if s == nil {
-		return nil
-	}
-	return &lockedSink{inner: s}
-}
-
 // detachLogs replaces a report's query-log views with standalone copies.
 // Serial runs hand out the world's live QueryLogs; a pooled world's
 // Reset rewinds those same structs, so a report that outlives its
@@ -87,7 +79,10 @@ func snapshotLog(l *dns.QueryLog) *dns.QueryLog {
 // exact post-Build state (or builds one and checkpoints it), Put parks
 // it for the next Get with the same key. Keys partition interchangeable
 // worlds — RunShardedSized keys by shard device count (worlds from one
-// sized factory differ only in that), RunFabric keys by subtree index.
+// sized factory differ only in that), RunFabric keys by subtree index
+// (a serial fabric run is subtree 0). A caller may park a checkpointed
+// world under the matching key ahead of a run, and the run then builds
+// nothing.
 // Worlds that cannot checkpoint (built clients) are closed on Put and
 // rebuilt on Get, so the pool degrades to build-per-run rather than
 // failing. Safe for concurrent use by shard workers.

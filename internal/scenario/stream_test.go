@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -372,6 +373,123 @@ func TestWorldPoolFabricReuse(t *testing.T) {
 		}
 		assertReportsMatch(t, want, rep)
 	}
+}
+
+// TestWorldPoolContracts pins the pool keys callers park worlds under
+// ahead of a run, and the nil-pool lifecycle. Flat shard worlds are
+// keyed by shard device count and a serial fabric run by subtree 0, so
+// a world parked under that key serves the run with no build at all;
+// with no pool, every shard builds its own world exactly once and the
+// engine closes it.
+func TestWorldPoolContracts(t *testing.T) {
+	t.Run("sized-keys", func(t *testing.T) {
+		const n, k = 10, 4 // shard sizes 2, 3, 2, 3
+		devices := Population(5, n, DefaultMix())
+		fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+		world, err := fac.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Run(world, devices)
+		world.Close()
+
+		pool := NewWorldPool()
+		defer pool.Close()
+		for _, s := range ShardDevices(5, devices, k)[:2] {
+			tb, err := fac.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(len(s.Devices), tb)
+		}
+		calls := 0
+		counted := func(int) (*testbed.Testbed, error) {
+			calls++
+			return fac.Build()
+		}
+		rep, err := RunShardedSized(counted, devices, ShardOptions{Shards: k, Workers: 1, Seed: 5, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 0 {
+			t.Errorf("factory called %d times, want 0 (worlds parked under every shard size)", calls)
+		}
+		assertReportsMatch(t, want, rep)
+	})
+
+	t.Run("fabric-serial-key0", func(t *testing.T) {
+		spec := testbed.FabricTopology(testbed.DefaultOptions(), 4, 4)
+		opt := FabricOptions{Seed: 1, ActorsPerDomain: 2}
+		want, err := RunFabric(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		tb, err := testbed.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		parkedAt := tb.Net.Clock.Now()
+		pool := NewWorldPool()
+		defer pool.Close()
+		pool.Put(0, tb)
+
+		opt.Pool = pool
+		rep, err := RunFabric(spec, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertReportsMatch(t, want, rep)
+		if len(rep.Shards) != 1 || rep.Shards[0].Devices != 8 {
+			t.Errorf("serial fabric shard metadata = %+v, want one shard of 8 devices", rep.Shards)
+		}
+		if !tb.Net.Clock.Now().After(parkedAt) {
+			t.Error("the world parked under key 0 did not run the serial fabric scenario")
+		}
+		got, err := pool.Get(0, func() (*testbed.Testbed, error) {
+			t.Fatal("pool built a world although one was parked under key 0")
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tb {
+			t.Error("pool.Get(0) after the run returned a different world")
+		}
+		pool.Put(0, got)
+	})
+
+	t.Run("nil-pool", func(t *testing.T) {
+		const n, k = 12, 4
+		devices := Population(2, n, DefaultMix())
+		fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+		var mu sync.Mutex
+		var built []*testbed.Testbed
+		counted := func(int) (*testbed.Testbed, error) {
+			tb, err := fac.Build()
+			mu.Lock()
+			built = append(built, tb)
+			mu.Unlock()
+			return tb, err
+		}
+		if _, err := RunShardedSized(counted, devices, ShardOptions{Shards: k, Seed: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if len(built) != k {
+			t.Errorf("built %d worlds for %d shards, want one each", len(built), k)
+		}
+		for i, tb := range built {
+			if !tb.Net.Stopped() {
+				t.Errorf("world %d still running after the run (want Close)", i)
+			}
+		}
+	})
 }
 
 // TestWorldPoolClose pins the teardown contract: Close tears down idle

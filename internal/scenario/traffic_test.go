@@ -99,7 +99,7 @@ func TestTrafficShardedMatchesSerial(t *testing.T) {
 
 		for _, k := range []int{2, 8} {
 			t.Run(fmt.Sprintf("seed%d/k%d", seed, k), func(t *testing.T) {
-				sharded, err := RunSharded(fac.Build, devices, ShardOptions{
+				sharded, err := RunShardedSized(sized(fac), devices, ShardOptions{
 					Shards: k, Seed: seed, Run: opt,
 				})
 				if err != nil {

@@ -11,7 +11,7 @@
 // form: a plain-data spec (addressing, gateway, Pis, sites, clients,
 // link Impairment, reboot ChurnSpec) that Build assembles into a
 // running world and Factory rebuilds into arbitrarily many independent
-// copies — the hand-off point to scenario.RunSharded. ScaleTopology
+// copies — the hand-off point to scenario.RunShardedSized. ScaleTopology
 // widens pools and stretches lease/session lifetimes so device outcomes
 // are position-independent, the precondition for shard-equality.
 // Chaos knobs thread through the same spec: Impair degrades every

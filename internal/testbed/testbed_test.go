@@ -7,22 +7,10 @@ import (
 	"time"
 
 	"repro/internal/dnswire"
-	"repro/internal/hoststack"
 	"repro/internal/httpsim"
 	"repro/internal/portal"
 	"repro/internal/profiles"
 )
-
-// fetcher adapts a client host to the portal test runner.
-func fetcher(c *hoststack.Host) portal.Fetcher {
-	return func(url string) (*httpsim.Response, error) {
-		r, err := httpsim.Browse(c, url)
-		if err != nil {
-			return nil, err
-		}
-		return r.Response, nil
-	}
-}
 
 func TestBringupRFC8925Client(t *testing.T) {
 	tb := New(DefaultOptions())
@@ -223,7 +211,7 @@ func TestFig5ErroneousTenOfTenWithMirrorRedirect(t *testing.T) {
 	tb := New(opt)
 	c := tb.AddClient("win10-nov6", profiles.Windows10NoV6())
 
-	res := portal.Run(fetcher(c), tb.Mirror)
+	res := portal.Run(httpsim.Fetcher(c), tb.Mirror)
 	buggy := portal.ScoreBuggy(res)
 	if buggy.Points != 10 {
 		t.Errorf("buggy score = %v, want the erroneous 10/10", buggy)
@@ -238,7 +226,7 @@ func TestFig5RedirectTargetSwitchedToIP6Me(t *testing.T) {
 	tb := New(DefaultOptions()) // final deployment: redirect = ip6.me
 	c := tb.AddClient("win10-nov6", profiles.Windows10NoV6())
 
-	res := portal.Run(fetcher(c), tb.Mirror)
+	res := portal.Run(httpsim.Fetcher(c), tb.Mirror)
 	buggy := portal.ScoreBuggy(res)
 	// Only the literal v4 probe reaches the mirror; every DNS-based probe
 	// lands on ip6.me instead, so the misleading 10/10 is gone.
@@ -428,13 +416,13 @@ func TestMirrorScoresByDeviceClass(t *testing.T) {
 	tb := New(DefaultOptions())
 
 	mac := tb.AddClient("macos", profiles.MacOS())
-	res := portal.Run(fetcher(mac), tb.Mirror)
+	res := portal.Run(httpsim.Fetcher(mac), tb.Mirror)
 	if s := portal.ScoreFixed(res); s.Points != 10 {
 		t.Errorf("RFC8925 client fixed score = %v, want 10/10 (subs=%+v)", s, res.Subs)
 	}
 
 	win10 := tb.AddClient("win10", profiles.Windows10())
-	res = portal.Run(fetcher(win10), tb.Mirror)
+	res = portal.Run(httpsim.Fetcher(win10), tb.Mirror)
 	if s := portal.ScoreFixed(res); s.Points != 9 {
 		t.Errorf("dual-stack fixed score = %v, want 9/10 cap (subs=%+v)", s, res.Subs)
 	}

@@ -612,16 +612,14 @@ func (tb *Testbed) Close() {
 }
 
 // Factory rebuilds fresh, fully independent copies of a world from its
-// spec. It is the hand-off point between the topology layer and the
-// sharded scenario engine: Factory.Build is a scenario.WorldFactory.
+// spec. Every world it builds is deterministic and identical to the
+// others (before any post-build mutation), but completely independent.
+// It is the hand-off point between the topology layer and the sharded
+// scenario engine (wrapped by pathology.FactorySized, or a closure, into
+// a scenario.SizedWorldFactory).
 type Factory struct {
 	Spec Topology
 }
 
-// Build assembles a new world from the snapshot spec.
+// Build assembles a new world from the factory's spec.
 func (f Factory) Build() (*Testbed, error) { return Build(f.Spec) }
-
-// Snapshot captures the built world's spec as a reusable factory.
-// Every world the factory builds is deterministic and identical to this
-// one (before any post-build mutation), but completely independent.
-func (tb *Testbed) Snapshot() Factory { return Factory{Spec: tb.Spec} }

@@ -103,7 +103,7 @@ func TestSnapshotFactoryBuildsIndependentTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fac := tb.Snapshot()
+	fac := Factory{Spec: tb.Spec}
 
 	twinA, err := fac.Build()
 	if err != nil {

@@ -170,11 +170,7 @@ func (c *Client) Fetch(url string) (*httpsim.Response, error) {
 		return nil, err
 	}
 	if lit, perr := netip.ParseAddr(strings.Trim(name, "[]")); perr == nil && c.splitTunneled(lit) {
-		r, err := httpsim.Browse(c.Host, url)
-		if err != nil {
-			return nil, err
-		}
-		return r.Response, nil
+		return httpsim.Fetcher(c.Host)(url)
 	}
 	return c.fetchViaTunnel(url)
 }
