@@ -178,7 +178,7 @@ func BenchmarkFig10RDNSSPreference(b *testing.B) {
 		}
 		quiesce(tb)
 	}
-	if len(tb.PoisonLog.Queries) != 0 {
+	if tb.PoisonLog.Len() != 0 {
 		b.Fatal("poisoned server was consulted")
 	}
 }

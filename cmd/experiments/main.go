@@ -292,14 +292,14 @@ func fig10() {
 	fmt.Println("       poisoned server; some Windows 11 builds prefer the DHCPv4 resolver")
 	tb := testbed.New(testbed.DefaultOptions())
 	win10 := tb.AddClient("win10", profiles.Windows10())
-	before := len(tb.PoisonLog.Queries)
+	before := tb.PoisonLog.Len()
 	_, _ = win10.Lookup("sc24.supercomputing.org")
-	fmt.Printf("measured: Windows 10 poisoned-server queries: %d\n", len(tb.PoisonLog.Queries)-before)
+	fmt.Printf("measured: Windows 10 poisoned-server queries: %d\n", tb.PoisonLog.Len()-before)
 
 	win11 := tb.AddClient("win11", profiles.Windows11())
-	before = len(tb.PoisonLog.Queries)
+	before = tb.PoisonLog.Len()
 	_, _ = win11.Lookup("sc24.supercomputing.org")
-	fmt.Printf("measured: Windows 11 poisoned-server queries: %d\n", len(tb.PoisonLog.Queries)-before)
+	fmt.Printf("measured: Windows 11 poisoned-server queries: %d\n", tb.PoisonLog.Len()-before)
 }
 
 func fig11() {
@@ -421,7 +421,7 @@ func tabD() {
 		tb := testbed.New(testbed.DefaultOptions())
 		rep := scenario.Run(tb, devices)
 		fmt.Printf("measured: refreshed=%3.0f%%  overcount=%-3d poisoned-queries=%-4d informed=%-2d internet=%d/%d\n",
-			frac*100, rep.Overcount, len(tb.PoisonLog.Queries), rep.Informed, rep.InternetOK, rep.Joined)
+			frac*100, rep.Overcount, tb.PoisonLog.Len(), rep.Informed, rep.InternetOK, rep.Joined)
 	}
 }
 

@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("\ninfrastructure: gateway RAs=%d, snooped DHCP frames=%d, NAT64 sessions=%d, NAT44 log entries=%d\n",
 		tb.Gateway.RAsSent, tb.Switch.SnoopedDrops, tb.Gateway.NAT64.SessionCount(), len(tb.Gateway.NAT44.Log))
 	fmt.Printf("healthy DNS64: %d queries (%d synthesized AAAA); poisoned server: %d queries\n",
-		len(tb.HealthyLog.Queries), tb.Healthy64.Synthesized, len(tb.PoisonLog.Queries))
+		tb.HealthyLog.Len(), tb.Healthy64.Synthesized, tb.PoisonLog.Len())
 
 	if tap != nil {
 		fmt.Printf("\nswitch capture (first %d frames):\n", len(tap.Lines))

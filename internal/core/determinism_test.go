@@ -15,7 +15,7 @@ import (
 
 func fingerprint(tb *testbed.Testbed) string {
 	s := fmt.Sprintf("frames=%d healthy=%d poison=%d snoop=%d ras=%d nat64=%d",
-		tb.Net.FramesDelivered(), len(tb.HealthyLog.Queries), len(tb.PoisonLog.Queries),
+		tb.Net.FramesDelivered(), tb.HealthyLog.Len(), tb.PoisonLog.Len(),
 		tb.Switch.SnoopedDrops, tb.Gateway.RAsSent, tb.Gateway.NAT64.SessionCount())
 	for _, c := range tb.Clients {
 		o := Evaluate(tb, c)
@@ -48,7 +48,7 @@ func TestDNSCacheServesRepeatLookups(t *testing.T) {
 	if _, err := c.Lookup("sc24.supercomputing.org"); err != nil {
 		t.Fatal(err)
 	}
-	upstream := len(tb.HealthyLog.Queries)
+	upstream := tb.HealthyLog.Len()
 	// Repeat lookups hit the healthy Pi's TTL cache: the inner resolver
 	// (and its DNS64 synthesis) is not consulted again.
 	for i := 0; i < 5; i++ {
@@ -56,7 +56,7 @@ func TestDNSCacheServesRepeatLookups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(tb.HealthyLog.Queries); got != upstream {
+	if got := tb.HealthyLog.Len(); got != upstream {
 		t.Errorf("cache miss on repeats: inner queries %d -> %d", upstream, got)
 	}
 
@@ -65,7 +65,7 @@ func TestDNSCacheServesRepeatLookups(t *testing.T) {
 	if _, err := c.Lookup("sc24.supercomputing.org"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tb.HealthyLog.Queries); got == upstream {
+	if got := tb.HealthyLog.Len(); got == upstream {
 		t.Error("cache never expired")
 	}
 }

@@ -82,9 +82,6 @@ func NewServer(cfg ServerConfig, now func() time.Time) (*Server, error) {
 	}, nil
 }
 
-// Config returns the server's scope configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // DomainPool is the slice of the scope reserved for one access domain.
 type DomainPool struct {
 	Start, End netip.Addr

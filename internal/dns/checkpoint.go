@@ -65,3 +65,7 @@ func (c *Cache) Restore(cp *CacheCheckpoint) {
 	c.Evictions = cp.evicts
 	c.Expired = cp.expired
 }
+
+// Restore sets the log's count back to n, a Len captured earlier, for
+// testbed world reuse.
+func (l *QueryLog) Restore(n int) { l.n = n }

@@ -170,47 +170,22 @@ func (s *Static) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 	return resp, nil
 }
 
-// QueryLog records every question a wrapped resolver sees; tests and the
-// experiment harness use it to prove which resolver a client consulted.
+// QueryLog counts every question a wrapped resolver sees; tests and the
+// experiment harness use the count to prove which resolver a client
+// consulted.
 type QueryLog struct {
-	Inner   Resolver
-	Queries []dnswire.Question
+	Inner Resolver
+	n     int
 }
 
-// Resolve logs q and delegates to the inner resolver.
+// Resolve counts q and delegates to the inner resolver.
 func (l *QueryLog) Resolve(q dnswire.Question) (*dnswire.Message, error) {
-	l.Queries = append(l.Queries, q)
+	l.n++
 	if l.Inner == nil {
 		return nil, fmt.Errorf("dns: query log has no inner resolver")
 	}
 	return l.Inner.Resolve(q)
 }
 
-// Len returns the number of questions seen. A nil log is empty.
-func (l *QueryLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.Queries)
-}
-
-// Merge appends every question recorded by other. The operation is
-// associative, which is what lets the scenario engine fold the query
-// logs of independently simulated worlds into one aggregate log.
-func (l *QueryLog) Merge(other *QueryLog) {
-	if other == nil {
-		return
-	}
-	l.Queries = append(l.Queries, other.Queries...)
-}
-
-// Count returns how many questions of the given type were seen.
-func (l *QueryLog) Count(qtype uint16) int {
-	n := 0
-	for _, q := range l.Queries {
-		if q.Type == qtype {
-			n++
-		}
-	}
-	return n
-}
+// Len returns the number of questions seen.
+func (l *QueryLog) Len() int { return l.n }

@@ -3,7 +3,6 @@ package dns
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"repro/internal/dnswire"
@@ -94,16 +93,6 @@ func (z *Zone) AddAAAA(name string, addr netip.Addr, ttl uint32) error {
 // AddCNAME adds a CNAME record.
 func (z *Zone) AddCNAME(name, target string) error {
 	return z.Add(dnswire.RR{Name: name, Type: dnswire.TypeCNAME, Target: dnswire.CanonicalName(target)})
-}
-
-// Names returns all owner names in the zone, sorted.
-func (z *Zone) Names() []string {
-	out := make([]string, 0, len(z.records))
-	for n := range z.records {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (z *Zone) qualify(name string) string {

@@ -156,8 +156,8 @@ func TestRPZCostsOneUpstreamQueryPerA(t *testing.T) {
 		}
 	}
 	// RPZ pays an upstream existence check per A query; wildcard pays none.
-	if len(log.Queries) != 10 {
-		t.Errorf("RPZ upstream queries = %d, want 10", len(log.Queries))
+	if log.Len() != 10 {
+		t.Errorf("RPZ upstream queries = %d, want 10", log.Len())
 	}
 	if w.Forwarded != 0 {
 		t.Errorf("wildcard forwarded %d A queries upstream, want 0", w.Forwarded)

@@ -147,7 +147,12 @@ func readName(msg []byte, off int) (string, int, error) {
 				next = off + 2
 				jumped = true
 			}
-			if ptr >= off || hops > 64 {
+			// Pointers only jump backwards, so they cannot loop; the hop
+			// cap bounds what a forged chain of pointers to pointers
+			// costs. An encoder's pointer lands on a label and a name
+			// holds at most MaxNameLen/2 labels, so a well-formed name
+			// never follows more pointers than that.
+			if ptr >= off || hops == MaxNameLen/2 {
 				return "", 0, ErrBadPointer
 			}
 			hops++

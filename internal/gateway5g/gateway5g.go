@@ -168,9 +168,6 @@ func (g *Gateway) SetRALifetimes(valid, preferred, router time.Duration) {
 // and all IPv6 paths keep working.
 func (g *Gateway) BlockNAT44() { g.blockNAT44 = true }
 
-// UnblockNAT44 removes the ACL.
-func (g *Gateway) UnblockNAT44() { g.blockNAT44 = false }
-
 // New builds the gateway on the fabric.
 func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 	if len(cfg.GUAPrefixes) == 0 {
@@ -241,9 +238,6 @@ func (g *Gateway) WANMAC() netsim.MAC { return g.wan.MAC() }
 
 // NAT64Public returns the NAT64 egress IPv4 address.
 func (g *Gateway) NAT64Public() netip.Addr { return g.cfg.WANv4 }
-
-// LinkLocal returns the gateway's LAN link-local address (RA source).
-func (g *Gateway) LinkLocal() netip.Addr { return g.linkLocal }
 
 // CurrentGUAPrefix returns the /64 currently advertised.
 func (g *Gateway) CurrentGUAPrefix() netip.Prefix {

@@ -182,24 +182,10 @@ func (h *Host) Restore(c *HostCheckpoint) {
 	h.Events = h.Events[:c.nEvents]
 }
 
-// ResetRows rewinds every Table row to its just-registered state: the
-// given placeholder profile, zero sequence counters, no remembered
-// addresses and cleared lifecycle flags. Used by testbed world reuse to
+// ResetRows rewinds every Table row to its just-registered state: zero
+// sequence counters and never active. Used by testbed world reuse to
 // forget a run's population without reallocating the table.
-func (t *Table) ResetRows(profile BehaviorID) {
-	for i := range t.profile {
-		t.profile[i] = profile
-	}
-	for i := range t.seq {
-		t.seq[i] = SeqState{}
-	}
-	for i := range t.v4 {
-		t.v4[i] = [4]byte{}
-	}
-	for i := range t.v6 {
-		t.v6[i] = [16]byte{}
-	}
-	for i := range t.flags {
-		t.flags[i] = 0
-	}
+func (t *Table) ResetRows() {
+	clear(t.seq)
+	clear(t.everActive)
 }

@@ -252,13 +252,6 @@ func (h *Host) IPv6OnlyActive() bool {
 // CLATActive reports whether the 464XLAT translator is running.
 func (h *Host) CLATActive() bool { return h.clat != nil }
 
-// TCPConnCount reports live entries in the connection table
-// (observability; finished connections are reaped).
-func (h *Host) TCPConnCount() int { return len(h.tcpConns) }
-
-// UDPBindCount reports bound UDP ports (servers plus in-flight queries).
-func (h *Host) UDPBindCount() int { return len(h.udpBind) }
-
 // SetIPv4Static configures IPv4 manually (servers; hosts with DHCP off).
 func (h *Host) SetIPv4Static(addr netip.Addr, prefix netip.Prefix, router netip.Addr) {
 	h.v4Addr, h.v4Prefix, h.v4Router = addr, prefix, router

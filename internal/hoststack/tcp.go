@@ -62,9 +62,6 @@ func (c *TCPConn) Established() bool { return c.state == tcpEstablished }
 // RemoteClosed reports whether the peer sent FIN.
 func (c *TCPConn) RemoteClosed() bool { return c.remoteClosed }
 
-// Refused reports whether the peer answered the SYN with RST.
-func (c *TCPConn) Refused() bool { return c.refused }
-
 // Recv drains and returns the receive buffer.
 func (c *TCPConn) Recv() []byte {
 	b := c.recvBuf

@@ -101,9 +101,6 @@ func (s *Switch) rsWatcher(ingress int, f netsim.Frame) bool {
 	return true
 }
 
-// LinkLocal returns the switch's RA source address.
-func (s *Switch) LinkLocal() netip.Addr { return s.linkLocal }
-
 // BlockDHCPFrom marks a port as an untrusted DHCP source (the gateway's
 // port); server-to-client DHCP frames ingressing there are dropped.
 func (s *Switch) BlockDHCPFrom(port int) { s.blockedPorts[port] = true }

@@ -118,8 +118,9 @@ type Network struct {
 	fanoutDeliveries uint64 // frames delivered through fan-out events
 
 	// Unicast ring fast path (see ring.go). ringNICs tracks every NIC
-	// that ever allocated a ring so Stop/ResetTo can clear them; ringsOff
-	// disables the fast path (SetUnicastRings).
+	// that allocated a ring and was not since released (ReleaseNIC), so
+	// Stop/ResetTo can clear them; ringsOff disables the fast path
+	// (SetUnicastRings).
 	ringsOff      bool
 	ringNICs      []*NIC
 	ringFrames    uint64 // frames delivered through ring drains

@@ -157,23 +157,11 @@ func (nc *NIC) LeaveGroup(g MAC) {
 	}
 }
 
-// InGroup reports current membership in a multicast MAC group.
-func (nc *NIC) InGroup(g MAC) bool { return nc.groups[g] > 0 }
-
 // Name returns the interface name given at creation.
 func (nc *NIC) Name() string { return nc.name }
 
 // MAC returns the hardware address of the interface.
 func (nc *NIC) MAC() MAC { return nc.mac }
-
-// SetMAC overrides the auto-allocated hardware address.
-func (nc *NIC) SetMAC(m MAC) { nc.mac = m }
-
-// Network returns the fabric this NIC belongs to.
-func (nc *NIC) Network() *Network { return nc.net }
-
-// Connected reports whether the NIC has a link peer.
-func (nc *NIC) Connected() bool { return nc.peer != nil }
 
 // SetHandler replaces the frame handler (used when a device is built
 // before its stack exists).

@@ -1,6 +1,9 @@
 package netsim
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // This file is the unicast fast path: per-link frame rings with a
 // single amortized drain event per link.
@@ -188,4 +191,22 @@ func (n *Network) clearRings() {
 		nc.ringHead, nc.ringCount = 0, 0
 		nc.ringDraining = false
 	}
+}
+
+// ReleaseNIC drops nc from the ring bookkeeping once it will carry no
+// more traffic (a parked fabric client's NIC). Without it the list
+// keeps nc, and the Host its handler belongs to, reachable until the
+// next ResetTo. A NIC with frames still queued stays registered; a
+// released NIC that receives again allocates and registers a new ring.
+func (n *Network) ReleaseNIC(nc *NIC) {
+	if nc.ring == nil || nc.ringCount > 0 {
+		return
+	}
+	for i := len(n.ringNICs) - 1; i >= 0; i-- {
+		if n.ringNICs[i] == nc {
+			n.ringNICs = slices.Delete(n.ringNICs, i, i+1)
+			break
+		}
+	}
+	nc.ring = nil
 }

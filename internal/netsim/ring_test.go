@@ -194,3 +194,42 @@ func TestRingGrowth(t *testing.T) {
 		t.Errorf("growth burst overflowed %d frames", st.UnicastRingOverflows)
 	}
 }
+
+// TestReleaseNIC pins the ring bookkeeping a parked NIC leaves behind:
+// a NIC with a frame still queued stays registered and receives it; an
+// idle one is dropped, and if it receives again it registers a new ring.
+func TestReleaseNIC(t *testing.T) {
+	net := NewNetwork()
+	got := 0
+	rx := net.NewNIC("rx", FrameHandlerFunc(func(*NIC, Frame) { got++ }))
+	tx := net.NewNIC("tx", nil)
+	net.Connect(tx, rx)
+	send := func() { tx.Transmit(Frame{Dst: rx.MAC(), EtherType: EtherTypeIPv6, Payload: []byte{1}}) }
+	registered := func() bool {
+		for _, nc := range net.ringNICs {
+			if nc == rx {
+				return true
+			}
+		}
+		return false
+	}
+
+	send()
+	net.ReleaseNIC(rx)
+	if !registered() {
+		t.Fatal("ReleaseNIC dropped a NIC with a frame still queued")
+	}
+	net.Run(0)
+	if got != 1 {
+		t.Fatalf("delivered %d frames, want the queued one", got)
+	}
+	net.ReleaseNIC(rx)
+	if registered() || rx.ring != nil {
+		t.Fatal("an idle released NIC is still in the ring list")
+	}
+	send()
+	net.Run(0)
+	if got != 2 || !registered() {
+		t.Errorf("after release: delivered %d frames (want 2), registered=%v (want true)", got, registered())
+	}
+}

@@ -111,12 +111,6 @@ func NewSwitch(net *Network, name string) *Switch {
 	return &Switch{name: name, net: net, table: make(map[MAC]int)}
 }
 
-// Name returns the switch name.
-func (s *Switch) Name() string { return s.name }
-
-// Network returns the fabric the switch lives on.
-func (s *Switch) Network() *Network { return s.net }
-
 // AddFilter registers a snooping filter consulted for every ingress frame.
 func (s *Switch) AddFilter(f FrameFilter) { s.filters = append(s.filters, f) }
 

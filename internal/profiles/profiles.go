@@ -133,17 +133,3 @@ func All() []hoststack.Behavior {
 		IPv6OnlyLinux(),
 	}
 }
-
-// AllIDs returns the flyweight hoststack.BehaviorID for every canned
-// profile, in the same order as All. Fabric worlds register millions of
-// clients by ID (2 bytes each) instead of by Behavior value; the IDs
-// are stable within a process because the profile set is interned once
-// in a fixed order.
-func AllIDs() []hoststack.BehaviorID {
-	all := All()
-	ids := make([]hoststack.BehaviorID, len(all))
-	for i, b := range all {
-		ids[i] = hoststack.InternBehavior(b)
-	}
-	return ids
-}

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dns"
 	"repro/internal/hoststack"
 	"repro/internal/httpsim"
 	"repro/internal/metrics"
@@ -186,20 +185,14 @@ type Report struct {
 	// pathology sweep's String) render without the Devices slice.
 	Profiles map[string]ProfileCount
 
-	// PoisonedQueries / HealthyQueries are the lengths of the two DNS
-	// servers' query logs after the run. Poisoned-server queries arrive
+	// PoisonedQueries / HealthyQueries are the two DNS servers' query
+	// counts after the run. Poisoned-server queries arrive
 	// uncached, so the count is a per-device sum and merges exactly
 	// across shards; the healthy server sits behind a shared cache whose
 	// dedup depends on which devices share a world, so its count is
 	// reported but excluded from the shard-equality contract.
 	PoisonedQueries int
 	HealthyQueries  int
-
-	// PoisonLog / HealthyLog hold the query logs backing those counters:
-	// the live testbed logs after Run or RunWith, shard-major merged
-	// copies after RunShardedSized or RunFabric.
-	PoisonLog  *dns.QueryLog
-	HealthyLog *dns.QueryLog
 
 	// Convergence aggregates re-convergence after reboot churn by
 	// traffic class (nil unless the run used RebootsPerDevice > 0).
@@ -239,7 +232,7 @@ type RunOptions struct {
 	// working outcome. Reboots are per-device trials rather than
 	// wall-schedule events so a sharded run — where each shard's world
 	// reboots on its own devices — aggregates to the same report as the
-	// serial run (see testbed.ChurnSpec for the absolute-time variant).
+	// serial run.
 	RebootsPerDevice int
 	// ConvergeTimeout bounds the virtual time a device is given to
 	// re-converge after the reboot storm (default 60s).
@@ -510,7 +503,7 @@ func (r *trialRunner) fold(dr DeviceResult) {
 
 // finish seals the report: the per-trial folds already hold every
 // device-derived aggregate, so only the world-level reads remain (the
-// translator totals, the query logs and the drained traffic stats).
+// translator totals, the query counts and the drained traffic stats).
 func (r *trialRunner) finish() *Report {
 	tb, rep := r.tb, r.rep
 	rep.Overcount = rep.ReportedSSIDClients - rep.TrueIPv6Only
@@ -525,8 +518,6 @@ func (r *trialRunner) finish() *Report {
 	if r.opt.Traffic != nil {
 		rep.Traffic = buildTrafficReport(tb, r.flows, r.flowsPerClass, r.opt.Traffic)
 	}
-	rep.PoisonLog = tb.PoisonLog
-	rep.HealthyLog = tb.HealthyLog
 	rep.PoisonedQueries = tb.PoisonLog.Len()
 	rep.HealthyQueries = tb.HealthyLog.Len()
 	return rep

@@ -133,7 +133,7 @@ func TestAdoptionSweepReducesPoisonedExposure(t *testing.T) {
 		devices := Population(2, 25, AdoptionMix(frac))
 		tb := testbed.New(testbed.DefaultOptions())
 		Run(tb, devices)
-		return len(tb.PoisonLog.Queries)
+		return tb.PoisonLog.Len()
 	}
 	unrefreshed := run(0)
 	refreshed := run(1)

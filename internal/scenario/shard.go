@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/dns"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
 )
@@ -155,10 +154,10 @@ type shardWorld struct {
 // runWorlds is the one shard executor. Up to workers goroutines (default
 // GOMAXPROCS) each take a world from pool under its key — or, with a nil
 // pool, build it fresh — run it with ro (rows stamped with the world's
-// shard index and serialized through one shared sink), then detach the
-// report's query logs and park the world back, or Close it when there
-// is no pool. Errors from every world are joined; otherwise the reports
-// merge in world order and Report.Shards lists each world's ShardInfo.
+// shard index and serialized through one shared sink), then park the
+// world back, or Close it when there is no pool. Errors from every world
+// are joined; otherwise the reports merge in world order and
+// Report.Shards lists each world's ShardInfo.
 func runWorlds(worlds []shardWorld, workers int, pool *WorldPool, ro RunOptions) (*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -214,9 +213,6 @@ func (w shardWorld) exec(pool *WorldPool, ro RunOptions) (*Report, error) {
 	ro.rowShard = w.info.Index
 	rep := w.run(tb, ro)
 	if pool != nil {
-		// The report aliases the world's live query logs; the next
-		// checkout's Reset rewinds them, so snapshot first.
-		detachLogs(rep)
 		pool.Put(w.key, tb)
 	} else {
 		tb.Close()
@@ -227,7 +223,7 @@ func (w shardWorld) exec(pool *WorldPool, ro RunOptions) (*Report, error) {
 // MergeReports folds per-shard reports into one aggregate. Every
 // counter merge is associative and commutative (sums and per-class
 // tallies), so the result does not depend on grouping; only the order
-// of Devices and the merged query logs follows the argument order.
+// of Devices follows the argument order.
 // Overcount is recomputed from the merged counters rather than summed,
 // which is equivalent (it is linear in them) and keeps the invariant
 // Overcount == ReportedSSIDClients - TrueIPv6Only by construction.
@@ -236,10 +232,7 @@ func (w shardWorld) exec(pool *WorldPool, ro RunOptions) (*Report, error) {
 // (their aggregates were folded incrementally as they streamed), and a
 // merge over such reports allocates no per-device state at all.
 func MergeReports(parts ...*Report) *Report {
-	out := &Report{
-		PoisonLog:  &dns.QueryLog{},
-		HealthyLog: &dns.QueryLog{},
-	}
+	out := &Report{}
 	retained := 0
 	for _, p := range parts {
 		if p != nil {
@@ -291,8 +284,6 @@ func MergeReports(parts ...*Report) *Report {
 			}
 		}
 		mergeTraffic(&out.Traffic, p.Traffic)
-		out.PoisonLog.Merge(p.PoisonLog)
-		out.HealthyLog.Merge(p.HealthyLog)
 	}
 	out.Overcount = out.ReportedSSIDClients - out.TrueIPv6Only
 	return out

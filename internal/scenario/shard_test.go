@@ -145,10 +145,6 @@ func assertReportsMatch(t *testing.T, serial, sharded *Report) {
 			t.Errorf("Convergence[%s]: serial=%+v sharded=%+v", cls, sc, pc)
 		}
 	}
-	if sharded.PoisonLog.Len() != sharded.PoisonedQueries {
-		t.Errorf("merged poison log %d entries, counter says %d",
-			sharded.PoisonLog.Len(), sharded.PoisonedQueries)
-	}
 }
 
 // sized adapts a spec factory to the engine's SizedWorldFactory (the

@@ -3,8 +3,6 @@ package scenario
 import (
 	"sync"
 
-	"repro/internal/dns"
-	"repro/internal/dnswire"
 	"repro/internal/testbed"
 )
 
@@ -56,22 +54,6 @@ func (s *lockedSink) ObserveRow(r Row) {
 	s.mu.Lock()
 	s.inner.ObserveRow(r)
 	s.mu.Unlock()
-}
-
-// detachLogs replaces a report's query-log views with standalone copies.
-// Serial runs hand out the world's live QueryLogs; a pooled world's
-// Reset rewinds those same structs, so a report that outlives its
-// world's checkout must snapshot them first.
-func detachLogs(rep *Report) {
-	rep.PoisonLog = snapshotLog(rep.PoisonLog)
-	rep.HealthyLog = snapshotLog(rep.HealthyLog)
-}
-
-func snapshotLog(l *dns.QueryLog) *dns.QueryLog {
-	if l == nil {
-		return nil
-	}
-	return &dns.QueryLog{Queries: append([]dnswire.Question(nil), l.Queries...)}
 }
 
 // WorldPool reuses built worlds across runs via the testbed

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dns"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pathology"
@@ -180,9 +179,8 @@ func TestStreamedRowsMatchLegacyFabric(t *testing.T) {
 }
 
 // reportDigest hashes every observable field of a report — aggregates,
-// per-device rows, per-class and per-profile folds, traffic ledgers and
-// the query logs — into one hex digest, so two reports are equal iff
-// their digests are.
+// per-device rows, per-class and per-profile folds and traffic ledgers —
+// into one hex digest, so two reports are equal iff their digests are.
 func reportDigest(rep *Report) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "agg %d %d %d %d %d %d %d %d %d %d\n",
@@ -227,17 +225,6 @@ func reportDigest(rep *Report) string {
 		sort.Strings(tcs)
 		for _, c := range tcs {
 			fmt.Fprintf(h, "tclass %s %+v\n", c, rep.Traffic.PerClass[metrics.Class(c)])
-		}
-	}
-	for _, l := range []struct {
-		tag string
-		log *dns.QueryLog
-	}{{"poison", rep.PoisonLog}, {"healthy", rep.HealthyLog}} {
-		if l.log == nil {
-			continue
-		}
-		for _, q := range l.log.Queries {
-			fmt.Fprintf(h, "%s %s %d %d\n", l.tag, q.Name, q.Type, q.Class)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -59,12 +59,11 @@ func TestImpairedClientsStillJoin(t *testing.T) {
 }
 
 func TestChurnClientsReconverge(t *testing.T) {
-	// The reboot-churn regression: after a scheduled gateway reboot the
-	// LAN renumbers, and every IPv6-capable client must adopt an address
-	// in the NEW GUA prefix — with the stale one deprecated — within one
-	// RA beacon interval plus margin of bounded virtual time.
+	// The reboot-churn regression: after a gateway reboot the LAN
+	// renumbers, and every IPv6-capable client must adopt an address in
+	// the NEW GUA prefix — with the stale one deprecated — within one RA
+	// beacon interval plus margin of bounded virtual time.
 	spec := DefaultTopology(DefaultOptions())
-	spec.Churn = ChurnSpec{FirstReboot: 30 * time.Second, Count: 1}
 	spec.Clients = []ClientSpec{
 		{Name: "android", Behavior: profiles.Android()},
 		{Name: "win11", Behavior: profiles.Windows11()},
@@ -77,8 +76,10 @@ func TestChurnClientsReconverge(t *testing.T) {
 	defer tb.Close()
 
 	oldPfx := tb.Gateway.CurrentGUAPrefix()
-	// Clients joined during Build (≈6 s after settle); the reboot fires
-	// at settle+30 s. Run past it plus one RA interval (10 s) + margin.
+	// Clients joined during Build (2 s each, so 6 s after settle); the
+	// reboot fires at settle+30 s. Run past it plus one RA interval
+	// (10 s) + margin.
+	tb.Net.Clock.AfterFunc(24*time.Second, tb.Gateway.Reboot)
 	tb.Net.RunFor(45 * time.Second)
 
 	if got := tb.Gateway.RebootCount(); got != 1 {
@@ -109,17 +110,5 @@ func TestChurnClientsReconverge(t *testing.T) {
 			t.Errorf("%s: stale %v address not deprecated", c.Name(), oldPfx)
 		}
 		_ = freshAddr
-	}
-}
-
-func TestChurnSpecDefaults(t *testing.T) {
-	if (ChurnSpec{}).Enabled() {
-		t.Error("zero spec enabled")
-	}
-	if (ChurnSpec{Count: 3}).Enabled() {
-		t.Error("count without any interval enabled")
-	}
-	if !(ChurnSpec{Every: time.Minute, Count: 1}).Enabled() {
-		t.Error("Every-only spec disabled")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // broadcast domain, clients hang off access switches trunked into the
 // managed (distribution) switch, which scopes floods so broadcast-heavy
 // protocol chatter stays inside its own access domain. Combined with
-// the hoststack memory diet (a registered client is a ~31-byte table
+// the hoststack memory diet (a registered client is a 9-byte table
 // row until it first acts), a single process holds million-client
 // worlds. Flat worlds — Fabric unset — never touch any of this code.
 
@@ -211,7 +211,6 @@ func (tb *Testbed) buildFabric(spec Topology) error {
 	tb.PoisonPi.EnableNeighborGleaning()
 	tb.DHCPPi.EnableNeighborGleaning()
 
-	placeholder := hoststack.InternBehavior(hoststack.Behavior{})
 	for _, as := range f.Access {
 		asw := netsim.NewSwitch(tb.Net, as.Name)
 		aPort, dPort := netsim.ConnectSwitches(asw, tb.Switch.Switch)
@@ -220,7 +219,7 @@ func (tb *Testbed) buildFabric(spec Topology) error {
 		fb.Switches = append(fb.Switches, asw)
 		fb.rowStart = append(fb.rowStart, fb.Table.Len())
 		for j := 0; j < as.Clients; j++ {
-			fb.Table.Add(placeholder)
+			fb.Table.Add()
 		}
 	}
 	fb.rowStart = append(fb.rowStart, fb.Table.Len())
@@ -289,7 +288,6 @@ func (fb *Fabric) Materialize(row int, name string, b hoststack.Behavior) *hosts
 	tb := fb.tb
 	sw := fb.SwitchIndexOf(row)
 	h := hoststack.New(tb.Net, name, b)
-	fb.Table.SetProfile(row, hoststack.InternBehavior(b))
 	port := fb.Switches[sw].AttachPort(h.NIC)
 	if tb.Spec.Impair.Enabled() {
 		h.NIC.SetImpairment(tb.Spec.Impair, chaosSeed(tb.Spec.ChaosSeed, name))
@@ -303,11 +301,11 @@ func (fb *Fabric) Materialize(row int, name string, b hoststack.Behavior) *hosts
 }
 
 // Park returns a materialized client to its table row: sequence
-// counters and addresses are saved, persistent timers stopped, the
-// access port detached (its slot recycles), and every switch forgets
-// the MAC. The Host reference dies with the parked row, so a million
-// registered clients never hold more than the active working set of
-// full Hosts.
+// counters are saved, persistent timers stopped, the access port
+// detached (its slot recycles), every switch forgets the MAC and the
+// fabric drops the NIC from its ring list. The Host reference dies with
+// the parked row, so a million registered clients never hold more than
+// the active working set of full Hosts.
 func (fb *Fabric) Park(row int) {
 	a, ok := fb.active[row]
 	if !ok {
@@ -316,6 +314,7 @@ func (fb *Fabric) Park(row int) {
 	a.host.StopTimers()
 	fb.Table.Park(row, a.host)
 	fb.Switches[a.sw].DetachPort(a.port)
+	fb.tb.Net.ReleaseNIC(a.host.NIC)
 	fb.tb.Switch.Unlearn(a.host.MAC())
 	delete(fb.macDomain, a.host.MAC())
 	delete(fb.active, row)

@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/httpsim"
@@ -47,6 +49,78 @@ func TestFabricClientBringup(t *testing.T) {
 	}
 	if fb.ActiveCount() != 0 {
 		t.Errorf("ActiveCount = %d after parking all", fb.ActiveCount())
+	}
+}
+
+// TestFabricParkResumesSequenceState pins what a parked row keeps: the
+// re-materialized client continues its DHCP, DNS and ping identifier
+// streams instead of starting them over, until Reset returns the row to
+// its just-registered state.
+func TestFabricParkResumesSequenceState(t *testing.T) {
+	tb, err := Build(FabricTopology(DefaultOptions(), 1, 2))
+	if err != nil {
+		t.Fatalf("building fabric world: %v", err)
+	}
+	defer tb.Close()
+	if err := tb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fb := tb.Fabric
+
+	c := fb.Materialize(0, "fab-resume", profiles.MacOS())
+	booted := c.SequenceState()
+	if _, err := httpsim.Browse(c, "http://sc24.supercomputing.org/"); err != nil {
+		t.Fatalf("browse: %v", err)
+	}
+	parked := c.SequenceState()
+	if parked.DNSID == 0 {
+		t.Fatal("browse issued no DNS query")
+	}
+	fb.Park(0)
+	got := fb.Materialize(0, "fab-resume", profiles.MacOS()).SequenceState()
+	if got.DHCPXID <= parked.DHCPXID || got.DNSID < parked.DNSID || got.PingID < parked.PingID {
+		t.Errorf("re-materialized sequence state %+v restarted below parked %+v", got, parked)
+	}
+	fb.Park(0)
+
+	if err := tb.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fb.Materialize(0, "fab-resume", profiles.MacOS()).SequenceState(); got != booted {
+		t.Errorf("after Reset the row booted with %+v, want a fresh row's %+v", got, booted)
+	}
+}
+
+// TestFabricParkReleasesHost checks that parking frees the Host: a
+// pass over a million-client world must hold one full Host at a time,
+// not every Host it has parked. A Host costs several kilobytes; what a
+// parked client may leave behind (its lease and its entries in the
+// shared address tables) costs well under one.
+func TestFabricParkReleasesHost(t *testing.T) {
+	const n = 400
+	tb, err := Build(FabricTopology(DefaultOptions(), 1, n))
+	if err != nil {
+		t.Fatalf("building fabric world: %v", err)
+	}
+	defer tb.Close()
+	fb := tb.Fabric
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+
+	fb.Materialize(0, "fab-warm", profiles.MacOS())
+	fb.Park(0)
+	before := liveHeap()
+	for row := 1; row < n; row++ {
+		fb.Materialize(row, fmt.Sprintf("fab-%03d", row), profiles.MacOS())
+		fb.Park(row)
+	}
+	if per := (liveHeap() - before) / (n - 1); per > 2048 {
+		t.Errorf("each parked client still holds %d B of heap, want under 2 KiB", per)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dhcp4"
 	"repro/internal/dns"
-	"repro/internal/dnswire"
 	"repro/internal/gateway5g"
 	"repro/internal/hoststack"
 	"repro/internal/mgmtswitch"
@@ -25,8 +24,8 @@ import (
 // The contract is deliberately narrow: Checkpoint must be taken at the
 // quiescent instant right after Build (plus any pathology install),
 // before any client acts. At that instant the only pending timers are
-// the two RA beacons and the optional churn chain, all of which the
-// owners re-arm; everything else is state with no events in flight.
+// the two RA beacons, which their owners re-arm; everything else is
+// state with no events in flight.
 
 // ErrClientsBuilt is returned by Checkpoint for worlds whose spec
 // populates Clients at build time: those hosts hold live DHCP timers
@@ -108,9 +107,9 @@ func (tb *Testbed) Reset() error {
 	}
 	tb.Net.ResetTo(cp.mark)
 
-	// Re-arm order mirrors Build: gateway beacon, switch beacon, churn
-	// chain. Relative timer order decides same-instant ties, so this
-	// must not change.
+	// Re-arm order mirrors Build: gateway beacon, then switch beacon.
+	// Relative timer order decides same-instant ties, so this must not
+	// change.
 	tb.Gateway.Restore(cp.gateway)
 	tb.Switch.Restore(cp.mgmtsw)
 
@@ -121,23 +120,19 @@ func (tb *Testbed) Reset() error {
 	tb.DHCPServer.Restore(cp.dhcpServer)
 
 	tb.HealthyCache.Restore(cp.healthyCache)
-	// Reports returned by earlier runs alias these QueryLogs; rewind
-	// onto a fresh backing array so their view of the previous run's
-	// queries survives the next run's appends.
-	tb.HealthyLog.Queries = append([]dnswire.Question(nil), tb.HealthyLog.Queries[:cp.healthyLogLen]...)
-	tb.PoisonLog.Queries = append([]dnswire.Question(nil), tb.PoisonLog.Queries[:cp.poisonLogLen]...)
+	tb.HealthyLog.Restore(cp.healthyLogLen)
+	tb.PoisonLog.Restore(cp.poisonLogLen)
 	tb.poisonSwitch.active.Store(cp.activePoison)
 
 	if tb.Fabric != nil {
 		for i, asw := range tb.Fabric.Switches {
 			asw.RestoreSnapshot(cp.access[i])
 		}
-		tb.Fabric.Table.ResetRows(hoststack.InternBehavior(hoststack.Behavior{}))
+		tb.Fabric.Table.ResetRows()
 		clear(tb.Fabric.active)
 		clear(tb.Fabric.macDomain)
 	}
 
 	tb.Clients = tb.Clients[:0]
-	tb.scheduleChurn(tb.Spec.Churn)
 	return nil
 }

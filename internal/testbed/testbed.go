@@ -9,15 +9,14 @@
 // Worlds come in two constructions. New(opt) is the classic panicking
 // constructor for one-off experiments. Topology is the declarative
 // form: a plain-data spec (addressing, gateway, Pis, sites, clients,
-// link Impairment, reboot ChurnSpec) that Build assembles into a
-// running world and Factory rebuilds into arbitrarily many independent
-// copies — the hand-off point to scenario.RunShardedSized. ScaleTopology
-// widens pools and stretches lease/session lifetimes so device outcomes
-// are position-independent, the precondition for shard-equality.
-// Chaos knobs thread through the same spec: Impair degrades every
-// client NIC with streams seeded from ChaosSeed and the client's name
-// (never its attach order), and Churn schedules whole-world gateway
-// reboots on the virtual clock.
+// link Impairment) that Build assembles into a running world and
+// Factory rebuilds into arbitrarily many independent copies — the
+// hand-off point to scenario.RunShardedSized. ScaleTopology widens
+// pools and stretches lease/session lifetimes so device outcomes are
+// position-independent, the precondition for shard-equality. The chaos
+// knob threads through the same spec: Impair degrades every client NIC
+// with streams seeded from ChaosSeed and the client's name (never its
+// attach order).
 package testbed
 
 import (
@@ -128,8 +127,8 @@ func DefaultOptions() Options {
 // Testbed is the assembled Fig. 4 topology.
 type Testbed struct {
 	Opt Options
-	// Spec is the topology the world was built from; Snapshot turns it
-	// back into a factory for identical fresh worlds.
+	// Spec is the topology the world was built from; Factory{Spec:
+	// tb.Spec} builds identical fresh worlds from it.
 	Spec Topology
 	Net  *netsim.Network
 
@@ -152,8 +151,8 @@ type Testbed struct {
 
 	Mirror portal.MirrorConfig
 
-	// HealthyLog records every query reaching the healthy DNS64;
-	// PoisonLog records queries hitting the poisoned server. The Fig. 10
+	// HealthyLog counts every query reaching the healthy DNS64;
+	// PoisonLog counts queries hitting the poisoned server. The Fig. 10
 	// experiment proves resolver selection with these.
 	HealthyLog *dns.QueryLog
 	PoisonLog  *dns.QueryLog

@@ -374,17 +374,17 @@ func TestFig10Windows10NeverConsultsPoisonedServer(t *testing.T) {
 	tb := New(DefaultOptions())
 	c := tb.AddClient("win10", profiles.Windows10())
 
-	before := len(tb.PoisonLog.Queries)
+	before := tb.PoisonLog.Len()
 	if _, err := c.Lookup("sc24.supercomputing.org"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := httpsim.Browse(c, "http://ip6.me/"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tb.PoisonLog.Queries) - before; got != 0 {
+	if got := tb.PoisonLog.Len() - before; got != 0 {
 		t.Errorf("poisoned server saw %d queries from an RDNSS-preferring client", got)
 	}
-	if len(tb.HealthyLog.Queries) == 0 {
+	if tb.HealthyLog.Len() == 0 {
 		t.Error("healthy server saw no queries")
 	}
 }
@@ -393,11 +393,11 @@ func TestFig10Windows11PrefersIPv4DNS(t *testing.T) {
 	tb := New(DefaultOptions())
 	c := tb.AddClient("win11", profiles.Windows11())
 
-	before := len(tb.PoisonLog.Queries)
+	before := tb.PoisonLog.Len()
 	if _, err := c.Lookup("sc24.supercomputing.org"); err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.PoisonLog.Queries) == before {
+	if tb.PoisonLog.Len() == before {
 		t.Error("Windows 11 profile did not use the DHCPv4 resolver")
 	}
 	// Despite the poisoned A, browsing still works because the AAAA wins.

@@ -63,9 +63,6 @@ type Topology struct {
 	// ChaosSeed is the base seed for per-client impairment streams.
 	ChaosSeed uint64
 
-	// Churn schedules whole-world gateway reboots on the virtual clock.
-	Churn ChurnSpec
-
 	// Fabric, when populated, grows the world into a two-tier routed
 	// fabric: access switches trunked into the managed switch, flood
 	// scoping per access domain, per-domain DHCP sub-pools, and a lazy
@@ -471,10 +468,6 @@ func Build(spec Topology) (*Testbed, error) {
 	tb.Switch.Start()
 	// Let beacons and server bring-up settle.
 	tb.Net.RunFor(spec.SettleTime)
-
-	// Churn timers anchor after settle: FirstReboot counts from the
-	// moment the infrastructure is up, not from the empty world.
-	tb.scheduleChurn(spec.Churn)
 
 	for _, c := range spec.Clients {
 		tb.AddClient(c.Name, c.Behavior)
