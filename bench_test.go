@@ -487,6 +487,48 @@ func BenchmarkBroadcastDomain(b *testing.B) {
 	}
 }
 
+// BenchmarkGatewayRenumber is the renumbering fan-out the reboot cells
+// replay: a flat world of 200 brought-up clients, where one op is a
+// gateway power cycle plus the 50 ms in which its RA reaches every
+// host. The gateway alternates between two /64s, so after two warm-up
+// reboots every SLAAC host deprecates one address and re-prefers the
+// other per op; the hoststack RA path, its event journal included, is
+// most of the cost.
+func BenchmarkGatewayRenumber(b *testing.B) {
+	const n = 200
+	tb, err := testbed.Build(testbed.ScaleTopology(testbed.DefaultOptions(), n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tb.Close()
+	all := profiles.All()
+	for i := 0; i < n; i++ {
+		tb.AddClient(fmt.Sprintf("c%d", i), all[i%len(all)])
+	}
+	renumber := func() {
+		tb.Gateway.Reboot()
+		tb.Net.RunFor(50 * time.Millisecond)
+	}
+	renumber()
+	renumber()
+	runtime.GC() // collect the bring-up garbage outside the timed ops
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		renumber()
+	}
+	b.StopTimer()
+	// Every SLAAC host must end on the gateway's current /64, preferred.
+	cur := tb.Gateway.CurrentGUAPrefix()
+	for _, c := range tb.Clients {
+		for _, a := range c.V6Addresses() {
+			if a.Prefix == cur && a.Deprecated {
+				b.Fatalf("%s: %v deprecated after renumbering onto %v", c.Name(), a.Addr, cur)
+			}
+		}
+	}
+}
+
 // BenchmarkScenarioSharded measures the sharded execution engine: a
 // 1000-device conference-floor population run serially on one world vs
 // split across 8 independently built worlds. The win is algorithmic,

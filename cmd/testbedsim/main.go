@@ -91,7 +91,7 @@ func main() {
 		o := core.Evaluate(tb, c)
 		fmt.Println(core.MatrixRow{Outcome: o})
 		if *events {
-			for _, e := range c.Events {
+			for _, e := range c.Events() {
 				fmt.Printf("    %s\n", e)
 			}
 		}

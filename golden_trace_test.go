@@ -52,7 +52,7 @@ func flatTraceLines(t *testing.T) []string {
 			lines = append(lines, fmt.Sprintf("%s status=%d used=%v body=%d",
 				c.Name(), r.Response.Status, r.UsedAddr, len(r.Response.Body)))
 		}
-		lines = append(lines, c.Events...)
+		lines = append(lines, c.Events()...)
 	}
 	return lines
 }

@@ -47,7 +47,7 @@ type HostCheckpoint struct {
 	gleanND     bool
 	nat64Prefix netip.Prefix
 	dnsOverride []netip.Addr
-	nEvents     int
+	journalLen  int
 }
 
 func cloneMACMap(m map[netip.Addr]netsim.MAC) map[netip.Addr]netsim.MAC {
@@ -91,7 +91,7 @@ func (h *Host) Checkpoint() *HostCheckpoint {
 		gleanND:     h.gleanND,
 		nat64Prefix: h.nat64Prefix,
 		dnsOverride: append([]netip.Addr(nil), h.DNSOverride...),
-		nEvents:     len(h.Events),
+		journalLen:  len(h.journal),
 	}
 	c.dhcp.renewTimer = nil
 	c.dhcp.retryTimer = nil
@@ -179,7 +179,7 @@ func (h *Host) Restore(c *HostCheckpoint) {
 	h.gleanND = c.gleanND
 	h.nat64Prefix = c.nat64Prefix
 	h.DNSOverride = append(h.DNSOverride[:0], c.dnsOverride...)
-	h.Events = h.Events[:c.nEvents]
+	h.journal = h.journal[:c.journalLen]
 }
 
 // ResetRows rewinds every Table row to its just-registered state: zero

@@ -83,7 +83,7 @@ func (h *Host) dhcpStart() {
 	}
 	h.sendDiscover()
 	h.armDHCPRetry()
-	h.logf("dhcp discover (xid %#x, option108=%v)", h.dhcp.xid, h.B.SupportsRFC8925)
+	h.record(evDHCPDiscover, h.dhcp.xid, h.B.SupportsRFC8925)
 }
 
 // sendDiscover broadcasts the DISCOVER for the current transaction.
@@ -145,22 +145,22 @@ func (h *Host) dhcpRetransmit() {
 		if h.dhcp.attempt > dhcpMaxDiscoverTries {
 			// Bound the self-rearming schedule: a LAN with no DHCP
 			// service at all stays quiet instead of beaconing forever.
-			h.logf("dhcp gave up after %d discovers", h.dhcp.attempt)
+			h.record(evDHCPGaveUp, h.dhcp.attempt)
 			return
 		}
 		h.dhcp.Retransmits++
-		h.logf("dhcp discover retransmit #%d", h.dhcp.attempt)
+		h.record(evDHCPDiscoverRetry, h.dhcp.attempt)
 		h.sendDiscover()
 		h.armDHCPRetry()
 	case "requesting", "renewing":
 		h.dhcp.attempt++
 		if h.dhcp.attempt >= dhcpMaxRequestTries {
-			h.logf("dhcp request abandoned after %d tries; rediscovering", h.dhcp.attempt)
+			h.record(evDHCPRequestAbandoned, h.dhcp.attempt)
 			h.dhcpStart()
 			return
 		}
 		h.dhcp.Retransmits++
-		h.logf("dhcp request retransmit #%d", h.dhcp.attempt)
+		h.record(evDHCPRequestRetry, h.dhcp.attempt)
 		if h.dhcp.state == "renewing" {
 			h.sendRenewRequest()
 		} else {
@@ -200,7 +200,7 @@ func (h *Host) handleDHCPReply(msg *dhcp4.Message) {
 			h.dhcp.state = "v6only"
 			h.v4Addr = netip.Addr{}
 			h.stopDHCPRetry()
-			h.logf("dhcp offer has option 108: IPv6-only for %v", wait)
+			h.record(evDHCPV6Only, wait)
 			if h.B.HasCLAT {
 				h.startCLAT()
 			}
@@ -229,7 +229,7 @@ func (h *Host) handleDHCPReply(msg *dhcp4.Message) {
 		h.scheduleRenewal()
 		if renewed {
 			h.dhcp.Renewals++
-			h.logf("dhcp renewed %v", h.v4Addr)
+			h.record(evDHCPRenewed, h.v4Addr)
 			return
 		}
 		if mask, ok := msg.IPv4Option(dhcp4.OptSubnetMask); ok {
@@ -244,9 +244,9 @@ func (h *Host) handleDHCPReply(msg *dhcp4.Message) {
 		if dom, ok := msg.Options[dhcp4.OptDomainName]; ok {
 			h.v4Domain = string(dom)
 		}
-		h.logf("dhcp bound %v gw %v dns %v domain %q", h.v4Addr, h.v4Router, h.v4DNS, h.v4Domain)
+		h.record(evDHCPBound, h.v4Addr, h.v4Router, h.v4DNS, h.v4Domain)
 	case dhcp4.NAK:
-		h.logf("dhcp nak; restarting")
+		h.record(evDHCPNAK)
 		if h.dhcp.renewTimer != nil {
 			h.dhcp.renewTimer.Stop()
 		}
@@ -324,7 +324,7 @@ func (h *Host) startCLAT() {
 	if h.nat64Prefix.IsValid() {
 		h.clat.Prefix = h.nat64Prefix
 	}
-	h.logf("clat started (src %v, prefix %v)", src, h.clat.Prefix)
+	h.record(evCLATStarted, src, h.clat.Prefix)
 }
 
 // DiscoverNAT64Prefix performs RFC 7050 discovery: resolve the
@@ -357,7 +357,7 @@ func (h *Host) DiscoverNAT64Prefix() (netip.Prefix, error) {
 			if h.clat != nil {
 				h.clat.Prefix = h.nat64Prefix
 			}
-			h.logf("nat64 prefix %v (RFC 7050 via ipv4only.arpa)", h.nat64Prefix)
+			h.record(evNAT64Prefix, h.nat64Prefix)
 			return h.nat64Prefix, nil
 		}
 	}

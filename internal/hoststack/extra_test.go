@@ -212,7 +212,7 @@ func TestHostEventsTraceBringup(t *testing.T) {
 	net.RunFor(time.Second)
 
 	var sawSLAAC, sawRouter bool
-	for _, e := range client.Events {
+	for _, e := range client.Events() {
 		if len(e) >= 5 && e[:5] == "slaac" {
 			sawSLAAC = true
 		}
@@ -221,6 +221,6 @@ func TestHostEventsTraceBringup(t *testing.T) {
 		}
 	}
 	if !sawSLAAC || !sawRouter {
-		t.Errorf("trace missing events: %v", client.Events)
+		t.Errorf("trace missing events: %v", client.Events())
 	}
 }

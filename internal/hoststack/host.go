@@ -1,7 +1,6 @@
 package hoststack
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -118,8 +117,9 @@ type Host struct {
 	// Nintendo Switch escape hatch in the paper's Fig. 6 discussion).
 	DNSOverride []netip.Addr
 
-	// Events is a human-readable trace of notable state changes.
-	Events []string
+	// journal records notable state changes in the compact encoding
+	// of events.go; Events renders it as text.
+	journal []byte
 }
 
 // New creates a host on net with the given behaviour. The returned host
@@ -196,11 +196,6 @@ func (h *Host) Name() string { return h.name }
 // MAC returns the host's hardware address.
 func (h *Host) MAC() netsim.MAC { return h.NIC.MAC() }
 
-// logf appends a line to the host event trace.
-func (h *Host) logf(format string, args ...any) {
-	h.Events = append(h.Events, fmt.Sprintf(format, args...))
-}
-
 // Start boots the network stack: IPv6 sends a Router Solicitation, IPv4
 // begins DHCP. Call after the NIC is cabled.
 func (h *Host) Start() {
@@ -256,7 +251,7 @@ func (h *Host) CLATActive() bool { return h.clat != nil }
 func (h *Host) SetIPv4Static(addr netip.Addr, prefix netip.Prefix, router netip.Addr) {
 	h.v4Addr, h.v4Prefix, h.v4Router = addr, prefix, router
 	h.declareV4Interest() // the v4Addr guard in HandleFrame is now open
-	h.logf("ipv4 static %v/%d gw %v", addr, prefix.Bits(), router)
+	h.record(evIPv4Static, addr, prefix.Bits(), router)
 }
 
 // AddIPv6Static adds a static IPv6 address (servers).
@@ -264,7 +259,7 @@ func (h *Host) AddIPv6Static(addr netip.Addr, prefix netip.Prefix) {
 	h.v6Addrs = append(h.v6Addrs, V6Addr{Addr: addr, Prefix: prefix})
 	h.declareV6Interest() // the v6Addrs guard in HandleFrame is now open
 	h.joinSolicitedNode(addr)
-	h.logf("ipv6 static %v/%d", addr, prefix.Bits())
+	h.record(evIPv6Static, addr, prefix.Bits())
 }
 
 // SetV4DNSStatic overrides the DHCP-provided IPv4 resolvers.

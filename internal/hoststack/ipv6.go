@@ -271,7 +271,7 @@ func (h *Host) processRA(src netip.Addr, ra *ndp.RouterAdvert) {
 		}
 		if !replaced {
 			h.routers = append(h.routers, entry)
-			h.logf("default router %v (%s preference)", src, ra.Preference)
+			h.record(evRouter, src, ra.Preference)
 		}
 	}
 	h.expireV6Addrs(now)
@@ -297,13 +297,13 @@ func (h *Host) processRA(src netip.Addr, ra *ndp.RouterAdvert) {
 			if pi.PreferredLifetime == 0 {
 				if !h.v6Addrs[i].Deprecated {
 					h.v6Addrs[i].Deprecated = true
-					h.logf("deprecated %v (PIO preferred lifetime 0)", addr)
+					h.record(evDeprecatedPIO, addr)
 					h.refreshCLATSource()
 				}
 			} else {
 				if h.v6Addrs[i].Deprecated {
 					h.v6Addrs[i].Deprecated = false
-					h.logf("re-preferred %v", addr)
+					h.record(evRePreferred, addr)
 				}
 				h.v6Addrs[i].PreferredUntil = now.Add(pi.PreferredLifetime)
 			}
@@ -319,13 +319,13 @@ func (h *Host) processRA(src netip.Addr, ra *ndp.RouterAdvert) {
 				ValidUntil:     now.Add(pi.ValidLifetime),
 			})
 			h.joinSolicitedNode(addr)
-			h.logf("slaac %v (from RA by %v)", addr, src)
+			h.record(evSLAAC, addr, src)
 			h.refreshCLATSource()
 		}
 	}
 	if ra.PREF64.IsValid() && ra.PREF64Lifetime > 0 && ra.PREF64 != h.nat64Prefix {
 		h.nat64Prefix = ra.PREF64
-		h.logf("pref64 %v (RFC 8781)", ra.PREF64)
+		h.record(evPREF64, ra.PREF64)
 		if h.clat != nil {
 			h.clat.Prefix = ra.PREF64
 		}
@@ -341,7 +341,7 @@ func (h *Host) processRA(src netip.Addr, ra *ndp.RouterAdvert) {
 			}
 			if !known {
 				h.rdnss = append(h.rdnss, server)
-				h.logf("rdnss %v", server)
+				h.record(evRDNSS, server)
 			}
 		}
 	}
@@ -358,12 +358,12 @@ func (h *Host) expireV6Addrs(now time.Time) {
 	for _, a := range h.v6Addrs {
 		if !a.ValidUntil.IsZero() && !a.ValidUntil.After(now) {
 			h.leaveSolicitedNode(a.Addr)
-			h.logf("addr %v valid lifetime expired", a.Addr)
+			h.record(evAddrExpired, a.Addr)
 			continue
 		}
 		if !a.Deprecated && !a.PreferredUntil.IsZero() && !a.PreferredUntil.After(now) {
 			a.Deprecated = true
-			h.logf("deprecated %v (preferred lifetime expired)", a.Addr)
+			h.record(evDeprecatedExpired, a.Addr)
 		}
 		kept = append(kept, a)
 	}

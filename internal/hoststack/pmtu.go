@@ -54,7 +54,7 @@ func (h *Host) handlePacketTooBig(ic *packet.ICMP) {
 		return // stale or non-shrinking PTB: ignore (loop guard)
 	}
 	h.pmtu[dst] = mtu
-	h.logf("pmtu %v = %d", dst, mtu)
+	h.record(evPMTU, dst, mtu)
 
 	if emb[6] != packet.ProtoTCP || len(emb) < packet.IPv6HeaderLen+8 {
 		return

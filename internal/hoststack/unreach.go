@@ -42,5 +42,5 @@ func (h *Host) handleDestUnreachable(ic *packet.ICMP) {
 	c.refused = true
 	c.state = tcpClosed
 	h.UnreachRcvd++
-	h.logf("tcp %v:%d unreachable (ICMPv6 code %d)", dst, dstPort, ic.Code)
+	h.record(evTCPUnreachable, dst, dstPort, ic.Code)
 }

@@ -406,7 +406,12 @@ func (r *trialRunner) runTrial(spec DeviceSpec, join func() *hoststack.Host) {
 		alignToBeaconPhase(tb)
 	}
 	nat44Before := len(tb.Gateway.NAT44.Log)
-	nat64Before := tb.Gateway.NAT64.SessionCount()
+	// SessionCount walks every session, so take the NAT64 baseline only
+	// where the churn delta below reads it.
+	var nat64Before int
+	if r.churn && !tb.SampleNAT64PerTrial {
+		nat64Before = tb.Gateway.NAT64.SessionCount()
+	}
 
 	c := join()
 	dr := DeviceResult{Spec: spec}

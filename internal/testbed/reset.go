@@ -133,6 +133,10 @@ func (tb *Testbed) Reset() error {
 		clear(tb.Fabric.macDomain)
 	}
 
+	// Nil the slots before truncating: the backing array would otherwise
+	// keep every finished Host (NIC, caches, TCP state, event journal)
+	// reachable until a later run overwrites its slot.
+	clear(tb.Clients)
 	tb.Clients = tb.Clients[:0]
 	return nil
 }
