@@ -389,9 +389,10 @@ func BenchmarkNAT64UDPTranslation(b *testing.B) {
 		NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst,
 		Payload: (&packet.UDP{SrcPort: 5000, DstPort: 53, Payload: []byte("query")}).Marshal(src, dst),
 	}
+	var out packet.IPv4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.TranslateV6ToV4(pkt); err != nil {
+		if err := tr.TranslateV6ToV4(pkt, &out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -675,6 +676,37 @@ func BenchmarkHeavyTraffic(b *testing.B) {
 	}
 	b.Run("flows-legacy", func(b *testing.B) { flows(b, false) })
 	b.Run("flows-rings", func(b *testing.B) { flows(b, true) })
+}
+
+// BenchmarkTCPFlow is the hoststack TCP segment path in isolation: a
+// default flat world with one brought-up IPv6-only client, where one op
+// streams a 12 KiB CDN flow in 8 KiB chunks paced 1 ms apart from the
+// NAT64 form of testbed.StreamCDNV4 (a literal, so no DNS). Every
+// segment is encoded by the server's TCP and IPv4 stacks, translated
+// by the gateway's NAT64 and received by the client, so the op costs
+// what one traffic-workload flow costs below the scenario layer.
+func BenchmarkTCPFlow(b *testing.B) {
+	tb := testbed.New(testbed.DefaultOptions())
+	c := tb.AddClient("flow", profiles.IPv6OnlyLinux())
+	cdn, err := dns64.Synthesize(dns64.WellKnownPrefix, testbed.StreamCDNV4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flow := func() {
+		st, err := httpsim.StreamAddr(c, cdn, 80, testbed.StreamCDNName, "/flow/12288/8192/1", 10*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !st.Complete || st.BodyBytes != 12288 {
+			b.Fatalf("flow incomplete: %+v", st)
+		}
+	}
+	flow() // warm the client's, server's and gateway's buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flow()
+	}
 }
 
 // BenchmarkFabricScale measures the hierarchical fabric tier and the

@@ -9,6 +9,27 @@ import (
 	"repro/internal/packet"
 )
 
+// v4ToV6 and v6ToV4 translate into a fresh result whose payload is
+// copied out of the translator's scratch, so a test can hold it across
+// later calls.
+func v4ToV6(c *Translator, p *packet.IPv4) (*packet.IPv6, error) {
+	var out packet.IPv6
+	if err := c.TranslateV4ToV6(p, &out); err != nil {
+		return nil, err
+	}
+	out.Payload = bytes.Clone(out.Payload)
+	return &out, nil
+}
+
+func v6ToV4(c *Translator, p *packet.IPv6) (*packet.IPv4, error) {
+	var out packet.IPv4
+	if err := c.TranslateV6ToV4(p, &out); err != nil {
+		return nil, err
+	}
+	out.Payload = bytes.Clone(out.Payload)
+	return &out, nil
+}
+
 var (
 	hostV6   = netip.MustParseAddr("2607:fb90:9bda:a425::50")
 	echoSrvr = netip.MustParseAddr("208.67.222.222") // an IPv4 literal, Echolink-style
@@ -20,7 +41,7 @@ func TestCLATUDPOut(t *testing.T) {
 		Protocol: packet.ProtoUDP, TTL: 64, Src: HostV4, Dst: echoSrvr,
 		Payload: (&packet.UDP{SrcPort: 5198, DstPort: 5198, Payload: []byte("echolink")}).Marshal(HostV4, echoSrvr),
 	}
-	out, err := c.TranslateV4ToV6(in)
+	out, err := v4ToV6(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +69,7 @@ func TestCLATUDPBack(t *testing.T) {
 		NextHeader: packet.ProtoUDP, HopLimit: 60, Src: srcV6, Dst: hostV6,
 		Payload: (&packet.UDP{SrcPort: 5198, DstPort: 5198, Payload: []byte("reply")}).Marshal(srcV6, hostV6),
 	}
-	out, err := c.TranslateV6ToV4(in)
+	out, err := v6ToV4(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +92,7 @@ func TestCLATTCPRoundTrip(t *testing.T) {
 		Protocol: packet.ProtoTCP, TTL: 64, Src: HostV4, Dst: echoSrvr,
 		Payload: (&packet.TCP{SrcPort: 49152, DstPort: 443, Seq: 1, Flags: packet.TCPSyn}).Marshal(HostV4, echoSrvr),
 	}
-	out, err := c.TranslateV4ToV6(in)
+	out, err := v4ToV6(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +111,7 @@ func TestCLATTCPRoundTrip(t *testing.T) {
 		NextHeader: packet.ProtoTCP, HopLimit: 60, Src: srcV6, Dst: hostV6,
 		Payload: (&packet.TCP{SrcPort: 443, DstPort: 49152, Seq: 9, Ack: 2, Flags: packet.TCPSyn | packet.TCPAck}).Marshal(srcV6, hostV6),
 	}
-	back, err := c.TranslateV6ToV4(reply)
+	back, err := v6ToV4(c, reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +131,7 @@ func TestCLATICMPEcho(t *testing.T) {
 		Protocol: packet.ProtoICMP, TTL: 64, Src: HostV4, Dst: echoSrvr,
 		Payload: (&packet.ICMP{Type: packet.ICMPv4Echo, Body: packet.EchoBody(42, 1, []byte("p"))}).MarshalV4(),
 	}
-	out, err := c.TranslateV4ToV6(in)
+	out, err := v4ToV6(c, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +157,7 @@ func TestCLATRejectsForeignInbound(t *testing.T) {
 		NextHeader: packet.ProtoUDP, HopLimit: 60, Src: srcV6, Dst: other,
 		Payload: (&packet.UDP{SrcPort: 1, DstPort: 2}).Marshal(srcV6, other),
 	}
-	if _, err := c.TranslateV6ToV4(in); err != ErrNotForHost {
+	if _, err := v6ToV4(c, in); err != ErrNotForHost {
 		t.Errorf("err = %v, want ErrNotForHost", err)
 	}
 }
@@ -148,7 +169,7 @@ func TestCLATRejectsNonPrefixSource(t *testing.T) {
 		NextHeader: packet.ProtoUDP, HopLimit: 60, Src: src, Dst: hostV6,
 		Payload: (&packet.UDP{SrcPort: 1, DstPort: 2}).Marshal(src, hostV6),
 	}
-	if _, err := c.TranslateV6ToV4(in); err == nil {
+	if _, err := v6ToV4(c, in); err == nil {
 		t.Error("native IPv6 source accepted by CLAT")
 	}
 }
@@ -157,7 +178,7 @@ func TestCLATRequiresV6Source(t *testing.T) {
 	c := New(netip.Addr{})
 	in := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: HostV4, Dst: echoSrvr,
 		Payload: (&packet.UDP{SrcPort: 1, DstPort: 2}).Marshal(HostV4, echoSrvr)}
-	if _, err := c.TranslateV4ToV6(in); err != ErrNoV6Source {
+	if _, err := v4ToV6(c, in); err != ErrNoV6Source {
 		t.Errorf("err = %v, want ErrNoV6Source", err)
 	}
 }

@@ -113,6 +113,12 @@ type Gateway struct {
 	blockNAT44  bool
 	suppressPTB bool
 
+	// txScratch is the buffer every forwarded or translated data-path
+	// packet is encoded into (encodeV4, encodeV6). NIC.Transmit copies
+	// the frame into the fabric's arena, so it is free again as soon as
+	// Transmit returns. It is scratch, so Checkpoint/Restore skip it.
+	txScratch []byte
+
 	// raDown, when non-nil and returning true, suppresses every Router
 	// Advertisement (periodic beacon or RS answer) at transmit time. The
 	// gateway-ra-outage pathology wires a pathology.Gate's Down here; the
@@ -468,12 +474,26 @@ func (g *Gateway) handleLANv4(f netsim.Frame) {
 		g.ACLDropped++
 		return
 	}
-	out, err := g.NAT44.TranslateOut(&p)
-	if err != nil {
+	var out packet.IPv4
+	if g.NAT44.TranslateOut(&p, &out) != nil {
 		return
 	}
 	g.V4Forwarded++
-	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv4, Payload: out.Marshal()})
+	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv4, Payload: g.encodeV4(&out)})
+}
+
+// encodeV4 encodes p into the gateway's send scratch; the result is
+// valid until the next encodeV4 or encodeV6.
+func (g *Gateway) encodeV4(p *packet.IPv4) []byte {
+	g.txScratch = p.AppendTo(g.txScratch[:0])
+	return g.txScratch
+}
+
+// encodeV6 encodes p into the gateway's send scratch; the result is
+// valid until the next encodeV4 or encodeV6.
+func (g *Gateway) encodeV6(p *packet.IPv6) []byte {
+	g.txScratch = p.AppendTo(g.txScratch[:0])
+	return g.txScratch
 }
 
 // handleLocalV4 serves the gateway's own IPv4 services: DHCP, the DNS
@@ -580,14 +600,14 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 			g.sendPTBToLAN(f, &p)
 			return
 		}
-		out, err := g.NAT64.TranslateV6ToV4(&p)
-		if err != nil {
+		var out packet.IPv4
+		if err := g.NAT64.TranslateV6ToV4(&p, &out); err != nil {
 			if errors.Is(err, nat64.ErrPortsExhausted) {
 				g.sendExhaustionToLAN(f, &p)
 			}
 			return
 		}
-		g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv4, Payload: out.Marshal()})
+		g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv4, Payload: g.encodeV4(&out)})
 		return
 	}
 	// Native v6 forwarding LAN -> WAN.
@@ -607,7 +627,7 @@ func (g *Gateway) handleLANv6(f netsim.Frame) {
 	}
 	p.HopLimit--
 	g.V6Forwarded++
-	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	g.wan.Transmit(netsim.Frame{Dst: g.wanPeerMAC, EtherType: netsim.EtherTypeIPv6, Payload: g.encodeV6(&p)})
 }
 
 // tooBig reports whether an IPv6 packet exceeds the 5G link MTU.
@@ -722,16 +742,18 @@ func (g *Gateway) handleWAN(_ *netsim.NIC, f netsim.Frame) {
 		}
 		switch p.Dst {
 		case g.cfg.WANv4: // NAT64 egress address
-			if v6, err := g.NAT64.TranslateV4ToV6(&p); err == nil {
-				g.forwardToLANv6(v6)
+			var v6 packet.IPv6
+			if g.NAT64.TranslateV4ToV6(&p, &v6) == nil {
+				g.forwardToLANv6(&v6)
 			}
 		case g.cfg.WANv4NAT44:
 			if g.blockNAT44 {
 				g.ACLDropped++
 				return
 			}
-			if v4, err := g.NAT44.TranslateIn(&p); err == nil {
-				g.forwardToLANv4(v4)
+			var v4 packet.IPv4
+			if g.NAT44.TranslateIn(&p, &v4) == nil {
+				g.forwardToLANv4(&v4)
 			}
 		}
 	case netsim.EtherTypeIPv6:
@@ -762,7 +784,7 @@ func (g *Gateway) forwardToLANv6(p *packet.IPv6) {
 		g.solicitLANv6(p.Dst)
 		return
 	}
-	g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: g.encodeV6(p)})
 }
 
 func (g *Gateway) solicitLANv6(target netip.Addr) {
@@ -780,7 +802,7 @@ func (g *Gateway) forwardToLANv4(p *packet.IPv4) {
 		g.lan.Transmit(netsim.Frame{Dst: netsim.Broadcast, EtherType: netsim.EtherTypeARP, Payload: req.Marshal()})
 		return
 	}
-	g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+	g.lan.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: g.encodeV4(p)})
 }
 
 func isULA(a netip.Addr) bool {

@@ -1,6 +1,7 @@
 package hoststack
 
 import (
+	"bytes"
 	"net/netip"
 
 	"repro/internal/netsim"
@@ -50,8 +51,8 @@ func (h *Host) flushARPPending(addr netip.Addr) {
 	if !ok {
 		return
 	}
-	for _, p := range h.arpPending[addr] {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+	for _, b := range h.arpPending[addr] {
+		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: b})
 	}
 	delete(h.arpPending, addr)
 }
@@ -59,14 +60,15 @@ func (h *Host) flushARPPending(addr netip.Addr) {
 // SendIPv4 routes and transmits an IPv4 packet, resolving the next hop
 // via ARP (queueing the packet while resolution is in flight). When the
 // host runs IPv6-only with a CLAT, the packet is translated to IPv6 and
-// sent through the NAT64 instead.
+// sent through the NAT64 instead. The packet is encoded into the host's
+// send scratch, so p.Payload must not alias it.
 func (h *Host) SendIPv4(p *packet.IPv4) error {
 	if h.clat != nil && !h.v4Addr.IsValid() {
-		v6, err := h.clat.TranslateV4ToV6(p)
-		if err != nil {
+		var v6 packet.IPv6
+		if err := h.clat.TranslateV4ToV6(p, &v6); err != nil {
 			return err
 		}
-		return h.SendIPv6(v6)
+		return h.SendIPv6(&v6)
 	}
 	if !h.v4Addr.IsValid() {
 		return errNoIPv4
@@ -79,15 +81,21 @@ func (h *Host) SendIPv4(p *packet.IPv4) error {
 		nextHop = h.v4Router
 	}
 	if h.ownsV4(p.Dst) {
-		// Loopback delivery.
-		h.deliverIPv4(p)
+		// Loopback delivery. The payload usually sits in the send
+		// scratch, which the receiving handler's own sends reuse while it
+		// may still hold its payload, so it is delivered from a copy.
+		lo := *p
+		lo.Payload = bytes.Clone(p.Payload)
+		h.deliverIPv4(&lo)
 		return nil
 	}
+	h.l3Scratch = p.AppendTo(h.l3Scratch[:0])
 	if mac, ok := h.arpCache[nextHop]; ok {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: p.Marshal()})
+		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv4, Payload: h.l3Scratch})
 		return nil
 	}
-	h.arpPending[nextHop] = append(h.arpPending[nextHop], p)
+	// The queued packet outlives this send, so it leaves the scratch.
+	h.arpPending[nextHop] = append(h.arpPending[nextHop], bytes.Clone(h.l3Scratch))
 	h.sendARPRequest(nextHop)
 	return nil
 }

@@ -28,14 +28,7 @@ func AttachDNSServer(h *Host, r dns.Resolver) {
 		if err != nil {
 			return
 		}
-		u := &packet.UDP{SrcPort: 53, DstPort: srcPort, Payload: wire}
-		if src.Is4() {
-			p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: dst, Dst: src, Payload: u.Marshal(dst, src)}
-			_ = h.SendIPv4(p)
-		} else {
-			p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: dst, Dst: src, Payload: u.Marshal(dst, src)}
-			_ = h.SendIPv6(p)
-		}
+		_ = h.ReplyUDP(dst, src, 53, srcPort, wire)
 	})
 }
 

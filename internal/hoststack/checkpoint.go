@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/packet"
 )
 
 // HostCheckpoint is an opaque deep copy of a Host's mutable protocol
@@ -127,7 +126,7 @@ func (h *Host) Restore(c *HostCheckpoint) {
 	h.routers = append(h.routers[:0], c.routers...)
 	h.rdnss = append(h.rdnss[:0], c.rdnss...)
 	h.ndCache = cloneMACMap(c.ndCache)
-	h.ndPending = make(map[netip.Addr][]*packet.IPv6)
+	h.ndPending = make(map[netip.Addr][][]byte)
 
 	h.v4Addr = c.v4Addr
 	h.v4Aliases = append(h.v4Aliases[:0], c.v4Aliases...)
@@ -136,7 +135,7 @@ func (h *Host) Restore(c *HostCheckpoint) {
 	h.v4DNS = append(h.v4DNS[:0], c.v4DNS...)
 	h.v4Domain = c.v4Domain
 	h.arpCache = cloneMACMap(c.arpCache)
-	h.arpPending = make(map[netip.Addr][]*packet.IPv4)
+	h.arpPending = make(map[netip.Addr][][]byte)
 
 	h.dhcp = c.dhcp
 	h.v6OnlyUntil = c.v6OnlyUntil

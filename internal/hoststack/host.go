@@ -54,7 +54,7 @@ type Host struct {
 	routers   []routerEntry
 	rdnss     []netip.Addr
 	ndCache   map[netip.Addr]netsim.MAC
-	ndPending map[netip.Addr][]*packet.IPv6
+	ndPending map[netip.Addr][][]byte // encoded packets awaiting ND
 
 	// IPv4 state.
 	v4Addr     netip.Addr
@@ -64,7 +64,7 @@ type Host struct {
 	v4DNS      []netip.Addr
 	v4Domain   string
 	arpCache   map[netip.Addr]netsim.MAC
-	arpPending map[netip.Addr][]*packet.IPv4
+	arpPending map[netip.Addr][][]byte // encoded packets awaiting ARP
 
 	dhcp        dhcpClient
 	v6OnlyUntil time.Time
@@ -109,6 +109,18 @@ type Host struct {
 	// runs, so Checkpoint/Restore need not capture it.
 	raScratch ndp.RouterAdvert
 
+	// l4Scratch and l3Scratch are the buffers every data-path send
+	// encodes into: the transport segment into l4Scratch, the IP packet
+	// around it into l3Scratch. NIC.Transmit copies the frame into the
+	// fabric's arena, so both are free again as soon as it returns; the
+	// sends that keep a packet longer (the ARP/ND pending queues and
+	// loopback delivery) copy it first. srcScratch holds the RFC 6724
+	// candidates candidateSources rebuilds on every call. All three are
+	// scratch, so Checkpoint/Restore skip them.
+	l4Scratch  []byte
+	l3Scratch  []byte
+	srcScratch []rfc6724.CandidateSource
+
 	// nat64Prefix is the translation prefix learned via RFC 8781 PREF64
 	// or RFC 7050 discovery; invalid means "use the well-known prefix".
 	nat64Prefix netip.Prefix
@@ -131,9 +143,9 @@ func New(net *netsim.Network, name string, b Behavior) *Host {
 		name:       name,
 		sel:        rfc6724.NewSelector(),
 		ndCache:    make(map[netip.Addr]netsim.MAC),
-		ndPending:  make(map[netip.Addr][]*packet.IPv6),
+		ndPending:  make(map[netip.Addr][][]byte),
 		arpCache:   make(map[netip.Addr]netsim.MAC),
-		arpPending: make(map[netip.Addr][]*packet.IPv4),
+		arpPending: make(map[netip.Addr][][]byte),
 		clatPorts:  make(map[portKey]bool),
 		udpBind:    make(map[uint16]UDPHandler),
 		udpNext:    49152,
@@ -331,15 +343,16 @@ func (h *Host) ownsV6(addr netip.Addr) bool {
 	return false
 }
 
-// candidateSources lists the host's addresses for RFC 6724 selection.
-// Lifetimes are enforced here, at use time: RFC 4862 §5.5.4 invalidates
-// an address when its valid lifetime lapses whether or not another RA
-// ever arrives, so a host cut off from advertisements (the
-// gateway-ra-outage pathology) loses its addresses on schedule instead
-// of keeping them for as long as the silence lasts.
+// candidateSources lists the host's addresses for RFC 6724 selection,
+// rebuilt into the host's scratch on every call, so the list is valid
+// only until the next call. Lifetimes are enforced here, at use time:
+// RFC 4862 §5.5.4 invalidates an address when its valid lifetime lapses
+// whether or not another RA ever arrives, so a host cut off from
+// advertisements (the gateway-ra-outage pathology) loses its addresses
+// on schedule instead of keeping them for as long as the silence lasts.
 func (h *Host) candidateSources() []rfc6724.CandidateSource {
 	h.expireV6Addrs(h.Net.Clock.Now())
-	var out []rfc6724.CandidateSource
+	out := h.srcScratch[:0]
 	for _, a := range h.v6Addrs {
 		out = append(out, rfc6724.CandidateSource{Addr: a.Addr, Deprecated: a.Deprecated})
 	}
@@ -354,6 +367,7 @@ func (h *Host) candidateSources() []rfc6724.CandidateSource {
 	if h.clat != nil {
 		out = append(out, rfc6724.CandidateSource{Addr: clat.HostV4})
 	}
+	h.srcScratch = out
 	return out
 }
 
@@ -375,13 +389,6 @@ func (h *Host) trackCLATPort(proto uint8, port uint16) {
 // CLAT-carried IPv4 flow.
 func (h *Host) clatOwns(proto uint8, port uint16) bool {
 	return h.clat != nil && h.clatPorts[portKey{proto: proto, port: port}]
-}
-
-// SendIPv4WithCLATTracking sends p like SendIPv4 but first marks the
-// local port as CLAT-owned when the packet will traverse the CLAT.
-func (h *Host) SendIPv4WithCLATTracking(p *packet.IPv4, proto uint8, localPort uint16) error {
-	h.trackCLATPort(proto, localPort)
-	return h.SendIPv4(p)
 }
 
 // HandleFrame implements netsim.FrameHandler; it dispatches by EtherType.

@@ -1,6 +1,7 @@
 package hoststack
 
 import (
+	"bytes"
 	"net/netip"
 	"time"
 
@@ -23,30 +24,37 @@ func (h *Host) sendRouterSolicit() {
 }
 
 // SendIPv6 routes and transmits an IPv6 packet, resolving the next hop
-// via neighbor discovery.
+// via neighbor discovery. The packet is encoded into the host's send
+// scratch, so p.Payload must not alias it.
 func (h *Host) SendIPv6(p *packet.IPv6) error {
 	if !h.B.IPv6Enabled && len(h.v6Addrs) == 0 {
 		return errNoIPv6
 	}
 	if p.Dst.IsMulticast() {
+		h.l3Scratch = p.AppendTo(h.l3Scratch[:0])
 		h.NIC.Transmit(netsim.Frame{
-			Dst: netsim.MAC(packet.MulticastMAC(p.Dst)), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal(),
+			Dst: netsim.MAC(packet.MulticastMAC(p.Dst)), EtherType: netsim.EtherTypeIPv6, Payload: h.l3Scratch,
 		})
 		return nil
 	}
 	if h.ownsV6(p.Dst) {
-		h.deliverIPv6(p)
+		// Loopback delivery, from a copy as in SendIPv4.
+		lo := *p
+		lo.Payload = bytes.Clone(p.Payload)
+		h.deliverIPv6(&lo)
 		return nil
 	}
 	nextHop, err := h.nextHopV6(p.Dst)
 	if err != nil {
 		return err
 	}
+	h.l3Scratch = p.AppendTo(h.l3Scratch[:0])
 	if mac, ok := h.ndCache[nextHop]; ok {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: h.l3Scratch})
 		return nil
 	}
-	h.ndPending[nextHop] = append(h.ndPending[nextHop], p)
+	// The queued packet outlives this send, so it leaves the scratch.
+	h.ndPending[nextHop] = append(h.ndPending[nextHop], bytes.Clone(h.l3Scratch))
 	h.sendNeighborSolicit(nextHop)
 	return nil
 }
@@ -102,8 +110,8 @@ func (h *Host) flushNDPending(addr netip.Addr) {
 	if !ok {
 		return
 	}
-	for _, p := range h.ndPending[addr] {
-		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()})
+	for _, b := range h.ndPending[addr] {
+		h.NIC.Transmit(netsim.Frame{Dst: mac, EtherType: netsim.EtherTypeIPv6, Payload: b})
 	}
 	delete(h.ndPending, addr)
 }
@@ -159,13 +167,21 @@ func (h *Host) deliverIPv6(p *packet.IPv6) {
 }
 
 // deliverViaCLAT translates an inbound NAT64-prefixed packet back to
-// IPv4 for the legacy application socket.
+// IPv4 for the legacy application socket. The translation lives in the
+// CLAT's scratch until its next inbound packet. TCP copies its payload
+// into the receive buffer before anything else is received, but a UDP
+// handler may keep its payload (Query returns it), so a datagram is
+// delivered from a copy, as one from the wire stays valid until the
+// arena is recycled.
 func (h *Host) deliverViaCLAT(p *packet.IPv6) {
-	v4, err := h.clat.TranslateV6ToV4(p)
-	if err != nil {
+	var v4 packet.IPv4
+	if h.clat.TranslateV6ToV4(p, &v4) != nil {
 		return
 	}
-	h.deliverIPv4(v4)
+	if v4.Protocol == packet.ProtoUDP {
+		v4.Payload = bytes.Clone(v4.Payload)
+	}
+	h.deliverIPv4(&v4)
 }
 
 func (h *Host) handleICMPv6(p *packet.IPv6) {

@@ -206,17 +206,23 @@ func (h *Host) reapConn(c *TCPConn) {
 	}
 }
 
-// transmit wraps the segment in the right IP version and routes it.
+// transmit encodes the segment into the host's send scratch, wraps it
+// in the right IP version and routes it.
 func (c *TCPConn) transmit(seg *packet.TCP) error {
 	if c.remote.Is4() {
-		src := c.local
-		p := &packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64, Src: src, Dst: c.remote,
-			Payload: seg.Marshal(src, c.remote)}
-		return c.h.SendIPv4WithCLATTracking(p, packet.ProtoTCP, c.localPort)
+		c.h.trackCLATPort(packet.ProtoTCP, c.localPort)
 	}
-	p := &packet.IPv6{NextHeader: packet.ProtoTCP, HopLimit: 64, Src: c.local, Dst: c.remote,
-		Payload: seg.Marshal(c.local, c.remote)}
-	return c.h.SendIPv6(p)
+	return c.h.sendTCP(c.local, c.remote, seg)
+}
+
+// sendTCP encodes seg from src to dst into the send scratch and routes
+// it.
+func (h *Host) sendTCP(src, dst netip.Addr, seg *packet.TCP) error {
+	h.l4Scratch = seg.AppendTo(h.l4Scratch[:0], src, dst)
+	if dst.Is4() {
+		return h.SendIPv4(&packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64, Src: src, Dst: dst, Payload: h.l4Scratch})
+	}
+	return h.SendIPv6(&packet.IPv6{NextHeader: packet.ProtoTCP, HopLimit: 64, Src: src, Dst: dst, Payload: h.l4Scratch})
 }
 
 // ListenTCP registers an accept callback for inbound connections on port.
@@ -284,14 +290,7 @@ func (h *Host) handleTCP(src, dst netip.Addr, tc *packet.TCP) {
 			}
 			// Refused: answer RST.
 			rst := &packet.TCP{SrcPort: tc.DstPort, DstPort: tc.SrcPort, Seq: 0, Ack: tc.Seq + 1, Flags: packet.TCPRst | packet.TCPAck}
-			var pay []byte
-			if dst.Is4() {
-				pay = rst.Marshal(dst, src)
-				_ = h.SendIPv4(&packet.IPv4{Protocol: packet.ProtoTCP, TTL: 64, Src: dst, Dst: src, Payload: pay})
-			} else {
-				pay = rst.Marshal(dst, src)
-				_ = h.SendIPv6(&packet.IPv6{NextHeader: packet.ProtoTCP, HopLimit: 64, Src: dst, Dst: src, Payload: pay})
-			}
+			_ = h.sendTCP(dst, src, rst)
 		}
 		return
 	}

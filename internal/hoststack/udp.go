@@ -62,22 +62,15 @@ func (h *Host) SendUDP(dst netip.Addr, dstPort uint16, payload []byte, reply UDP
 	if reply != nil {
 		h.udpBind[lport] = reply
 	}
-	var err error
 	if dst.Is4() {
 		// Through a CLAT the IPv4 literal is carried over IPv6; the source
 		// stamped here is the CLAT host address.
 		if h.clat != nil && !h.v4Addr.IsValid() {
 			src = clat.HostV4
 		}
-		u := &packet.UDP{SrcPort: lport, DstPort: dstPort, Payload: payload}
-		p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: src, Dst: dst, Payload: u.Marshal(src, dst)}
-		err = h.SendIPv4WithCLATTracking(p, packet.ProtoUDP, lport)
-	} else {
-		u := &packet.UDP{SrcPort: lport, DstPort: dstPort, Payload: payload}
-		p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst, Payload: u.Marshal(src, dst)}
-		err = h.SendIPv6(p)
+		h.trackCLATPort(packet.ProtoUDP, lport)
 	}
-	if err != nil {
+	if err := h.ReplyUDP(src, dst, lport, dstPort, payload); err != nil {
 		h.UnbindUDP(lport)
 		return 0, err
 	}
@@ -86,15 +79,14 @@ func (h *Host) SendUDP(dst netip.Addr, dstPort uint16, payload []byte, reply UDP
 
 // ReplyUDP sends a datagram from a specific local address and port —
 // the shape servers use to answer from the service address a request
-// arrived on.
+// arrived on. The datagram is encoded into the host's send scratch.
 func (h *Host) ReplyUDP(from, to netip.Addr, fromPort, toPort uint16, payload []byte) error {
-	u := &packet.UDP{SrcPort: fromPort, DstPort: toPort, Payload: payload}
+	u := packet.UDP{SrcPort: fromPort, DstPort: toPort, Payload: payload}
+	h.l4Scratch = u.AppendTo(h.l4Scratch[:0], from, to)
 	if to.Is4() {
-		p := &packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: from, Dst: to, Payload: u.Marshal(from, to)}
-		return h.SendIPv4(p)
+		return h.SendIPv4(&packet.IPv4{Protocol: packet.ProtoUDP, TTL: 64, Src: from, Dst: to, Payload: h.l4Scratch})
 	}
-	p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: from, Dst: to, Payload: u.Marshal(from, to)}
-	return h.SendIPv6(p)
+	return h.SendIPv6(&packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: from, Dst: to, Payload: h.l4Scratch})
 }
 
 // Query performs a UDP request/response exchange synchronously by

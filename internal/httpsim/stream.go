@@ -127,29 +127,28 @@ type StreamStats struct {
 }
 
 // StreamAddr performs one GET against addr and consumes the response as
-// a flow: bytes are counted and discarded as they arrive instead of
-// accumulating. timeout bounds the whole transfer in virtual time; a
-// paced long flow needs a correspondingly long timeout.
+// a flow: bytes are counted and discarded as each segment arrives
+// (TCPConn.OnData) instead of accumulating, so a ring drain that
+// delivers a whole paced chunk at once never grows the receive buffer
+// past one segment. timeout bounds the whole transfer in virtual time;
+// a paced long flow needs a correspondingly long timeout.
 func StreamAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, path string, timeout time.Duration) (*StreamStats, error) {
 	conn, err := h.DialTCP(addr, port, httpTimeout)
 	if err != nil {
 		return nil, err
 	}
 	req := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: ipv6lab\r\nConnection: close\r\n\r\n", path, hostHeader)
-	if err := conn.Send([]byte(req)); err != nil {
-		return nil, err
-	}
 	st := &StreamStats{BytesUp: int64(len(req))}
 
 	var header []byte
 	headerDone := false
 	contentLen := int64(-1)
-	consume := func() {
+	conn.OnData = func(*hoststack.TCPConn) {
 		for {
 			if headerDone {
 				// Past the header only the count matters: Discard drains
-				// in place and lets the connection reuse its buffer, so a
-				// batched multi-segment burst costs no allocation here.
+				// in place and lets the connection reuse its buffer, which
+				// never holds more than the segment just appended.
 				n := conn.Discard()
 				if n == 0 {
 					return
@@ -195,11 +194,19 @@ func StreamAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, pat
 			header = nil // body bytes are only counted from here on
 		}
 	}
+	// An abandoned flow's connection stays in the host's table until the
+	// world is reset, so on return it lets go of the callback and the
+	// receive buffer.
+	defer func() {
+		conn.OnData = nil
+		conn.Recv() // drops the buffer
+	}()
+	if err := conn.Send([]byte(req)); err != nil {
+		return nil, err
+	}
 	h.Net.RunUntil(func() bool {
-		consume()
 		return headerDone && conn.RemoteClosed() && (contentLen < 0 || st.BodyBytes >= contentLen)
 	}, timeout)
-	consume()
 	_ = conn.Close()
 	if !headerDone {
 		return nil, hoststack.ErrTimeout

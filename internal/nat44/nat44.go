@@ -54,6 +54,12 @@ type Translator struct {
 	// direction (outbound = private→public), for flow-volume accounting.
 	BytesOut uint64
 	BytesIn  uint64
+
+	// outScratch and inScratch hold the transport message of the latest
+	// TranslateOut and TranslateIn result (see those methods for its
+	// lifetime). They are scratch, so Checkpoint/Restore skip them.
+	outScratch []byte
+	inScratch  []byte
 }
 
 type key struct {
@@ -128,60 +134,66 @@ func (t *Translator) SessionCount() int {
 }
 
 // TranslateOut rewrites an outbound private-source packet to the public
-// address, logging new sessions.
-func (t *Translator) TranslateOut(p *packet.IPv4) (*packet.IPv4, error) {
-	out := &packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: t.public, Dst: p.Dst}
+// address, logging new sessions, and writes the result into out.
+// out.Payload lives in the translator's scratch for this direction: it
+// is valid until the next TranslateOut call, so a caller that keeps it
+// longer copies it. On error out is left in an unspecified state.
+func (t *Translator) TranslateOut(p *packet.IPv4, out *packet.IPv4) error {
+	*out = packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: t.public, Dst: p.Dst}
 	switch p.Protocol {
 	case packet.ProtoUDP:
 		var u packet.UDP
 		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := t.session(p.Protocol, p.Src, u.SrcPort, p.Dst, u.DstPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out.Payload = (&packet.UDP{SrcPort: s.extPort, DstPort: u.DstPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
+		t.outScratch = (&packet.UDP{SrcPort: s.extPort, DstPort: u.DstPort, Payload: u.Payload}).AppendTo(t.outScratch[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
 		var tc packet.TCP
 		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := t.session(p.Protocol, p.Src, tc.SrcPort, p.Dst, tc.DstPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		tc2 := tc
-		tc2.SrcPort = s.extPort
-		out.Payload = tc2.Marshal(out.Src, out.Dst)
+		tc.SrcPort = s.extPort
+		t.outScratch = tc.AppendTo(t.outScratch[:0], out.Src, out.Dst)
 	case packet.ProtoICMP:
 		var ic packet.ICMP
 		if err := ic.DecodeV4(p.Payload); err != nil {
-			return nil, err
+			return err
 		}
 		id, seq, data, err := packet.EchoFields(ic.Body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s, err := t.session(p.Protocol, p.Src, id, p.Dst, id)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out.Payload = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.extPort, seq, data)}).MarshalV4()
+		t.outScratch = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.extPort, seq, data)}).AppendToV4(t.outScratch[:0])
 	default:
-		return nil, fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
+		return fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
 	}
+	out.Payload = t.outScratch
 	t.Translated++
 	t.BytesOut += uint64(len(p.Payload))
-	return out, nil
+	return nil
 }
 
 // TranslateIn rewrites an inbound public-destination packet back to the
-// private host.
-func (t *Translator) TranslateIn(p *packet.IPv4) (*packet.IPv4, error) {
+// private host and writes the result into out. out.Payload lives in the
+// translator's scratch for this direction: it is valid until the next
+// TranslateIn call, so a caller that keeps it longer copies it. On
+// error out is left in an unspecified state.
+func (t *Translator) TranslateIn(p *packet.IPv4, out *packet.IPv4) error {
 	if p.Dst != t.public {
 		t.Dropped++
-		return nil, ErrNoSession
+		return ErrNoSession
 	}
 	lookup := func(proto uint8, extPort uint16) (*session, error) {
 		s, ok := t.inbound[extKey{proto: proto, port: extPort}]
@@ -192,53 +204,53 @@ func (t *Translator) TranslateIn(p *packet.IPv4) (*packet.IPv4, error) {
 		s.lastSeen = t.now()
 		return s, nil
 	}
-	out := &packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: p.Src}
+	*out = packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: p.Src}
 	switch p.Protocol {
 	case packet.ProtoUDP:
 		var u packet.UDP
 		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := lookup(p.Protocol, u.DstPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Dst = s.inside
-		out.Payload = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.inPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
+		t.inScratch = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.inPort, Payload: u.Payload}).AppendTo(t.inScratch[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
 		var tc packet.TCP
 		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := lookup(p.Protocol, tc.DstPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Dst = s.inside
-		tc2 := tc
-		tc2.DstPort = s.inPort
-		out.Payload = tc2.Marshal(out.Src, out.Dst)
+		tc.DstPort = s.inPort
+		t.inScratch = tc.AppendTo(t.inScratch[:0], out.Src, out.Dst)
 	case packet.ProtoICMP:
 		var ic packet.ICMP
 		if err := ic.DecodeV4(p.Payload); err != nil {
-			return nil, err
+			return err
 		}
 		id, seq, data, err := packet.EchoFields(ic.Body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s, err := lookup(p.Protocol, id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Dst = s.inside
-		out.Payload = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.inPort, seq, data)}).MarshalV4()
+		t.inScratch = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.inPort, seq, data)}).AppendToV4(t.inScratch[:0])
 	default:
-		return nil, fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
+		return fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
 	}
+	out.Payload = t.inScratch
 	t.Translated++
 	t.BytesIn += uint64(len(p.Payload))
-	return out, nil
+	return nil
 }
 
 // session finds or creates the binding for an outbound flow, logging

@@ -1,6 +1,7 @@
 package nat44
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -35,9 +36,30 @@ func udp4(src, dst netip.Addr, sport, dport uint16, payload string) *packet.IPv4
 	}
 }
 
+// translateOut and translateIn translate into a fresh result whose
+// payload is copied out of the translator's scratch, so a test can hold
+// it across later calls.
+func translateOut(tr *Translator, p *packet.IPv4) (*packet.IPv4, error) {
+	var out packet.IPv4
+	if err := tr.TranslateOut(p, &out); err != nil {
+		return nil, err
+	}
+	out.Payload = bytes.Clone(out.Payload)
+	return &out, nil
+}
+
+func translateIn(tr *Translator, p *packet.IPv4) (*packet.IPv4, error) {
+	var out packet.IPv4
+	if err := tr.TranslateIn(p, &out); err != nil {
+		return nil, err
+	}
+	out.Payload = bytes.Clone(out.Payload)
+	return &out, nil
+}
+
 func TestNAPTRoundTrip(t *testing.T) {
 	tr := newT(t, newClock())
-	out, err := tr.TranslateOut(udp4(inside, remote, 5000, 80, "req"))
+	out, err := translateOut(tr, udp4(inside, remote, 5000, 80, "req"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +72,7 @@ func TestNAPTRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := tr.TranslateIn(udp4(remote, public, 80, u.SrcPort, "resp"))
+	back, err := translateIn(tr, udp4(remote, public, 80, u.SrcPort, "resp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +92,10 @@ func TestNAPTRoundTrip(t *testing.T) {
 func TestTranslationLogM2131(t *testing.T) {
 	tr := newT(t, newClock())
 	// Two packets of one flow -> exactly one log entry.
-	tr.TranslateOut(udp4(inside, remote, 5000, 80, "a"))
-	tr.TranslateOut(udp4(inside, remote, 5000, 80, "b"))
+	translateOut(tr, udp4(inside, remote, 5000, 80, "a"))
+	translateOut(tr, udp4(inside, remote, 5000, 80, "b"))
 	// A second flow -> a second entry.
-	tr.TranslateOut(udp4(inside, remote, 5001, 80, "c"))
+	translateOut(tr, udp4(inside, remote, 5001, 80, "c"))
 
 	if len(tr.Log) != 2 {
 		t.Fatalf("log entries = %d, want 2 (one per session)", len(tr.Log))
@@ -89,10 +111,10 @@ func TestTranslationLogM2131(t *testing.T) {
 
 func TestInboundUnknownDropped(t *testing.T) {
 	tr := newT(t, newClock())
-	if _, err := tr.TranslateIn(udp4(remote, public, 80, 44444, "x")); err != ErrNoSession {
+	if _, err := translateIn(tr, udp4(remote, public, 80, 44444, "x")); err != ErrNoSession {
 		t.Errorf("err = %v, want ErrNoSession", err)
 	}
-	if _, err := tr.TranslateIn(udp4(remote, netip.MustParseAddr("198.51.100.2"), 80, 44444, "x")); err != ErrNoSession {
+	if _, err := translateIn(tr, udp4(remote, netip.MustParseAddr("198.51.100.2"), 80, 44444, "x")); err != ErrNoSession {
 		t.Errorf("wrong-destination err = %v", err)
 	}
 	if tr.Dropped != 2 {
@@ -106,7 +128,7 @@ func TestICMPEchoTranslation(t *testing.T) {
 		Protocol: packet.ProtoICMP, TTL: 64, Src: inside, Dst: remote,
 		Payload: (&packet.ICMP{Type: packet.ICMPv4Echo, Body: packet.EchoBody(99, 3, []byte("hi"))}).MarshalV4(),
 	}
-	out, err := tr.TranslateOut(ping)
+	out, err := translateOut(tr, ping)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +143,7 @@ func TestICMPEchoTranslation(t *testing.T) {
 		Protocol: packet.ProtoICMP, TTL: 60, Src: remote, Dst: public,
 		Payload: (&packet.ICMP{Type: packet.ICMPv4EchoReply, Body: packet.EchoBody(extID, 3, []byte("hi"))}).MarshalV4(),
 	}
-	back, err := tr.TranslateIn(pong)
+	back, err := translateIn(tr, pong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +158,12 @@ func TestICMPEchoTranslation(t *testing.T) {
 func TestSessionExpiryDropsInbound(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	out, _ := tr.TranslateOut(udp4(inside, remote, 5000, 80, "x"))
+	out, _ := translateOut(tr, udp4(inside, remote, 5000, 80, "x"))
 	var u packet.UDP
 	_ = u.Decode(out.Payload, out.Src, out.Dst)
 
 	clk.t = clk.t.Add(6 * time.Minute)
-	if _, err := tr.TranslateIn(udp4(remote, public, 80, u.SrcPort, "late")); err != ErrNoSession {
+	if _, err := translateIn(tr, udp4(remote, public, 80, u.SrcPort, "late")); err != ErrNoSession {
 		t.Errorf("expired session still accepts inbound: %v", err)
 	}
 	if tr.SessionCount() != 0 {
@@ -156,7 +178,7 @@ func TestManyClientsShareOnePublicAddress(t *testing.T) {
 	seen := map[netip.Addr]bool{}
 	for i := 0; i < 20; i++ {
 		src := netip.AddrFrom4([4]byte{192, 168, 12, byte(50 + i)})
-		out, err := tr.TranslateOut(udp4(src, remote, 6000, 443, "pull"))
+		out, err := translateOut(tr, udp4(src, remote, 6000, 443, "pull"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +195,7 @@ func TestManyClientsShareOnePublicAddress(t *testing.T) {
 func TestUnsupportedProtocol(t *testing.T) {
 	tr := newT(t, newClock())
 	p := &packet.IPv4{Protocol: 47 /* GRE */, TTL: 64, Src: inside, Dst: remote}
-	if _, err := tr.TranslateOut(p); err == nil {
+	if _, err := translateOut(tr, p); err == nil {
 		t.Error("GRE accepted")
 	}
 }

@@ -21,14 +21,14 @@ func TestPerSourceQuotaRefusal(t *testing.T) {
 	tr := newT(t, clk)
 	tr.MaxSessionsPerSource = 1
 
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a")); err != nil {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "a")); err != nil {
 		t.Fatalf("first flow: %v", err)
 	}
 	// The same flow refreshed is not a new session.
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a2")); err != nil {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "a2")); err != nil {
 		t.Fatalf("same-flow refresh: %v", err)
 	}
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5001, 53, serverV4, "b")); !errors.Is(err, ErrPortsExhausted) {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 5001, 53, serverV4, "b")); !errors.Is(err, ErrPortsExhausted) {
 		t.Fatalf("second concurrent flow: err = %v, want ErrPortsExhausted", err)
 	}
 	if tr.PortsExhausted != 1 {
@@ -36,14 +36,14 @@ func TestPerSourceQuotaRefusal(t *testing.T) {
 	}
 
 	other := netip.MustParseAddr("2607:fb90:9bda:a425::51")
-	if _, err := tr.TranslateV6ToV4(udp6(t, other, 5000, 53, serverV4, "c")); err != nil {
+	if _, err := v6ToV4(tr, udp6(t, other, 5000, 53, serverV4, "c")); err != nil {
 		t.Fatalf("other source blocked by a per-source quota: %v", err)
 	}
 
 	// Recovery rides expiry: once the first session idles out, the same
 	// source binds again.
 	clk.t = clk.t.Add(tr.Config().UDPTimeout + time.Second)
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5001, 53, serverV4, "d")); err != nil {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 5001, 53, serverV4, "d")); err != nil {
 		t.Fatalf("post-expiry flow: %v", err)
 	}
 }
@@ -60,11 +60,11 @@ func TestPortPoolExhaustionCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, uint16(5000+i), 53, serverV4, "x")); err != nil {
+		if _, err := v6ToV4(tr, udp6(t, clientV6, uint16(5000+i), 53, serverV4, "x")); err != nil {
 			t.Fatalf("flow %d: %v", i, err)
 		}
 	}
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5002, 53, serverV4, "x")); !errors.Is(err, ErrPortsExhausted) {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 5002, 53, serverV4, "x")); !errors.Is(err, ErrPortsExhausted) {
 		t.Fatalf("pool overflow: err = %v, want ErrPortsExhausted", err)
 	}
 	if tr.PortsExhausted != 1 {
@@ -86,7 +86,7 @@ func TestSetPortRange(t *testing.T) {
 	if err := tr.SetPortRange(40000, 40003); err != nil {
 		t.Fatal(err)
 	}
-	out, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "x"))
+	out, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFlushPreservesPortCursor(t *testing.T) {
 	}
 	pre := make(map[uint16]bool)
 	for i := 0; i < 5; i++ {
-		out, err := tr.TranslateV6ToV4(udp6(t, clientV6, uint16(5000+i), 53, serverV4, "x"))
+		out, err := v6ToV4(tr, udp6(t, clientV6, uint16(5000+i), 53, serverV4, "x"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestFlushPreservesPortCursor(t *testing.T) {
 	}
 	tr.FlushSessions() // gateway reboot
 	for i := 0; i < 3; i++ {
-		out, err := tr.TranslateV6ToV4(udp6(t, clientV6, uint16(6000+i), 53, serverV4, "y"))
+		out, err := v6ToV4(tr, udp6(t, clientV6, uint16(6000+i), 53, serverV4, "y"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestPortReuseAvoidanceProperty(t *testing.T) {
 				continue
 			}
 			sport++
-			out, err := tr.TranslateV6ToV4(udp6ForProp(clientV6, sport))
+			out, err := v6ToV4(tr, udp6ForProp(clientV6, sport))
 			if errors.Is(err, ErrPortsExhausted) {
 				continue
 			}

@@ -11,38 +11,40 @@ import (
 // translateICMPv4Error converts an inbound ICMPv4 error message (e.g.
 // destination unreachable, time exceeded) into the equivalent ICMPv6
 // error per RFC 7915 §4.2, rebuilding the embedded original packet in
-// its IPv6 form so the client's stack can match it to a socket.
-func (t *Translator) translateICMPv4Error(p *packet.IPv4, ic *packet.ICMP) (*packet.IPv6, error) {
+// its IPv6 form so the client's stack can match it to a socket. The
+// result is written into out, whose Payload lives in the same scratch
+// as TranslateV4ToV6's other results.
+func (t *Translator) translateICMPv4Error(p *packet.IPv4, ic *packet.ICMP, out *packet.IPv6) error {
 	// The body carries 4 unused/METADATA bytes then the embedded IPv4
 	// header + ≥8 bytes of its payload.
 	if len(ic.Body) < 4+packet.IPv4MinHeaderLen+8 {
-		return nil, fmt.Errorf("%w: short ICMPv4 error body", ErrUnsupported)
+		return fmt.Errorf("%w: short ICMPv4 error body", ErrUnsupported)
 	}
 	meta := ic.Body[:4]
 	embedded := ic.Body[4:]
 	inner, innerPayload, err := parseEmbeddedIPv4(embedded)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The embedded packet is the one WE sent: src = our public address.
 	if inner.Src != t.cfg.PublicV4 {
-		return nil, ErrNoSession
+		return ErrNoSession
 	}
 	extPort, dstPort, proto, err := embeddedPorts(inner, innerPayload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s, ok := t.inbound[extKey{proto: proto, port: extPort}]
 	if !ok || t.expired(s, t.now()) {
 		t.DroppedNoSess++
-		return nil, ErrNoSession
+		return ErrNoSession
 	}
 	s.LastSeen = t.now()
 
 	// Rebuild the embedded packet as the client's original IPv6 packet.
 	innerDstV6, err := dns64.Synthesize(t.cfg.Prefix, inner.Dst)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	innerV6 := &packet.IPv6{
 		HopLimit: inner.TTL, Src: s.SrcV6, Dst: innerDstV6,
@@ -62,20 +64,21 @@ func (t *Translator) translateICMPv4Error(p *packet.IPv4, ic *packet.ICMP) (*pac
 
 	v6Type, v6Code, newMeta, ok := mapICMPErrorV4ToV6(ic.Type, ic.Code, meta)
 	if !ok {
-		return nil, fmt.Errorf("%w: ICMPv4 error type %d code %d", ErrUnsupported, ic.Type, ic.Code)
+		return fmt.Errorf("%w: ICMPv4 error type %d code %d", ErrUnsupported, ic.Type, ic.Code)
 	}
 	srcV6, err := dns64.Synthesize(t.cfg.Prefix, p.Src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	body := append(newMeta, innerV6.Marshal()...)
-	out := &packet.IPv6{
+	*out = packet.IPv6{
 		NextHeader: packet.ProtoICMPv6, HopLimit: p.TTL - 1,
 		Src: srcV6, Dst: s.SrcV6,
 	}
-	out.Payload = (&packet.ICMP{Type: v6Type, Code: v6Code, Body: body}).MarshalV6(out.Src, out.Dst)
+	t.out46 = (&packet.ICMP{Type: v6Type, Code: v6Code, Body: body}).AppendToV6(t.out46[:0], out.Src, out.Dst)
+	out.Payload = t.out46
 	t.TranslatedIn++
-	return out, nil
+	return nil
 }
 
 // ExhaustionUnreachable builds the ICMPv6 Destination Unreachable

@@ -29,7 +29,7 @@ func TestPortUnreachableTranslated(t *testing.T) {
 	tr := newT(t, clk)
 
 	// Client sends a UDP packet through the NAT64.
-	out, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 9999, serverV4, "probe"))
+	out, err := v6ToV4(tr, udp6(t, clientV6, 5000, 9999, serverV4, "probe"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPortUnreachableTranslated(t *testing.T) {
 	// The server answers with ICMP port unreachable embedding that packet.
 	errPkt := buildICMPv4Error(t, packet.ICMPv4DestUnreachable, packet.ICMPv4CodePortUnreachable,
 		[]byte{0, 0, 0, 0}, out, serverV4)
-	back, err := tr.TranslateV4ToV6(errPkt)
+	back, err := v4ToV6(tr, errPkt)
 	if err != nil {
 		t.Fatalf("error translation: %v", err)
 	}
@@ -78,13 +78,13 @@ func TestPortUnreachableTranslated(t *testing.T) {
 func TestFragNeededBecomesPacketTooBig(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	out, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5001, 53, serverV4, "q"))
+	out, err := v6ToV4(tr, udp6(t, clientV6, 5001, 53, serverV4, "q"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	errPkt := buildICMPv4Error(t, packet.ICMPv4DestUnreachable, 4, /* frag needed */
 		[]byte{0, 0, 0x05, 0xdc} /* MTU 1500 */, out, serverV4)
-	back, err := tr.TranslateV4ToV6(errPkt)
+	back, err := v4ToV6(tr, errPkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestFragNeededBecomesPacketTooBig(t *testing.T) {
 func TestFragNeededMTUClampedTo1280(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	out, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5002, 53, serverV4, "q"))
+	out, _ := v6ToV4(tr, udp6(t, clientV6, 5002, 53, serverV4, "q"))
 	errPkt := buildICMPv4Error(t, packet.ICMPv4DestUnreachable, 4,
 		[]byte{0, 0, 0x02, 0x00} /* MTU 512 < IPv6 minimum */, out, serverV4)
-	back, err := tr.TranslateV4ToV6(errPkt)
+	back, err := v4ToV6(tr, errPkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestFragNeededMTUClampedTo1280(t *testing.T) {
 func TestTimeExceededTranslated(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	out, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5003, 33434, serverV4, "traceroute"))
+	out, _ := v6ToV4(tr, udp6(t, clientV6, 5003, 33434, serverV4, "traceroute"))
 	router := netip.MustParseAddr("198.51.100.254")
 	errPkt := buildICMPv4Error(t, packet.ICMPv4TimeExceeded, 0, []byte{0, 0, 0, 0}, out, router)
-	back, err := tr.TranslateV4ToV6(errPkt)
+	back, err := v4ToV6(tr, errPkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestErrorForUnknownSessionDropped(t *testing.T) {
 		Payload: (&packet.UDP{SrcPort: 44444, DstPort: 53}).Marshal(publicV4, serverV4),
 	}
 	errPkt := buildICMPv4Error(t, packet.ICMPv4DestUnreachable, 3, []byte{0, 0, 0, 0}, embedded, serverV4)
-	if _, err := tr.TranslateV4ToV6(errPkt); err != ErrNoSession {
+	if _, err := v4ToV6(tr, errPkt); err != ErrNoSession {
 		t.Errorf("err = %v, want ErrNoSession", err)
 	}
 }
@@ -156,14 +156,14 @@ func TestErrorForUnknownSessionDropped(t *testing.T) {
 func TestErrorWithForeignEmbeddedSourceDropped(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	tr.TranslateV6ToV4(udp6(t, clientV6, 5004, 53, serverV4, "q"))
+	v6ToV4(tr, udp6(t, clientV6, 5004, 53, serverV4, "q"))
 	// Embedded packet claims a source that is not our public address.
 	embedded := &packet.IPv4{
 		Protocol: packet.ProtoUDP, TTL: 63, Src: netip.MustParseAddr("198.51.100.77"), Dst: serverV4,
 		Payload: (&packet.UDP{SrcPort: 32768, DstPort: 53}).Marshal(netip.MustParseAddr("198.51.100.77"), serverV4),
 	}
 	errPkt := buildICMPv4Error(t, packet.ICMPv4DestUnreachable, 3, []byte{0, 0, 0, 0}, embedded, serverV4)
-	if _, err := tr.TranslateV4ToV6(errPkt); err == nil {
+	if _, err := v4ToV6(tr, errPkt); err == nil {
 		t.Error("spoofed embedded source accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestTruncatedErrorBodyRejected(t *testing.T) {
 		Protocol: packet.ProtoICMP, TTL: 60, Src: serverV4, Dst: publicV4,
 		Payload: (&packet.ICMP{Type: packet.ICMPv4DestUnreachable, Code: 3, Body: make([]byte, 10)}).MarshalV4(),
 	}
-	if _, err := tr.TranslateV4ToV6(errPkt); err == nil {
+	if _, err := v4ToV6(tr, errPkt); err == nil {
 		t.Error("truncated error body accepted")
 	}
 }

@@ -119,6 +119,12 @@ type Translator struct {
 	// PortsExhausted counts outbound flows refused ErrPortsExhausted,
 	// whether by an empty pool or by the per-source session quota.
 	PortsExhausted uint64
+
+	// out64 and out46 hold the transport message of the latest result
+	// in each direction (see the Translate methods for its lifetime).
+	// They are scratch, so Checkpoint/Restore skip them.
+	out64 []byte
+	out46 []byte
 }
 
 // New creates a translator. Zero timeout fields take the RFC defaults;
@@ -305,16 +311,20 @@ func (t *Translator) allocPort(proto uint8) (uint16, error) {
 }
 
 // TranslateV6ToV4 translates one outbound IPv6 packet into IPv4 per
-// RFC 7915 §5, creating or refreshing a session.
-func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
+// RFC 7915 §5, creating or refreshing a session, and writes the result
+// into out. out.Payload lives in the translator's scratch for this
+// direction: it is valid until the next TranslateV6ToV4 call, so a
+// caller that keeps it longer copies it. On error out is left in an
+// unspecified state.
+func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
 	dstV4, ok := dns64.Extract(t.cfg.Prefix, p.Dst)
 	if !ok {
-		return nil, ErrNotInPrefix
+		return ErrNotInPrefix
 	}
 	if p.HopLimit <= 1 {
-		return nil, ErrHopLimit
+		return ErrHopLimit
 	}
-	out := &packet.IPv4{
+	*out = packet.IPv4{
 		TTL:      p.HopLimit - 1,
 		Src:      t.cfg.PublicV4,
 		Dst:      dstV4,
@@ -324,25 +334,25 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
 	case packet.ProtoUDP:
 		var u packet.UDP
 		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := t.session(packet.ProtoUDP, p.Src, u.SrcPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.LastSeen = t.now()
 		s.PktsOut++
 		s.BytesOut += uint64(len(p.Payload))
 		out.Protocol = packet.ProtoUDP
-		out.Payload = (&packet.UDP{SrcPort: s.ExtPort, DstPort: u.DstPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
+		t.out64 = (&packet.UDP{SrcPort: s.ExtPort, DstPort: u.DstPort, Payload: u.Payload}).AppendTo(t.out64[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
 		var tc packet.TCP
 		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := t.session(packet.ProtoTCP, p.Src, tc.SrcPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.LastSeen = t.now()
 		s.PktsOut++
@@ -353,40 +363,40 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6) (*packet.IPv4, error) {
 			s.Closing = false // binding reused by a fresh connection
 		}
 		out.Protocol = packet.ProtoTCP
-		tc2 := tc
-		tc2.SrcPort = s.ExtPort
-		out.Payload = tc2.Marshal(out.Src, out.Dst)
+		tc.SrcPort = s.ExtPort
+		t.out64 = tc.AppendTo(t.out64[:0], out.Src, out.Dst)
 	case packet.ProtoICMPv6:
 		var ic packet.ICMP
 		if err := ic.DecodeV6(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		if ic.Type != packet.ICMPv6EchoRequest {
-			return nil, fmt.Errorf("%w: ICMPv6 type %d", ErrUnsupported, ic.Type)
+			return fmt.Errorf("%w: ICMPv6 type %d", ErrUnsupported, ic.Type)
 		}
 		id, seq, data, err := packet.EchoFields(ic.Body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s, err := t.session(packet.ProtoICMP, p.Src, id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.LastSeen = t.now()
 		s.PktsOut++
 		s.BytesOut += uint64(len(p.Payload))
 		out.Protocol = packet.ProtoICMP
-		out.Payload = (&packet.ICMP{Type: packet.ICMPv4Echo, Body: packet.EchoBody(s.ExtPort, seq, data)}).MarshalV4()
+		t.out64 = (&packet.ICMP{Type: packet.ICMPv4Echo, Body: packet.EchoBody(s.ExtPort, seq, data)}).AppendToV4(t.out64[:0])
 	default:
-		return nil, fmt.Errorf("%w: next header %d", ErrUnsupported, p.NextHeader)
+		return fmt.Errorf("%w: next header %d", ErrUnsupported, p.NextHeader)
 	}
+	out.Payload = t.out64
 	t.TranslatedOut++
 	t.BytesOut += uint64(len(p.Payload))
 	if t.CorruptChecksums {
 		corruptL4(out.Protocol, out.Payload)
 		t.ChecksumsCorrupted++
 	}
-	return out, nil
+	return nil
 }
 
 // corruptL4 flips the L4 checksum of a freshly marshaled v4 payload in
@@ -417,19 +427,23 @@ func corruptL4(proto uint8, b []byte) {
 }
 
 // TranslateV4ToV6 translates one inbound IPv4 packet back to IPv6,
-// synthesizing the source address inside the prefix.
-func (t *Translator) TranslateV4ToV6(p *packet.IPv4) (*packet.IPv6, error) {
+// synthesizing the source address inside the prefix, and writes the
+// result into out. out.Payload lives in the translator's scratch for
+// this direction: it is valid until the next TranslateV4ToV6 call, so
+// a caller that keeps it longer copies it. On error out is left in an
+// unspecified state.
+func (t *Translator) TranslateV4ToV6(p *packet.IPv4, out *packet.IPv6) error {
 	if p.Dst != t.cfg.PublicV4 {
-		return nil, ErrNoSession
+		return ErrNoSession
 	}
 	if p.TTL <= 1 {
-		return nil, ErrHopLimit
+		return ErrHopLimit
 	}
 	srcV6, err := dns64.Synthesize(t.cfg.Prefix, p.Src)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := &packet.IPv6{HopLimit: p.TTL - 1, Src: srcV6}
+	*out = packet.IPv6{HopLimit: p.TTL - 1, Src: srcV6}
 
 	lookup := func(proto uint8, extPort uint16) (*Session, error) {
 		s, ok := t.inbound[extKey{proto: proto, port: extPort}]
@@ -447,58 +461,58 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4) (*packet.IPv6, error) {
 	case packet.ProtoUDP:
 		var u packet.UDP
 		if err := u.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := lookup(packet.ProtoUDP, u.DstPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Dst = s.SrcV6
 		out.NextHeader = packet.ProtoUDP
-		out.Payload = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.SrcPort, Payload: u.Payload}).Marshal(out.Src, out.Dst)
+		t.out46 = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.SrcPort, Payload: u.Payload}).AppendTo(t.out46[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
 		var tc packet.TCP
 		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
-			return nil, err
+			return err
 		}
 		s, err := lookup(packet.ProtoTCP, tc.DstPort)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if tc.Flags&(packet.TCPFin|packet.TCPRst) != 0 {
 			s.Closing = true
 		}
 		out.Dst = s.SrcV6
 		out.NextHeader = packet.ProtoTCP
-		tc2 := tc
-		tc2.DstPort = s.SrcPort
-		out.Payload = tc2.Marshal(out.Src, out.Dst)
+		tc.DstPort = s.SrcPort
+		t.out46 = tc.AppendTo(t.out46[:0], out.Src, out.Dst)
 	case packet.ProtoICMP:
 		var ic packet.ICMP
 		if err := ic.DecodeV4(p.Payload); err != nil {
-			return nil, err
+			return err
 		}
 		if packet.IsICMPv4Error(ic.Type) {
-			return t.translateICMPv4Error(p, &ic)
+			return t.translateICMPv4Error(p, &ic, out)
 		}
 		if ic.Type != packet.ICMPv4EchoReply {
-			return nil, fmt.Errorf("%w: ICMPv4 type %d", ErrUnsupported, ic.Type)
+			return fmt.Errorf("%w: ICMPv4 type %d", ErrUnsupported, ic.Type)
 		}
 		id, seq, data, err := packet.EchoFields(ic.Body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s, err := lookup(packet.ProtoICMP, id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out.Dst = s.SrcV6
 		out.NextHeader = packet.ProtoICMPv6
-		out.Payload = (&packet.ICMP{Type: packet.ICMPv6EchoReply, Body: packet.EchoBody(s.SrcPort, seq, data)}).MarshalV6(out.Src, out.Dst)
+		t.out46 = (&packet.ICMP{Type: packet.ICMPv6EchoReply, Body: packet.EchoBody(s.SrcPort, seq, data)}).AppendToV6(t.out46[:0], out.Src, out.Dst)
 	default:
-		return nil, fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
+		return fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
 	}
+	out.Payload = t.out46
 	t.TranslatedIn++
 	t.BytesIn += uint64(len(p.Payload))
-	return out, nil
+	return nil
 }

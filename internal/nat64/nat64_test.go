@@ -40,6 +40,27 @@ func synth(t *testing.T, v4 netip.Addr) netip.Addr {
 	return a
 }
 
+// v6ToV4 and v4ToV6 translate into a fresh result whose payload is
+// copied out of the translator's scratch, so a test can hold it across
+// later calls.
+func v6ToV4(tr *Translator, p *packet.IPv6) (*packet.IPv4, error) {
+	var out packet.IPv4
+	if err := tr.TranslateV6ToV4(p, &out); err != nil {
+		return nil, err
+	}
+	out.Payload = bytes.Clone(out.Payload)
+	return &out, nil
+}
+
+func v4ToV6(tr *Translator, p *packet.IPv4) (*packet.IPv6, error) {
+	var out packet.IPv6
+	if err := tr.TranslateV4ToV6(p, &out); err != nil {
+		return nil, err
+	}
+	out.Payload = bytes.Clone(out.Payload)
+	return &out, nil
+}
+
 func udp6(t *testing.T, src netip.Addr, sport, dport uint16, dstV4 netip.Addr, payload string) *packet.IPv6 {
 	t.Helper()
 	dst := synth(t, dstV4)
@@ -53,7 +74,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
 
-	out, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "query"))
+	out, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "query"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +99,7 @@ func TestUDPRoundTrip(t *testing.T) {
 		Protocol: packet.ProtoUDP, TTL: 60, Src: serverV4, Dst: publicV4,
 		Payload: (&packet.UDP{SrcPort: 53, DstPort: extPort, Payload: []byte("answer")}).Marshal(serverV4, publicV4),
 	}
-	back, err := tr.TranslateV4ToV6(reply)
+	back, err := v4ToV6(tr, reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +127,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		NextHeader: packet.ProtoTCP, HopLimit: 64, Src: clientV6, Dst: dst,
 		Payload: (&packet.TCP{SrcPort: 49152, DstPort: 80, Seq: 100, Flags: packet.TCPSyn}).Marshal(clientV6, dst),
 	}
-	out, err := tr.TranslateV6ToV4(syn)
+	out, err := v6ToV4(tr, syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +144,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		Protocol: packet.ProtoTCP, TTL: 60, Src: serverV4, Dst: publicV4,
 		Payload: (&packet.TCP{SrcPort: 80, DstPort: tc.SrcPort, Seq: 7, Ack: 101, Flags: packet.TCPSyn | packet.TCPAck}).Marshal(serverV4, publicV4),
 	}
-	back, err := tr.TranslateV4ToV6(synack)
+	back, err := v4ToV6(tr, synack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +168,7 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 		NextHeader: packet.ProtoICMPv6, HopLimit: 64, Src: clientV6, Dst: dst,
 		Payload: (&packet.ICMP{Type: packet.ICMPv6EchoRequest, Body: packet.EchoBody(777, 1, []byte("ping"))}).MarshalV6(clientV6, dst),
 	}
-	out, err := tr.TranslateV6ToV4(echo)
+	out, err := v6ToV4(tr, echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +189,7 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 		Protocol: packet.ProtoICMP, TTL: 60, Src: serverV4, Dst: publicV4,
 		Payload: (&packet.ICMP{Type: packet.ICMPv4EchoReply, Body: packet.EchoBody(extID, 1, []byte("ping"))}).MarshalV4(),
 	}
-	back, err := tr.TranslateV4ToV6(reply)
+	back, err := v4ToV6(tr, reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +210,7 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 func TestOutsidePrefixRejected(t *testing.T) {
 	tr := newT(t, newClock())
 	p := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: clientV6, Dst: netip.MustParseAddr("2001:db8::1")}
-	if _, err := tr.TranslateV6ToV4(p); err != ErrNotInPrefix {
+	if _, err := v6ToV4(tr, p); err != ErrNotInPrefix {
 		t.Errorf("err = %v, want ErrNotInPrefix", err)
 	}
 }
@@ -200,7 +221,7 @@ func TestInboundWithoutSessionDropped(t *testing.T) {
 		Protocol: packet.ProtoUDP, TTL: 60, Src: serverV4, Dst: publicV4,
 		Payload: (&packet.UDP{SrcPort: 53, DstPort: 40000, Payload: []byte("x")}).Marshal(serverV4, publicV4),
 	}
-	if _, err := tr.TranslateV4ToV6(stray); err != ErrNoSession {
+	if _, err := v4ToV6(tr, stray); err != ErrNoSession {
 		t.Errorf("err = %v, want ErrNoSession", err)
 	}
 	if tr.DroppedNoSess != 1 {
@@ -211,8 +232,8 @@ func TestInboundWithoutSessionDropped(t *testing.T) {
 func TestSessionReuseSamePort(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	p1, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a"))
-	p2, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "b"))
+	p1, _ := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "a"))
+	p2, _ := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "b"))
 	var u1 packet.UDP
 	_ = u1.Decode(p1.Payload, p1.Src, p1.Dst)
 	var u2 packet.UDP
@@ -228,8 +249,8 @@ func TestSessionReuseSamePort(t *testing.T) {
 func TestDistinctFlowsDistinctPorts(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	p1, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a"))
-	p2, _ := tr.TranslateV6ToV4(udp6(t, clientV6, 5001, 53, serverV4, "b"))
+	p1, _ := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "a"))
+	p2, _ := v6ToV4(tr, udp6(t, clientV6, 5001, 53, serverV4, "b"))
 	var u1 packet.UDP
 	_ = u1.Decode(p1.Payload, p1.Src, p1.Dst)
 	var u2 packet.UDP
@@ -242,7 +263,7 @@ func TestDistinctFlowsDistinctPorts(t *testing.T) {
 func TestSessionExpiry(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "a"))
+	v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "a"))
 	if tr.SessionCount() != 1 {
 		t.Fatalf("sessions = %d", tr.SessionCount())
 	}
@@ -262,16 +283,16 @@ func TestPortExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, uint16(6000+i), 53, serverV4, "x")); err != nil {
+		if _, err := v6ToV4(tr, udp6(t, clientV6, uint16(6000+i), 53, serverV4, "x")); err != nil {
 			t.Fatalf("flow %d: %v", i, err)
 		}
 	}
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 6002, 53, serverV4, "x")); err != ErrPortsExhausted {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 6002, 53, serverV4, "x")); err != ErrPortsExhausted {
 		t.Errorf("err = %v, want ErrPortsExhausted", err)
 	}
 	// After expiry, ports are reclaimed.
 	clk.t = clk.t.Add(DefaultUDPTimeout + time.Second)
-	if _, err := tr.TranslateV6ToV4(udp6(t, clientV6, 6002, 53, serverV4, "x")); err != nil {
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 6002, 53, serverV4, "x")); err != nil {
 		t.Errorf("port not reclaimed after expiry: %v", err)
 	}
 }
@@ -280,7 +301,7 @@ func TestHopLimitExceeded(t *testing.T) {
 	tr := newT(t, newClock())
 	p := udp6(t, clientV6, 1, 2, serverV4, "x")
 	p.HopLimit = 1
-	if _, err := tr.TranslateV6ToV4(p); err != ErrHopLimit {
+	if _, err := v6ToV4(tr, p); err != ErrHopLimit {
 		t.Errorf("err = %v, want ErrHopLimit", err)
 	}
 }
@@ -289,7 +310,7 @@ func TestUnsupportedProtocolRejected(t *testing.T) {
 	tr := newT(t, newClock())
 	dst := synth(t, serverV4)
 	p := &packet.IPv6{NextHeader: 89 /* OSPF */, HopLimit: 64, Src: clientV6, Dst: dst}
-	if _, err := tr.TranslateV6ToV4(p); err == nil {
+	if _, err := v6ToV4(tr, p); err == nil {
 		t.Error("unsupported protocol accepted")
 	}
 }
@@ -320,7 +341,7 @@ func TestUDPRoundTripProperty(t *testing.T) {
 			return false
 		}
 		dst, _ := dns64.Synthesize(dns64.WellKnownPrefix, serverV4)
-		out, err := tr.TranslateV6ToV4(&packet.IPv6{
+		out, err := v6ToV4(tr, &packet.IPv6{
 			NextHeader: packet.ProtoUDP, HopLimit: 64, Src: clientV6, Dst: dst,
 			Payload: (&packet.UDP{SrcPort: sport, DstPort: 9, Payload: payload}).Marshal(clientV6, dst),
 		})
@@ -332,7 +353,7 @@ func TestUDPRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := tr.TranslateV4ToV6(&packet.IPv4{
+		back, err := v4ToV6(tr, &packet.IPv4{
 			Protocol: packet.ProtoUDP, TTL: 64, Src: serverV4, Dst: publicV4,
 			Payload: (&packet.UDP{SrcPort: 9, DstPort: u.SrcPort, Payload: payload}).Marshal(serverV4, publicV4),
 		})

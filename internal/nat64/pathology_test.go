@@ -26,7 +26,7 @@ func TestCorruptChecksumsBreaksVerification(t *testing.T) {
 	tr := newT(t, clk)
 	tr.CorruptChecksums = true
 
-	out, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "query"))
+	out, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "query"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCorruptChecksumsBreaksVerification(t *testing.T) {
 	}
 
 	tc := tcp6(t, clientV6, 5001, 80, serverV4, packet.TCPSyn)
-	out, err = tr.TranslateV6ToV4(tc)
+	out, err = v6ToV4(tr, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCorruptChecksumsOffIsClean(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
 
-	out, err := tr.TranslateV6ToV4(udp6(t, clientV6, 5000, 53, serverV4, "query"))
+	out, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "query"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestSessionTableInvariants(t *testing.T) {
 			src := netip.AddrFrom16(cb)
 			sport := uint16(1024 + spec%128)
 
-			out, err := tr.TranslateV6ToV4(udp6ForProp(src, sport))
+			out, err := v6ToV4(tr, udp6ForProp(src, sport))
 			if err == ErrPortsExhausted {
 				continue // acceptable under a 128-port pool
 			}
@@ -90,13 +90,13 @@ func TestExpiryReleasesAllPorts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := tr.TranslateV6ToV4(udp6ForProp(clientV6, uint16(2000+i))); err != nil {
+		if _, err := v6ToV4(tr, udp6ForProp(clientV6, uint16(2000+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clk.t = clk.t.Add(DefaultUDPTimeout + time.Second)
 	for i := 0; i < 4; i++ {
-		if _, err := tr.TranslateV6ToV4(udp6ForProp(clientV6, uint16(3000+i))); err != nil {
+		if _, err := v6ToV4(tr, udp6ForProp(clientV6, uint16(3000+i))); err != nil {
 			t.Fatalf("port not released: %v", err)
 		}
 	}

@@ -23,9 +23,15 @@ type ARP struct {
 	TargetIP  netip.Addr
 }
 
-// Marshal encodes the ARP packet.
-func (a *ARP) Marshal() []byte {
-	b := make([]byte, arpPacketLen)
+// Marshal encodes the ARP packet into a fresh buffer; see AppendTo.
+func (a *ARP) Marshal() []byte { return a.AppendTo(nil) }
+
+// AppendTo appends the encoded ARP packet to buf and returns the
+// extended buffer.
+func (a *ARP) AppendTo(buf []byte) []byte {
+	start := len(buf)
+	buf = extend(buf, arpPacketLen, 0)
+	b := buf[start:]
 	put16(b[0:], 1)      // hardware type: Ethernet
 	put16(b[2:], 0x0800) // protocol type: IPv4
 	b[4] = 6             // hardware size
@@ -41,7 +47,7 @@ func (a *ARP) Marshal() []byte {
 		tip := a.TargetIP.As4()
 		copy(b[24:28], tip[:])
 	}
-	return b
+	return buf
 }
 
 // Decode decodes an Ethernet/IPv4 ARP packet from b into a. Every ARP

@@ -4,8 +4,16 @@
 // encoded byte-for-byte per its RFC so translation components (NAT64,
 // CLAT, NAT44) can operate exactly as the specifications describe.
 //
-// Encoders (Marshal, MarshalV4, MarshalV6) return a freshly allocated
-// buffer the caller owns.
+// Each header has exactly one encoder body, an append-style AppendTo
+// (AppendToV4 and AppendToV6 for ICMP) that appends the encoding to a
+// caller's buffer and returns the extended buffer, so a sender that
+// reuses one scratch buffer per device encodes every packet without
+// allocating. It zeroes the header, padding and checksum field it
+// appends before summing, whatever the buffer's spare capacity held,
+// and the fields it copies in (Options, Payload, Body) must not alias
+// that spare capacity. Marshal (MarshalV4, MarshalV6) is AppendTo into
+// a nil buffer: a freshly allocated encoding the caller owns, for
+// control-plane paths and tests.
 //
 // Each header has exactly one decoder, a Decode method (DecodeV4 and
 // DecodeV6 for ICMP) that fills a caller-owned value and neither copies
@@ -25,6 +33,7 @@ package packet
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 )
 
 // Checksum computes the RFC 1071 internet checksum over data.
@@ -91,6 +100,16 @@ func PseudoHeaderChecksum(proto uint8, src, dst netip.Addr, payload []byte) uint
 	}
 	sum = sumBytes(sum, payload)
 	return finishChecksum(sum)
+}
+
+// extend appends n zero bytes to buf, first reserving room for extra
+// more, so an encoder's header is zeroed whatever buf's spare capacity
+// held and the payload appended after it does not reallocate.
+func extend(buf []byte, n, extra int) []byte {
+	buf = slices.Grow(buf, n+extra)
+	buf = buf[:len(buf)+n]
+	clear(buf[len(buf)-n:])
+	return buf
 }
 
 func be16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }

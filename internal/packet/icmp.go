@@ -51,23 +51,42 @@ type ICMP struct {
 	Body []byte // everything after the 4-byte type/code/checksum header
 }
 
-// MarshalV4 encodes an ICMPv4 message (checksum over the message only).
-func (m *ICMP) MarshalV4() []byte {
-	b := make([]byte, 4+len(m.Body))
-	b[0], b[1] = m.Type, m.Code
-	copy(b[4:], m.Body)
-	put16(b[2:], Checksum(b))
-	return b
+// MarshalV4 encodes an ICMPv4 message into a fresh buffer; see
+// AppendToV4.
+func (m *ICMP) MarshalV4() []byte { return m.AppendToV4(nil) }
+
+// MarshalV6 encodes an ICMPv6 message into a fresh buffer; see
+// AppendToV6.
+func (m *ICMP) MarshalV6(src, dst netip.Addr) []byte { return m.AppendToV6(nil, src, dst) }
+
+// AppendToV4 appends the encoded ICMPv4 message to buf (checksum over
+// the message only) and returns the extended buffer. Body must not
+// alias buf's spare capacity.
+func (m *ICMP) AppendToV4(buf []byte) []byte {
+	start := len(buf)
+	buf = m.appendUnsummed(buf)
+	put16(buf[start+2:], Checksum(buf[start:]))
+	return buf
 }
 
-// MarshalV6 encodes an ICMPv6 message; the checksum includes the IPv6
-// pseudo-header (RFC 4443 §2.3).
-func (m *ICMP) MarshalV6(src, dst netip.Addr) []byte {
-	b := make([]byte, 4+len(m.Body))
-	b[0], b[1] = m.Type, m.Code
-	copy(b[4:], m.Body)
-	put16(b[2:], PseudoHeaderChecksum(ProtoICMPv6, src, dst, b))
-	return b
+// AppendToV6 appends the encoded ICMPv6 message to buf, with the
+// checksum including the IPv6 pseudo-header for src/dst (RFC 4443
+// §2.3), and returns the extended buffer. Body must not alias buf's
+// spare capacity.
+func (m *ICMP) AppendToV6(buf []byte, src, dst netip.Addr) []byte {
+	start := len(buf)
+	buf = m.appendUnsummed(buf)
+	put16(buf[start+2:], PseudoHeaderChecksum(ProtoICMPv6, src, dst, buf[start:]))
+	return buf
+}
+
+// appendUnsummed appends the message with a zero checksum field, the
+// state both checksums are summed over.
+func (m *ICMP) appendUnsummed(buf []byte) []byte {
+	start := len(buf)
+	buf = extend(buf, 4, len(m.Body))
+	buf[start], buf[start+1] = m.Type, m.Code
+	return append(buf, m.Body...)
 }
 
 // DecodeV4 decodes and checksum-verifies an ICMPv4 message from b into

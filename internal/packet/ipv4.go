@@ -44,15 +44,21 @@ type IPv4 struct {
 	Payload  []byte
 }
 
-// Marshal encodes the packet, computing total length and header checksum.
-func (p *IPv4) Marshal() []byte {
+// Marshal encodes the packet into a fresh buffer; see AppendTo.
+func (p *IPv4) Marshal() []byte { return p.AppendTo(nil) }
+
+// AppendTo appends the encoded packet to buf, computing total length
+// and header checksum, and returns the extended buffer. Options and
+// Payload must not alias buf's spare capacity.
+func (p *IPv4) AppendTo(buf []byte) []byte {
 	optLen := (len(p.Options) + 3) &^ 3
 	hlen := IPv4MinHeaderLen + optLen
-	total := hlen + len(p.Payload)
-	b := make([]byte, total)
+	start := len(buf)
+	buf = extend(buf, hlen, len(p.Payload))
+	b := buf[start:]
 	b[0] = 0x40 | uint8(hlen/4)
 	b[1] = p.TOS
-	put16(b[2:], uint16(total))
+	put16(b[2:], uint16(hlen+len(p.Payload)))
 	put16(b[4:], p.ID)
 	flags := p.FragOff & 0x1fff
 	if p.DontFrag {
@@ -73,8 +79,7 @@ func (p *IPv4) Marshal() []byte {
 	copy(b[16:20], dst[:])
 	copy(b[20:hlen], p.Options)
 	put16(b[10:], Checksum(b[:hlen]))
-	copy(b[hlen:], p.Payload)
-	return b
+	return append(buf, p.Payload...)
 }
 
 // Decode decodes an IPv4 packet from b into p, verifying version,

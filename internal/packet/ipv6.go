@@ -24,9 +24,16 @@ type IPv6 struct {
 	Payload      []byte
 }
 
-// Marshal encodes the packet with the payload length computed.
-func (p *IPv6) Marshal() []byte {
-	b := make([]byte, IPv6HeaderLen+len(p.Payload))
+// Marshal encodes the packet into a fresh buffer; see AppendTo.
+func (p *IPv6) Marshal() []byte { return p.AppendTo(nil) }
+
+// AppendTo appends the encoded packet to buf, with the payload length
+// computed, and returns the extended buffer. Payload must not alias
+// buf's spare capacity.
+func (p *IPv6) AppendTo(buf []byte) []byte {
+	start := len(buf)
+	buf = extend(buf, IPv6HeaderLen, len(p.Payload))
+	b := buf[start:]
 	b[0] = 0x60 | p.TrafficClass>>4
 	b[1] = p.TrafficClass<<4 | uint8(p.FlowLabel>>16&0x0f)
 	b[2] = byte(p.FlowLabel >> 8)
@@ -41,8 +48,7 @@ func (p *IPv6) Marshal() []byte {
 	src, dst := p.Src.As16(), p.Dst.As16()
 	copy(b[8:24], src[:])
 	copy(b[24:40], dst[:])
-	copy(b[40:], p.Payload)
-	return b
+	return append(buf, p.Payload...)
 }
 
 // Decode decodes an IPv6 packet from b into p, verifying version and

@@ -29,12 +29,18 @@ type TCP struct {
 	Payload []byte
 }
 
-// Marshal encodes the segment with the checksum computed over the
-// pseudo-header for src/dst.
-func (t *TCP) Marshal(src, dst netip.Addr) []byte {
+// Marshal encodes the segment into a fresh buffer; see AppendTo.
+func (t *TCP) Marshal(src, dst netip.Addr) []byte { return t.AppendTo(nil, src, dst) }
+
+// AppendTo appends the encoded segment to buf, with the checksum
+// computed over the pseudo-header for src/dst, and returns the extended
+// buffer. Options and Payload must not alias buf's spare capacity.
+func (t *TCP) AppendTo(buf []byte, src, dst netip.Addr) []byte {
 	optLen := (len(t.Options) + 3) &^ 3
 	hlen := TCPMinHeaderLen + optLen
-	b := make([]byte, hlen+len(t.Payload))
+	start := len(buf)
+	buf = extend(buf, hlen, len(t.Payload))
+	b := buf[start:]
 	put16(b[0:], t.SrcPort)
 	put16(b[2:], t.DstPort)
 	put32(b[4:], t.Seq)
@@ -47,9 +53,10 @@ func (t *TCP) Marshal(src, dst netip.Addr) []byte {
 	}
 	put16(b[14:], win)
 	copy(b[TCPMinHeaderLen:hlen], t.Options)
-	copy(b[hlen:], t.Payload)
+	buf = append(buf, t.Payload...)
+	b = buf[start:]
 	put16(b[16:], PseudoHeaderChecksum(ProtoTCP, src, dst, b))
-	return b
+	return buf
 }
 
 // Decode decodes a TCP segment from b into t and verifies its checksum.

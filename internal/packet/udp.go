@@ -15,20 +15,26 @@ type UDP struct {
 	Payload []byte
 }
 
-// Marshal encodes the datagram with the checksum computed over the
-// pseudo-header for src/dst.
-func (u *UDP) Marshal(src, dst netip.Addr) []byte {
-	b := make([]byte, UDPHeaderLen+len(u.Payload))
+// Marshal encodes the datagram into a fresh buffer; see AppendTo.
+func (u *UDP) Marshal(src, dst netip.Addr) []byte { return u.AppendTo(nil, src, dst) }
+
+// AppendTo appends the encoded datagram to buf, with the checksum
+// computed over the pseudo-header for src/dst, and returns the extended
+// buffer. Payload must not alias buf's spare capacity.
+func (u *UDP) AppendTo(buf []byte, src, dst netip.Addr) []byte {
+	start := len(buf)
+	buf = extend(buf, UDPHeaderLen, len(u.Payload))
+	buf = append(buf, u.Payload...)
+	b := buf[start:]
 	put16(b[0:], u.SrcPort)
 	put16(b[2:], u.DstPort)
 	put16(b[4:], uint16(len(b)))
-	copy(b[8:], u.Payload)
 	ck := PseudoHeaderChecksum(ProtoUDP, src, dst, b)
 	if ck == 0 {
 		ck = 0xffff // RFC 768: zero checksum transmitted as all ones
 	}
 	put16(b[6:], ck)
-	return b
+	return buf
 }
 
 // Decode decodes a UDP datagram from b into u and verifies its checksum

@@ -141,24 +141,21 @@ type CandidateSource struct {
 }
 
 // SelectSource chooses the best source for dst among candidates per
-// RFC 6724 §5. ok is false when no candidate shares dst's family.
+// RFC 6724 §5, in one pass that allocates nothing; the first
+// same-family candidate wins ties. ok is false when no candidate shares
+// dst's family.
 func (s *Selector) SelectSource(candidates []CandidateSource, dst netip.Addr) (netip.Addr, bool) {
-	var pool []CandidateSource
+	var best CandidateSource
+	found := false
 	for _, c := range candidates {
-		if c.Addr.Is4() == dst.Is4() {
-			pool = append(pool, c)
+		if c.Addr.Is4() != dst.Is4() {
+			continue
+		}
+		if !found || s.betterSource(c, best, dst) {
+			best, found = c, true
 		}
 	}
-	if len(pool) == 0 {
-		return netip.Addr{}, false
-	}
-	best := pool[0]
-	for _, c := range pool[1:] {
-		if s.betterSource(c, best, dst) {
-			best = c
-		}
-	}
-	return best.Addr, true
+	return best.Addr, found
 }
 
 // betterSource reports whether a beats b as a source for dst.

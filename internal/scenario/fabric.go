@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/hoststack"
 	"repro/internal/testbed"
@@ -46,12 +47,15 @@ type FabricOptions struct {
 	Pool *WorldPool
 }
 
-// FabricDevices draws access switch as's acting population: actors
+// fabricDevices draws access switch as's acting population: actors
 // devices from the mix (<= 0 or more than the switch has registered:
-// all of them), named d<domain>-dev<i>-<profile>. The draw depends only
-// on (seed, as.Domain), never on which world the switch is built into.
-func FabricDevices(seed int64, as testbed.AccessSwitchSpec, actors int, mix []MixEntry) []DeviceSpec {
-	devs := Population(deriveSeed(seed, as.Domain), actorsOf(actors, as), mix)
+// all of them), named d<domain>-dev<i>-<profile>. It reseeds rng with
+// deriveSeed(seed, as.Domain) first, so the draw depends only on (seed,
+// as.Domain), never on which world the switch is built into, and equals
+// Population's for that seed.
+func fabricDevices(rng *rand.Rand, seed int64, as testbed.AccessSwitchSpec, actors int, mix []MixEntry) []DeviceSpec {
+	rng.Seed(deriveSeed(seed, as.Domain))
+	devs := population(rng, actorsOf(actors, as), mix)
 	for i := range devs {
 		devs[i].Name = fmt.Sprintf("d%03d-%s", as.Domain, devs[i].Name)
 	}
@@ -76,8 +80,9 @@ func runFabricWorld(tb *testbed.Testbed, seed int64, actors int, ro RunOptions) 
 	r := newTrialRunner(tb, ro)
 	fb := tb.Fabric
 	mix := DefaultMix()
+	rng := rand.New(rand.NewSource(seed))
 	for i, as := range tb.Spec.Fabric.Access {
-		devs := FabricDevices(seed, as, actors, mix)
+		devs := fabricDevices(rng, seed, as, actors, mix)
 		lo, _ := fb.Rows(i)
 		for j, spec := range devs {
 			row := lo + j

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/netsim"
@@ -108,5 +110,33 @@ func TestRunFabricSerialSmoke(t *testing.T) {
 func TestRunFabricRejectsFlatTopology(t *testing.T) {
 	if _, err := RunFabric(testbed.DefaultTopology(testbed.DefaultOptions()), FabricOptions{}); err == nil {
 		t.Fatal("RunFabric accepted a flat topology")
+	}
+}
+
+// TestReseededFabricDrawMatchesPopulation pins the fabric run's one
+// reseeded RNG: drawing each domain's actors from a shared rng,
+// reseeded per domain in an order unrelated to the seeds, gives exactly
+// Population's draw for that domain's derived seed.
+func TestReseededFabricDrawMatchesPopulation(t *testing.T) {
+	mix := DefaultMix()
+	rng := rand.New(rand.NewSource(99))
+	for _, seed := range []int64{1, 7, 42, -3} {
+		for _, domain := range []int{0, 1, 5, 999, 3} {
+			as := testbed.AccessSwitchSpec{Domain: domain, Clients: 16}
+			for _, actors := range []int{1, 5, 0} {
+				got := fabricDevices(rng, seed, as, actors, mix)
+				want := Population(deriveSeed(seed, domain), actorsOf(actors, as), mix)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d domain %d actors %d: %d devices, want %d", seed, domain, actors, len(got), len(want))
+				}
+				for i := range want {
+					name := fmt.Sprintf("d%03d-%s", domain, want[i].Name)
+					if got[i].Name != name || got[i].Profile.Name != want[i].Profile.Name || got[i].EcholinkOnly != want[i].EcholinkOnly {
+						t.Errorf("seed %d domain %d device %d: %s/%s, want %s/%s",
+							seed, domain, i, got[i].Name, got[i].Profile.Name, name, want[i].Profile.Name)
+					}
+				}
+			}
+		}
 	}
 }

@@ -72,7 +72,13 @@ func DefaultMix() []MixEntry {
 // is zero or negative (or an empty mix) deterministically yields an
 // empty population instead of panicking inside the RNG.
 func Population(seed int64, n int, mix []MixEntry) []DeviceSpec {
-	rng := rand.New(rand.NewSource(seed))
+	return population(rand.New(rand.NewSource(seed)), n, mix)
+}
+
+// population is Population drawing from rng, which the caller has
+// seeded; fabric runs reseed one rng per domain instead of building a
+// source per draw.
+func population(rng *rand.Rand, n int, mix []MixEntry) []DeviceSpec {
 	total := 0
 	for _, m := range mix {
 		if m.Weight > 0 {

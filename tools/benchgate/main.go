@@ -16,8 +16,11 @@
 // benchmark or a dropped ReportMetric cannot silently disarm the gate.
 //
 // Multiple snapshots merge in argument order, later files overriding
-// earlier ones per metric, so passing the whole BENCH_1..BENCH_6
+// earlier ones per metric, so passing the whole BENCH_1..BENCH_N
 // trajectory gates each benchmark at its most recently recorded value.
+//
+// The input is copied to stdout, each gated line followed by one
+// verdict line per gated metric. Usage and input errors exit 2.
 //
 // Usage: go test -run '^$' -bench X -benchmem . | benchgate BENCH_4.json [BENCH_5.json ...]
 package main
@@ -25,9 +28,12 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 )
 
@@ -108,54 +114,42 @@ var metrics = []metric{
 	},
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: go test -bench ... -benchmem | benchgate BENCH_N.json [BENCH_M.json ...]")
-		os.Exit(2)
-	}
+// errGate reports that at least one gated metric failed or went
+// missing. main exits 1 on it and 2 on every other error (bad usage,
+// unreadable snapshots or input).
+var errGate = errors.New("benchgate: regression gate failed")
 
-	// want[benchmark][metric] = recorded limit.
-	want := make(map[string]map[string]float64)
-	for _, path := range os.Args[1:] {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		var snap snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", path, err)
-			os.Exit(2)
-		}
-		for name, rec := range snap.Benchmarks {
-			m := rec.After
-			if m == nil {
-				m = rec.Before
-			}
-			if m == nil {
-				continue
-			}
-			for _, g := range metrics {
-				if v := g.get(m); v != nil {
-					if want[name] == nil {
-						want[name] = make(map[string]float64)
-					}
-					want[name][g.name] = *v
-				}
-			}
-		}
+func main() {
+	err := run(os.Args[1:], os.Stdin, os.Stdout)
+	if err == nil {
+		return
 	}
-	if len(want) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: snapshots record no gateable benchmarks")
-		os.Exit(2)
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errGate) {
+		os.Exit(1)
+	}
+	os.Exit(2)
+}
+
+// run gates the `go test -bench` output read from stdin against the
+// snapshots named in args. It copies every input line to stdout, each
+// gated line followed by one verdict line per gated metric, and returns
+// errGate if any metric fails.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	if len(args) == 0 {
+		return errors.New("usage: go test -bench ... -benchmem | benchgate BENCH_N.json [BENCH_M.json ...]")
+	}
+	want, err := loadSnapshots(args)
+	if err != nil {
+		return err
 	}
 
 	failed := false
 	seen := make(map[string]map[string]bool)
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(stdin)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line) // pass the bench output through for the CI log
+		fmt.Fprintln(stdout, line) // pass the bench output through for the CI log
 		nm := benchName.FindStringSubmatch(line)
 		if nm == nil {
 			continue
@@ -186,33 +180,77 @@ func main() {
 			seen[name][g.name] = true
 			got, err := strconv.ParseFloat(m[1], 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchgate: %s: unparsable %s %q\n", name, g.name, m[1])
+				fmt.Fprintf(stdout, "benchgate: FAIL %s: unparsable %s %q\n", name, g.name, m[1])
 				failed = true
 				continue
 			}
 			if got > limit*g.slack {
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: %.2f %s exceeds snapshot %.2f (x%.2f slack)\n",
+				fmt.Fprintf(stdout, "benchgate: FAIL %s: %.2f %s exceeds snapshot %.2f (x%.2f slack)\n",
 					name, got, g.name, limit, g.slack)
 				failed = true
 			} else {
-				fmt.Fprintf(os.Stderr, "benchgate: ok   %s: %.2f %s (snapshot %.2f, x%.2f slack)\n",
+				fmt.Fprintf(stdout, "benchgate: ok   %s: %.2f %s (snapshot %.2f, x%.2f slack)\n",
 					name, got, g.name, limit, g.slack)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: reading stdin: %v\n", err)
-		os.Exit(2)
+		return fmt.Errorf("benchgate: reading stdin: %w", err)
 	}
-	for name, limits := range want {
-		for mname := range limits {
-			if !seen[name][mname] {
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: %s recorded in snapshot but absent from bench output\n", name, mname)
+	names := make([]string, 0, len(want))
+	for name := range want {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, g := range metrics {
+			if _, recorded := want[name][g.name]; recorded && !seen[name][g.name] {
+				fmt.Fprintf(stdout, "benchgate: FAIL %s: %s recorded in snapshot but absent from bench output\n", name, g.name)
 				failed = true
 			}
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return errGate
 	}
+	return nil
+}
+
+// loadSnapshots merges the snapshots at paths in order, later files
+// overriding earlier ones per metric, into want[benchmark][metric] =
+// recorded limit. Each entry's after measurement is used, or its before
+// when it has none.
+func loadSnapshots(paths []string) (map[string]map[string]float64, error) {
+	want := make(map[string]map[string]float64)
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("benchgate: %w", err)
+		}
+		var snap snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			return nil, fmt.Errorf("benchgate: parsing %s: %w", path, err)
+		}
+		for name, rec := range snap.Benchmarks {
+			m := rec.After
+			if m == nil {
+				m = rec.Before
+			}
+			if m == nil {
+				continue
+			}
+			for _, g := range metrics {
+				if v := g.get(m); v != nil {
+					if want[name] == nil {
+						want[name] = make(map[string]float64)
+					}
+					want[name][g.name] = *v
+				}
+			}
+		}
+	}
+	if len(want) == 0 {
+		return nil, errors.New("benchgate: snapshots record no gateable benchmarks")
+	}
+	return want, nil
 }
