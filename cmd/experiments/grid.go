@@ -74,10 +74,11 @@ func (c *gridConfig) fill() {
 	}
 }
 
-// runGrid executes the grid described by the experiments.json at path,
-// writing streamed rows to the configured output and one summary line
-// per run to sum.
-func runGrid(path string) error {
+// runGrid executes the grid described by the experiments.json at path.
+// Streamed rows go to the configured output file, or to stdout when the
+// config names none; one summary line per run goes to stdout, or to
+// stderr when the rows took stdout.
+func runGrid(path string, stdout, stderr io.Writer) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -92,8 +93,7 @@ func runGrid(path string) error {
 		return err
 	}
 
-	var rows io.Writer = os.Stdout
-	sum := io.Writer(os.Stdout)
+	rows, sum := stdout, stdout
 	if cfg.Output != "" && cfg.Output != "-" {
 		f, err := os.Create(cfg.Output)
 		if err != nil {
@@ -102,7 +102,7 @@ func runGrid(path string) error {
 		defer f.Close()
 		rows = f
 	} else {
-		sum = os.Stderr
+		sum = stderr
 	}
 	em := metrics.NewEmitter(rows, format)
 

@@ -2,8 +2,13 @@ package main
 
 import (
 	"encoding/csv"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -39,7 +44,7 @@ func TestGridRunnerStreamsRows(t *testing.T) {
 		"format": "csv",
 		"output": "OUT"
 	}`)
-	if err := runGrid(cfgPath); err != nil {
+	if err := runGrid(cfgPath, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(outPath)
@@ -106,7 +111,7 @@ func TestGridRunnerStreamsRows(t *testing.T) {
 // serial 24-device cell, once.
 func TestGridRunnerDefaults(t *testing.T) {
 	cfgPath, outPath := writeGridConfig(t, `{"output": "OUT"}`)
-	if err := runGrid(cfgPath); err != nil {
+	if err := runGrid(cfgPath, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(outPath)
@@ -122,19 +127,108 @@ func TestGridRunnerDefaults(t *testing.T) {
 // TestGridRunnerRejectsBadConfig pins the error paths: missing file,
 // invalid JSON, unknown format, unknown pathology.
 func TestGridRunnerRejectsBadConfig(t *testing.T) {
-	if err := runGrid(filepath.Join(t.TempDir(), "absent.json")); err == nil {
+	if err := runGrid(filepath.Join(t.TempDir(), "absent.json"), io.Discard, io.Discard); err == nil {
 		t.Error("missing config accepted")
 	}
 	cfgPath, _ := writeGridConfig(t, `{not json`)
-	if err := runGrid(cfgPath); err == nil {
+	if err := runGrid(cfgPath, io.Discard, io.Discard); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 	cfgPath, _ = writeGridConfig(t, `{"format": "xml", "output": "OUT"}`)
-	if err := runGrid(cfgPath); err == nil {
+	if err := runGrid(cfgPath, io.Discard, io.Discard); err == nil {
 		t.Error("unknown format accepted")
 	}
 	cfgPath, _ = writeGridConfig(t, `{"pathologies": ["no-such-mode"], "output": "OUT"}`)
-	if err := runGrid(cfgPath); err == nil {
+	if err := runGrid(cfgPath, io.Discard, io.Discard); err == nil {
 		t.Error("unknown pathology accepted")
+	}
+}
+
+// update rewrites the testdata goldens instead of comparing against
+// them: go test ./cmd/experiments -run Golden -update
+var update = flag.Bool("update", false, "rewrite testdata goldens")
+
+// outputPathRE scrubs the row file's temporary path from the grid's
+// closing summary line, the only host-dependent text in its output.
+var outputPathRE = regexp.MustCompile(`-> \S+rows\.csv$`)
+
+// TestGridGolden pins a pooled -grid run byte for byte: 2 shard counts
+// × 2 loss levels × 2 reboot levels × 2 pathologies × 2 repeats = 32
+// runs of 8 devices, every (loss, pathology) group reusing its pooled
+// worlds through Checkpoint/Reset. Shard workers interleave rows, so
+// the golden holds the CSV header, the 256 rows sorted by (cell,
+// repeat, shard, index), and then the summary lines in print order.
+func TestGridGolden(t *testing.T) {
+	cfgPath, outPath := writeGridConfig(t, `{
+		"seed": 1,
+		"populations": [8],
+		"shards": [1, 2],
+		"loss_levels": [0, 0.1],
+		"reboot_levels": [0, 1],
+		"pathologies": ["none", "dns64-flapping"],
+		"repeats": 2,
+		"output": "OUT"
+	}`)
+	var summary strings.Builder
+	if err := runGrid(cfgPath, &summary, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	header, rows := rows[0], rows[1:]
+	sortKey := func(row string) (string, int, int, int) {
+		f := strings.SplitN(row, ",", 5)
+		rep, _ := strconv.Atoi(f[1])
+		shard, _ := strconv.Atoi(f[2])
+		idx, _ := strconv.Atoi(f[3])
+		return f[0], rep, shard, idx
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		ci, ri, si, ii := sortKey(rows[i])
+		cj, rj, sj, ij := sortKey(rows[j])
+		switch {
+		case ci != cj:
+			return ci < cj
+		case ri != rj:
+			return ri < rj
+		case si != sj:
+			return si < sj
+		}
+		return ii < ij
+	})
+	var got strings.Builder
+	got.WriteString(header + "\n")
+	for _, r := range rows {
+		got.WriteString(r + "\n")
+	}
+	for _, line := range strings.SplitAfter(summary.String(), "\n") {
+		got.WriteString(outputPathRE.ReplaceAllString(strings.TrimSuffix(line, "\n"), "-> ROWS"))
+		if strings.HasSuffix(line, "\n") {
+			got.WriteString("\n")
+		}
+	}
+
+	const golden = "testdata/grid.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("grid output differs from %s at line %d:\n got: %s\nwant: %s\n(rerun with -update if the change is intended)",
+					golden, i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("grid output has %d lines, %s has %d", len(g), golden, len(w))
 	}
 }

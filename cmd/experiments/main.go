@@ -110,7 +110,7 @@ func main() {
 		want[a] = true
 	}
 	if gridFile != "" {
-		if err := runGrid(gridFile); err != nil {
+		if err := runGrid(gridFile, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: grid: %v\n", err)
 			os.Exit(1)
 		}

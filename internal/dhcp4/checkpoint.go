@@ -1,76 +1,26 @@
 package dhcp4
 
-import "net/netip"
+import "repro/internal/netsim"
 
-// Checkpoint is an opaque deep copy of a Server's dynamic state
-// (leases, in-use set, the global and per-domain allocation cursors,
-// and counters), captured with Server.Checkpoint and restored with
-// Server.Restore for testbed world reuse. Pool configuration and the
-// domain layout are structural and are not captured.
-type Checkpoint struct {
-	leases        map[[6]byte]Lease
-	inUse         map[netip.Addr][6]byte
-	cursor        netip.Addr
-	domainCursors map[int]netip.Addr
-
-	offers        uint64
-	acks          uint64
-	naks          uint64
-	option108Sent uint64
-	poolExhausted uint64
+// Checkpoint saves the server's state — leases, the in-use set, the
+// global and per-domain allocation cursors, and the counters — for
+// Restore. It is part of the testbed world-reuse lifecycle. Pool
+// configuration and the domain lookup are configuration and are not
+// saved.
+func (s *Server) Checkpoint() {
+	s.saved = new(serverState)
+	s.serverState.copyInto(s.saved)
 }
 
-// Checkpoint deep-copies the server's dynamic state, including every
-// per-domain round-robin cursor (fabric sub-pools advance them
-// independently of the global cursor).
-func (s *Server) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		leases: make(map[[6]byte]Lease, len(s.leases)),
-		inUse:  make(map[netip.Addr][6]byte, len(s.inUse)),
-		cursor: s.cursor,
-
-		offers:        s.Offers,
-		acks:          s.Acks,
-		naks:          s.Naks,
-		option108Sent: s.Option108Sent,
-		poolExhausted: s.PoolExhausted,
-	}
-	for ch, l := range s.leases {
-		c.leases[ch] = *l
-	}
-	for a, ch := range s.inUse {
-		c.inUse[a] = ch
-	}
-	if s.domains != nil {
-		c.domainCursors = make(map[int]netip.Addr, len(s.domains))
-		for d, ds := range s.domains {
-			c.domainCursors[d] = ds.cursor
-		}
-	}
-	return c
+// Restore rewinds the server to its checkpoint.
+func (s *Server) Restore() {
+	s.saved.copyInto(&s.serverState)
 }
 
-// Restore rewinds the server to a previously captured Checkpoint.
-func (s *Server) Restore(c *Checkpoint) {
-	s.leases = make(map[[6]byte]*Lease, len(c.leases))
-	for ch, l := range c.leases {
-		cp := l
-		s.leases[ch] = &cp
-	}
-	s.inUse = make(map[netip.Addr][6]byte, len(c.inUse))
-	for a, ch := range c.inUse {
-		s.inUse[a] = ch
-	}
-	s.cursor = c.cursor
-	for d, cur := range c.domainCursors {
-		if ds, ok := s.domains[d]; ok {
-			ds.cursor = cur
-		}
-	}
-
-	s.Offers = c.offers
-	s.Acks = c.acks
-	s.Naks = c.naks
-	s.Option108Sent = c.option108Sent
-	s.PoolExhausted = c.poolExhausted
+func (s *serverState) copyInto(dst *serverState) {
+	live := *dst
+	*dst = *s
+	dst.leases = netsim.RefillMap(live.leases, s.leases)
+	dst.inUse = netsim.RefillMap(live.inUse, s.inUse)
+	dst.domainCursors = append(live.domainCursors[:0], s.domainCursors...)
 }

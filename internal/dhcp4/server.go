@@ -35,7 +35,27 @@ type Server struct {
 	cfg ServerConfig
 	now func() time.Time
 
-	leases map[[6]byte]*Lease
+	// domains, when domainOf is non-nil, scopes allocation per access
+	// domain the way a DHCP relay's giaddr selects a sub-pool: domainOf
+	// maps a client MAC to its domain, domainIndex maps a registered
+	// domain to its slot, and each slot round-robins inside its own
+	// slice of the scope (domainPools, with its cursor in
+	// domainCursors). Clients in unregistered domains fall back to the
+	// whole pool.
+	domainOf    func(chaddr [6]byte) int
+	domainIndex map[int]int
+	domainPools []DomainPool
+
+	// serverState holds what a run changes; Checkpoint saves a copy in
+	// saved and Restore copies it back (checkpoint.go).
+	serverState
+	saved *serverState
+}
+
+// serverState is the part of a Server that a run changes: its leases,
+// allocation cursors and counters.
+type serverState struct {
+	leases map[[6]byte]Lease
 	inUse  map[netip.Addr][6]byte
 	// cursor is where the next pool scan starts. Allocation is
 	// round-robin rather than first-fit, and the cursor deliberately
@@ -46,13 +66,9 @@ type Server struct {
 	// servers to avoid exactly that reuse).
 	cursor netip.Addr
 
-	// domains, when non-nil, scopes allocation per access domain the way
-	// a DHCP relay's giaddr selects a sub-pool: domainOf maps a client
-	// MAC to its domain and each domain round-robins inside its own
-	// slice of the scope. Clients in unregistered domains fall back to
-	// the whole pool.
-	domains  map[int]*domainState
-	domainOf func(chaddr [6]byte) int
+	// domainCursors holds each registered domain's allocation cursor,
+	// by slot.
+	domainCursors []netip.Addr
 
 	// Counters for the experiment harness.
 	Offers        uint64
@@ -74,23 +90,19 @@ func NewServer(cfg ServerConfig, now func() time.Time) (*Server, error) {
 		cfg.LeaseTime = time.Hour
 	}
 	return &Server{
-		cfg:    cfg,
-		now:    now,
-		leases: make(map[[6]byte]*Lease),
-		inUse:  make(map[netip.Addr][6]byte),
-		cursor: cfg.PoolStart,
+		cfg: cfg,
+		now: now,
+		serverState: serverState{
+			leases: make(map[[6]byte]Lease),
+			inUse:  make(map[netip.Addr][6]byte),
+			cursor: cfg.PoolStart,
+		},
 	}, nil
 }
 
 // DomainPool is the slice of the scope reserved for one access domain.
 type DomainPool struct {
 	Start, End netip.Addr
-}
-
-// domainState tracks one domain's pool bounds and round-robin cursor.
-type domainState struct {
-	pool   DomainPool
-	cursor netip.Addr
 }
 
 // SetDomains installs DHCP-relay-style per-domain lease scoping: lookup
@@ -104,7 +116,9 @@ func (s *Server) SetDomains(pools map[int]DomainPool, lookup func(chaddr [6]byte
 	if lookup == nil {
 		return fmt.Errorf("dhcp4: SetDomains needs a domain lookup")
 	}
-	ds := make(map[int]*domainState, len(pools))
+	index := make(map[int]int, len(pools))
+	slots := make([]DomainPool, 0, len(pools))
+	cursors := make([]netip.Addr, 0, len(pools))
 	for id, p := range pools {
 		if !p.Start.Is4() || !p.End.Is4() || p.Start.Compare(p.End) > 0 {
 			return fmt.Errorf("dhcp4: domain %d pool %v-%v invalid", id, p.Start, p.End)
@@ -118,10 +132,11 @@ func (s *Server) SetDomains(pools map[int]DomainPool, lookup func(chaddr [6]byte
 				return fmt.Errorf("dhcp4: domain %d pool overlaps domain %d", id, other)
 			}
 		}
-		ds[id] = &domainState{pool: p, cursor: p.Start}
+		index[id] = len(slots)
+		slots = append(slots, p)
+		cursors = append(cursors, p.Start)
 	}
-	s.domains = ds
-	s.domainOf = lookup
+	s.domainOf, s.domainIndex, s.domainPools, s.domainCursors = lookup, index, slots, cursors
 	return nil
 }
 
@@ -137,13 +152,13 @@ func (s *Server) LeaseCount() int {
 	return n
 }
 
-// LeaseFor returns the active lease for a client MAC, if any.
+// LeaseFor returns a copy of the active lease for a client MAC, if any.
 func (s *Server) LeaseFor(chaddr [6]byte) (*Lease, bool) {
 	l, ok := s.leases[chaddr]
 	if !ok || !l.Expires.After(s.now()) {
 		return nil, false
 	}
-	return l, true
+	return &l, true
 }
 
 // Handle processes one client message and returns the reply, or nil when
@@ -207,6 +222,7 @@ func (s *Server) handleRequest(req *Message) *Message {
 		return s.reply(req, NAK)
 	}
 	lease.Expires = s.now().Add(s.cfg.LeaseTime)
+	s.leases[req.CHAddr] = lease
 	resp := s.reply(req, ACK)
 	resp.YIAddr = lease.Addr
 	// RFC 8925 also applies to ACKs for clients still asking.
@@ -236,13 +252,14 @@ func (s *Server) DropLeases() {
 	clear(s.inUse)
 }
 
-// domainFor returns the registered domain state for a client, or nil
-// when the client allocates from the whole scope.
-func (s *Server) domainFor(chaddr [6]byte) *domainState {
+// domainFor returns the slot of a client's registered domain; ok is
+// false when the client allocates from the whole scope.
+func (s *Server) domainFor(chaddr [6]byte) (slot int, ok bool) {
 	if s.domainOf == nil {
-		return nil
+		return 0, false
 	}
-	return s.domains[s.domainOf(chaddr)]
+	slot, ok = s.domainIndex[s.domainOf(chaddr)]
+	return slot, ok
 }
 
 // allocate finds or creates a lease for the client inside its domain's
@@ -251,20 +268,36 @@ func (s *Server) allocate(req *Message) (netip.Addr, bool) {
 	now := s.now()
 	if l, ok := s.leases[req.CHAddr]; ok {
 		l.Expires = now.Add(s.cfg.LeaseTime)
+		s.leases[req.CHAddr] = l
 		return l.Addr, true
 	}
-	dom := s.domainFor(req.CHAddr)
+	slot, scoped := s.domainFor(req.CHAddr)
 	start, end, cursor := s.cfg.PoolStart, s.cfg.PoolEnd, s.cursor
-	if dom != nil {
-		start, end, cursor = dom.pool.Start, dom.pool.End, dom.cursor
+	if scoped {
+		p := s.domainPools[slot]
+		start, end, cursor = p.Start, p.End, s.domainCursors[slot]
 	}
 	inRange := func(a netip.Addr) bool {
 		return a.Is4() && start.Compare(a) <= 0 && a.Compare(end) <= 0
 	}
+	commit := func(a netip.Addr) netip.Addr {
+		s.leases[req.CHAddr] = Lease{Addr: a, CHAddr: req.CHAddr, Expires: s.now().Add(s.cfg.LeaseTime)}
+		s.inUse[a] = req.CHAddr
+		next := a.Next()
+		if !inRange(next) {
+			next = start
+		}
+		if scoped {
+			s.domainCursors[slot] = next
+		} else {
+			s.cursor = next
+		}
+		return a
+	}
 	// Honor a valid requested address when free and inside the domain.
 	if want, ok := req.IPv4Option(OptRequestedIP); ok && inRange(want) {
 		if _, used := s.inUse[want]; !used {
-			return s.commit(req.CHAddr, want, dom), true
+			return commit(want), true
 		}
 	}
 	// Round-robin scan: start at the cursor, wrap once through the pool.
@@ -275,11 +308,11 @@ func (s *Server) allocate(req *Message) (netip.Addr, bool) {
 	for first := a; ; {
 		owner, used := s.inUse[a]
 		if !used {
-			return s.commit(req.CHAddr, a, dom), true
+			return commit(a), true
 		}
 		if l, ok := s.leases[owner]; ok && !l.Expires.After(now) {
 			s.release(owner) // reclaim expired lease
-			return s.commit(req.CHAddr, a, dom), true
+			return commit(a), true
 		}
 		if a = a.Next(); !inRange(a) {
 			a = start
@@ -288,21 +321,6 @@ func (s *Server) allocate(req *Message) (netip.Addr, bool) {
 			return netip.Addr{}, false
 		}
 	}
-}
-
-func (s *Server) commit(chaddr [6]byte, addr netip.Addr, dom *domainState) netip.Addr {
-	s.leases[chaddr] = &Lease{Addr: addr, CHAddr: chaddr, Expires: s.now().Add(s.cfg.LeaseTime)}
-	s.inUse[addr] = chaddr
-	if dom != nil {
-		if dom.cursor = addr.Next(); !dom.cursor.Is4() || dom.pool.End.Compare(dom.cursor) < 0 || dom.cursor.Compare(dom.pool.Start) < 0 {
-			dom.cursor = dom.pool.Start
-		}
-		return addr
-	}
-	if s.cursor = addr.Next(); !s.inPool(s.cursor) {
-		s.cursor = s.cfg.PoolStart
-	}
-	return addr
 }
 
 func (s *Server) inPool(a netip.Addr) bool {

@@ -29,6 +29,15 @@ type Cache struct {
 	// DefaultMaxEntries. Set before first use.
 	MaxEntries int
 
+	// cacheState holds what lookups change; Checkpoint saves a copy in
+	// saved and Restore copies it back (checkpoint.go).
+	cacheState
+	saved *cacheState
+}
+
+// cacheState is the part of a Cache that lookups change: the entries
+// in LRU order and the counters.
+type cacheState struct {
 	entries map[cacheKey]*cacheEntry
 	// Intrusive LRU list: head is most-recently-used, tail is coldest.
 	head, tail *cacheEntry
@@ -55,7 +64,8 @@ type cacheEntry struct {
 
 // NewCache builds a cache over inner using now for time.
 func NewCache(inner Resolver, now func() time.Time) *Cache {
-	return &Cache{Inner: inner, Now: now, NegativeTTL: 60 * time.Second, entries: make(map[cacheKey]*cacheEntry)}
+	return &Cache{Inner: inner, Now: now, NegativeTTL: 60 * time.Second,
+		cacheState: cacheState{entries: make(map[cacheKey]*cacheEntry)}}
 }
 
 // NewCacheSize builds a cache with an explicit capacity bound.

@@ -159,3 +159,53 @@ func TestCacheInsertionShedsExpiredBeforeLive(t *testing.T) {
 		t.Errorf("live entry was sacrificed for an expired one")
 	}
 }
+
+// lruOrder lists the cache's names from most to least recently used,
+// failing unless the back links and the entry map agree with the list.
+func lruOrder(t *testing.T, c *Cache) []string {
+	t.Helper()
+	var names []string
+	var prev *cacheEntry
+	for e := c.head; e != nil; e = e.next {
+		if e.prev != prev {
+			t.Fatalf("entry %s has a broken back link", e.key.name)
+		}
+		if c.entries[e.key] != e {
+			t.Fatalf("entry %s is not the one the map holds", e.key.name)
+		}
+		names = append(names, e.key.name)
+		prev = e
+	}
+	if c.tail != prev || len(c.entries) != len(names) {
+		t.Fatalf("tail or map size disagrees with the %d-entry list", len(names))
+	}
+	return names
+}
+
+// TestCacheRestoreRewindsLRUOrder checkpoints a full cache, reorders
+// and evicts through it, and checks that Restore brings back the same
+// entries in the same LRU order with the same counters — twice, so the
+// saved copy must not share entries with the live list.
+func TestCacheRestoreRewindsLRUOrder(t *testing.T) {
+	now := time.Date(2024, 11, 17, 9, 0, 0, 0, time.UTC)
+	calls := 0
+	c := NewCacheSize(countingInner(&calls, 3600), func() time.Time { return now }, 3)
+	for _, name := range []string{"a.test", "b.test", "c.test"} {
+		mustResolve(t, c, q(name, dnswire.TypeA))
+	}
+	c.Checkpoint()
+	want := lruOrder(t, c)
+	wantCounts := [4]uint64{c.Hits, c.Misses, c.Evictions, c.Expired}
+
+	for round := 1; round <= 2; round++ {
+		mustResolve(t, c, q("a.test", dnswire.TypeA)) // touch a
+		mustResolve(t, c, q("d.test", dnswire.TypeA)) // evicts the coldest
+		c.Restore()
+		if got := lruOrder(t, c); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: LRU order after Restore = %v, want %v", round, got, want)
+		}
+		if got := [4]uint64{c.Hits, c.Misses, c.Evictions, c.Expired}; got != wantCounts {
+			t.Fatalf("round %d: counters after Restore = %v, want %v", round, got, wantCounts)
+		}
+	}
+}

@@ -1,71 +1,46 @@
 package dns
 
-import (
-	"time"
-
-	"repro/internal/dnswire"
-)
-
-// CacheCheckpoint is an opaque copy of a Cache's dynamic state (the
-// entry set in exact LRU order plus the lookup counters), captured with
-// Cache.Checkpoint and restored with Cache.Restore for testbed world
-// reuse. Cached messages are shared, not cloned: the cache treats them
-// as immutable.
-type CacheCheckpoint struct {
-	entries []cacheEntrySnap // MRU → LRU order
-	hits    uint64
-	misses  uint64
-	evicts  uint64
-	expired uint64
+// Checkpoint saves the cache's entries, in LRU order, and its counters
+// for Restore. It is part of the testbed world-reuse lifecycle. Cached
+// messages are shared, not cloned: the cache treats them as immutable.
+func (c *Cache) Checkpoint() {
+	c.saved = new(cacheState)
+	c.cacheState.copyInto(c.saved)
 }
 
-type cacheEntrySnap struct {
-	key     cacheKey
-	msg     *dnswire.Message
-	expires time.Time
+// Restore rewinds the cache to its checkpoint.
+func (c *Cache) Restore() {
+	c.saved.copyInto(&c.cacheState)
 }
 
-// Checkpoint copies the cache's entry set (preserving LRU order) and
-// counters.
-func (c *Cache) Checkpoint() *CacheCheckpoint {
-	cp := &CacheCheckpoint{
-		hits:    c.Hits,
-		misses:  c.Misses,
-		evicts:  c.Evictions,
-		expired: c.Expired,
+func (s *cacheState) copyInto(dst *cacheState) {
+	entries := dst.entries
+	*dst = *s
+
+	// Entries change in place and are linked in LRU order: rebuild the
+	// list from copies, in the same order, inside dst's map.
+	if entries == nil {
+		entries = make(map[cacheKey]*cacheEntry, len(s.entries))
 	}
-	for e := c.head; e != nil; e = e.next {
-		cp.entries = append(cp.entries, cacheEntrySnap{key: e.key, msg: e.msg, expires: e.expires})
-	}
-	return cp
-}
-
-// Restore rewinds the cache to a previously captured Checkpoint,
-// rebuilding the entry map and the intrusive LRU list in the recorded
-// order.
-func (c *Cache) Restore(cp *CacheCheckpoint) {
-	c.entries = make(map[cacheKey]*cacheEntry, len(cp.entries))
-	c.head, c.tail = nil, nil
-	var prev *cacheEntry
-	for _, s := range cp.entries {
-		e := &cacheEntry{key: s.key, msg: s.msg, expires: s.expires}
-		c.entries[s.key] = e
-		if prev == nil {
-			c.head = e
+	clear(entries)
+	dst.entries, dst.head, dst.tail = entries, nil, nil
+	for e := s.head; e != nil; e = e.next {
+		cp := &cacheEntry{key: e.key, msg: e.msg, expires: e.expires, prev: dst.tail}
+		if dst.tail == nil {
+			dst.head = cp
 		} else {
-			prev.next = e
-			e.prev = prev
+			dst.tail.next = cp
 		}
-		prev = e
+		dst.tail = cp
+		entries[e.key] = cp
 	}
-	c.tail = prev
-
-	c.Hits = cp.hits
-	c.Misses = cp.misses
-	c.Evictions = cp.evicts
-	c.Expired = cp.expired
 }
 
-// Restore sets the log's count back to n, a Len captured earlier, for
-// testbed world reuse.
-func (l *QueryLog) Restore(n int) { l.n = n }
+// Checkpoint saves the log's count for Restore.
+func (l *QueryLog) Checkpoint() {
+	saved := l.queryLogState
+	l.saved = &saved
+}
+
+// Restore sets the log's count back to its checkpoint.
+func (l *QueryLog) Restore() { l.queryLogState = *l.saved }

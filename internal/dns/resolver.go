@@ -175,7 +175,16 @@ func (s *Static) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 // consulted.
 type QueryLog struct {
 	Inner Resolver
-	n     int
+
+	// queryLogState holds the count; Checkpoint saves a copy in saved
+	// and Restore copies it back (checkpoint.go).
+	queryLogState
+	saved *queryLogState
+}
+
+// queryLogState is the part of a QueryLog that queries change.
+type queryLogState struct {
+	n int
 }
 
 // Resolve counts q and delegates to the inner resolver.

@@ -70,12 +70,30 @@ type Resolver struct {
 	// lets one probe suite sample several flap phases.
 	Suppress func() bool
 
+	// resolverState holds the counters; Checkpoint saves a copy in saved
+	// and Restore copies it back.
+	resolverState
+	saved *resolverState
+}
+
+// resolverState is the part of a Resolver that queries change.
+type resolverState struct {
 	// Synthesized counts AAAA answers fabricated from A records.
 	Synthesized uint64
 	// FlapSuppressed counts AAAA queries dropped by a Suppress
 	// down-window.
 	FlapSuppressed uint64
 }
+
+// Checkpoint saves the resolver's counters for Restore; it is part of
+// the testbed world-reuse lifecycle.
+func (r *Resolver) Checkpoint() {
+	saved := r.resolverState
+	r.saved = &saved
+}
+
+// Restore sets the resolver's counters back to its checkpoint.
+func (r *Resolver) Restore() { r.resolverState = *r.saved }
 
 // New builds a DNS64 resolver over inner using the well-known prefix.
 func New(inner dns.Resolver) *Resolver {

@@ -35,11 +35,29 @@ type Wildcard struct {
 	// helpdesk portal itself when it is v4-hosted inside the venue).
 	Exempt map[string]bool
 
+	// wildcardState holds the counters; Checkpoint saves a copy in saved
+	// and Restore copies it back.
+	wildcardState
+	saved *wildcardState
+}
+
+// wildcardState is the part of a Wildcard that queries change.
+type wildcardState struct {
 	// Poisoned counts A queries answered with the redirect address.
 	Poisoned uint64
 	// Forwarded counts queries relayed upstream.
 	Forwarded uint64
 }
+
+// Checkpoint saves the poisoner's counters for Restore; it is part of
+// the testbed world-reuse lifecycle.
+func (w *Wildcard) Checkpoint() {
+	saved := w.wildcardState
+	w.saved = &saved
+}
+
+// Restore sets the poisoner's counters back to its checkpoint.
+func (w *Wildcard) Restore() { w.wildcardState = *w.saved }
 
 // NewWildcard builds a wildcard poisoner forwarding to upstream.
 func NewWildcard(upstream dns.Resolver) *Wildcard {
@@ -71,6 +89,14 @@ type RPZ struct {
 	Upstream dns.Resolver
 	Exempt   map[string]bool
 
+	// rpzState holds the counters; Checkpoint saves a copy in saved and
+	// Restore copies it back.
+	rpzState
+	saved *rpzState
+}
+
+// rpzState is the part of an RPZ that queries change.
+type rpzState struct {
 	// Poisoned counts A answers rewritten to the redirect address.
 	Poisoned uint64
 	// Forwarded counts queries relayed upstream (including the A
@@ -80,6 +106,16 @@ type RPZ struct {
 	// exactly the cases Wildcard would have falsified.
 	PassedNXDomain uint64
 }
+
+// Checkpoint saves the poisoner's counters for Restore; it is part of
+// the testbed world-reuse lifecycle.
+func (r *RPZ) Checkpoint() {
+	saved := r.rpzState
+	r.saved = &saved
+}
+
+// Restore sets the poisoner's counters back to its checkpoint.
+func (r *RPZ) Restore() { r.rpzState = *r.saved }
 
 // NewRPZ builds an RPZ-style poisoner forwarding to upstream.
 func NewRPZ(upstream dns.Resolver) *RPZ {

@@ -1,124 +1,37 @@
 package gateway5g
 
-import (
-	"net/netip"
-	"time"
+import "repro/internal/netsim"
 
-	"repro/internal/dhcp4"
-	"repro/internal/nat44"
-	"repro/internal/nat64"
-	"repro/internal/netsim"
-)
-
-// Checkpoint is an opaque deep copy of the gateway's dynamic state —
-// reboot history, neighbor caches, RA lifetime overrides, counters, the
-// pending beacon deadline, and the embedded DHCP/NAT44/NAT64 component
-// checkpoints — captured with Gateway.Checkpoint and restored with
-// Gateway.Restore for testbed world reuse. The raDown pathology gate is
-// configuration wired at install time and deliberately not captured:
-// gates are pure functions of the virtual clock, so restoring the clock
-// restores their phase.
-type Checkpoint struct {
-	rebootCount int
-	prevGUA     netip.Prefix
-	arp         map[netip.Addr]netsim.MAC
-	nd          map[netip.Addr]netsim.MAC
-	blockNAT44  bool
-	suppressPTB bool
-
-	raValidLT     time.Duration
-	raPreferredLT time.Duration
-	raRouterLT    time.Duration
-	raNextAt      time.Time
-
-	rasSent            uint64
-	v6Forwarded        uint64
-	v4Forwarded        uint64
-	droppedULASrc      uint64
-	aclDropped         uint64
-	ptbSent            uint64
-	ptbSuppressed      uint64
-	rasSuppressed      uint64
-	exhaustionSignaled uint64
-
-	dhcp  *dhcp4.Checkpoint
-	nat44 *nat44.Checkpoint
-	nat64 *nat64.Checkpoint
+// Checkpoint saves the gateway's state — reboot history, neighbor
+// caches, RA lifetime overrides and counters — together with that of
+// its NICs, its built-in DHCP server and both translators. It is part
+// of the testbed world-reuse lifecycle. The pending RA beacon is the
+// network clock's to save and re-arm, and the raDown pathology gate is
+// configuration wired at install time: gates are pure functions of the
+// virtual clock, so restoring the clock restores their phase.
+func (g *Gateway) Checkpoint() {
+	g.saved = new(gatewayState)
+	g.gatewayState.copyInto(g.saved)
+	g.lan.Checkpoint()
+	g.wan.Checkpoint()
+	g.DHCP.Checkpoint()
+	g.NAT44.Checkpoint()
+	g.NAT64.Checkpoint()
 }
 
-func cloneNeighbors(m map[netip.Addr]netsim.MAC) map[netip.Addr]netsim.MAC {
-	out := make(map[netip.Addr]netsim.MAC, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// Restore rewinds the gateway to its checkpoint.
+func (g *Gateway) Restore() {
+	g.saved.copyInto(&g.gatewayState)
+	g.lan.Restore()
+	g.wan.Restore()
+	g.DHCP.Restore()
+	g.NAT44.Restore()
+	g.NAT64.Restore()
 }
 
-// Checkpoint deep-copies the gateway's dynamic state, including its
-// built-in DHCP server and both translators.
-func (g *Gateway) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		rebootCount: g.rebootCount,
-		prevGUA:     g.prevGUA,
-		arp:         cloneNeighbors(g.arp),
-		nd:          cloneNeighbors(g.nd),
-		blockNAT44:  g.blockNAT44,
-		suppressPTB: g.suppressPTB,
-
-		raValidLT:     g.raValidLT,
-		raPreferredLT: g.raPreferredLT,
-		raRouterLT:    g.raRouterLT,
-		raNextAt:      g.raNextAt,
-
-		rasSent:            g.RAsSent,
-		v6Forwarded:        g.V6Forwarded,
-		v4Forwarded:        g.V4Forwarded,
-		droppedULASrc:      g.DroppedULASrc,
-		aclDropped:         g.ACLDropped,
-		ptbSent:            g.PTBSent,
-		ptbSuppressed:      g.PTBSuppressed,
-		rasSuppressed:      g.RAsSuppressed,
-		exhaustionSignaled: g.ExhaustionSignaled,
-
-		dhcp:  g.DHCP.Checkpoint(),
-		nat44: g.NAT44.Checkpoint(),
-		nat64: g.NAT64.Checkpoint(),
-	}
-}
-
-// Restore rewinds the gateway to a previously captured Checkpoint and
-// re-arms the RA beacon at its recorded deadline. The caller must have
-// already rewound the network clock (netsim.Network.ResetTo), which
-// dropped the old beacon timer.
-func (g *Gateway) Restore(c *Checkpoint) {
-	g.rebootCount = c.rebootCount
-	g.prevGUA = c.prevGUA
-	g.arp = cloneNeighbors(c.arp)
-	g.nd = cloneNeighbors(c.nd)
-	g.blockNAT44 = c.blockNAT44
-	g.suppressPTB = c.suppressPTB
-
-	g.raValidLT = c.raValidLT
-	g.raPreferredLT = c.raPreferredLT
-	g.raRouterLT = c.raRouterLT
-
-	g.RAsSent = c.rasSent
-	g.V6Forwarded = c.v6Forwarded
-	g.V4Forwarded = c.v4Forwarded
-	g.DroppedULASrc = c.droppedULASrc
-	g.ACLDropped = c.aclDropped
-	g.PTBSent = c.ptbSent
-	g.PTBSuppressed = c.ptbSuppressed
-	g.RAsSuppressed = c.rasSuppressed
-	g.ExhaustionSignaled = c.exhaustionSignaled
-
-	g.DHCP.Restore(c.dhcp)
-	g.NAT44.Restore(c.nat44)
-	g.NAT64.Restore(c.nat64)
-
-	g.raNextAt = c.raNextAt
-	g.raTimer = g.net.Clock.AfterFunc(c.raNextAt.Sub(g.net.Clock.Now()), func() {
-		g.sendRA()
-		g.armRATimer()
-	})
+func (s *gatewayState) copyInto(dst *gatewayState) {
+	live := *dst
+	*dst = *s
+	dst.arp = netsim.RefillMap(live.arp, s.arp)
+	dst.nd = netsim.RefillMap(live.nd, s.nd)
 }

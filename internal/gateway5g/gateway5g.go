@@ -92,26 +92,9 @@ type Gateway struct {
 	wanPeerMAC netsim.MAC
 	haveWAN    bool
 
-	rebootCount int
-	// prevGUA is the /64 advertised before the most recent reboot; RAs
-	// deprecate it (PreferredLifetime 0) so hosts abandon stale GUAs.
-	prevGUA netip.Prefix
-
 	DHCP  *dhcp4.Server
 	NAT44 *nat44.Translator
 	NAT64 *nat64.Translator
-
-	arp map[netip.Addr]netsim.MAC
-	nd  map[netip.Addr]netsim.MAC
-
-	raTimer *netsim.Timer
-	// raNextAt is the virtual deadline of the pending beacon; world
-	// reuse (Checkpoint/Restore) re-arms the timer at exactly this
-	// instant after a clock rewind.
-	raNextAt time.Time
-
-	blockNAT44  bool
-	suppressPTB bool
 
 	// txScratch is the buffer every forwarded or translated data-path
 	// packet is encoded into (encodeV4, encodeV6). NIC.Transmit copies
@@ -125,6 +108,27 @@ type Gateway struct {
 	// beacon timer keeps rearming through an outage so advertisements
 	// resume on the first beacon after the gate reopens.
 	raDown func() bool
+
+	// gatewayState holds what a run changes; Checkpoint saves a copy in
+	// saved and Restore copies it back (checkpoint.go).
+	gatewayState
+	saved *gatewayState
+}
+
+// gatewayState is the part of a Gateway that a run changes, on top of
+// its DHCP server's and translators' own state.
+type gatewayState struct {
+	rebootCount int
+	// prevGUA is the /64 advertised before the most recent reboot; RAs
+	// deprecate it (PreferredLifetime 0) so hosts abandon stale GUAs.
+	prevGUA netip.Prefix
+
+	arp map[netip.Addr]netsim.MAC
+	nd  map[netip.Addr]netsim.MAC
+
+	blockNAT44  bool
+	suppressPTB bool
+
 	// raValidLT/raPreferredLT/raRouterLT override the advertised SLAAC
 	// prefix and default-router lifetimes when positive (defaults 2h /
 	// 1h / 30min). Outage pathologies shorten them so hosts actually
@@ -191,8 +195,10 @@ func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg: cfg,
 		net: net,
-		arp: make(map[netip.Addr]netsim.MAC),
-		nd:  make(map[netip.Addr]netsim.MAC),
+		gatewayState: gatewayState{
+			arp: make(map[netip.Addr]netsim.MAC),
+			nd:  make(map[netip.Addr]netsim.MAC),
+		},
 	}
 	g.lan = net.NewNIC("gw5g-lan", netsim.FrameHandlerFunc(g.handleLAN))
 	g.wan = net.NewNIC("gw5g-wan", netsim.FrameHandlerFunc(g.handleWAN))
@@ -331,8 +337,7 @@ func (g *Gateway) Reboot() {
 }
 
 func (g *Gateway) armRATimer() {
-	g.raNextAt = g.net.Clock.Now().Add(g.cfg.RAInterval)
-	g.raTimer = g.net.Clock.AfterFunc(g.cfg.RAInterval, func() {
+	g.net.Clock.AfterFunc(g.cfg.RAInterval, func() {
 		g.sendRA()
 		g.armRATimer()
 	})

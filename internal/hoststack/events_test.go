@@ -98,7 +98,7 @@ func TestEventJournalRendersLikeFmt(t *testing.T) {
 func TestRecordingRAEventsAllocatesNothing(t *testing.T) {
 	addr := netip.MustParseAddr("2607:fb90:9bda:a425:a8bb:ccff:fedd:eeff")
 	router := netip.MustParseAddr("fe80::1")
-	h := &Host{journal: make([]byte, 0, 256)}
+	h := &Host{hostState: hostState{journal: make([]byte, 0, 256)}}
 	allocs := testing.AllocsPerRun(100, func() {
 		h.journal = h.journal[:0]
 		h.record(evDeprecatedPIO, addr)
@@ -120,7 +120,7 @@ func TestRestoreRewindsEventJournal(t *testing.T) {
 	if len(before) != 1 {
 		t.Fatalf("a static host should have one event, has %q", before)
 	}
-	cp := h.Checkpoint()
+	h.Checkpoint()
 
 	addr := netip.MustParseAddr("2607:fb90:9bda:a425::1")
 	h.record(evDeprecatedPIO, addr)
@@ -128,7 +128,7 @@ func TestRestoreRewindsEventJournal(t *testing.T) {
 	if n := len(h.Events()); n != 3 {
 		t.Fatalf("after two more events Events() has %d lines, want 3", n)
 	}
-	h.Restore(cp)
+	h.Restore()
 	if got := h.Events(); !slices.Equal(got, before) {
 		t.Fatalf("after Restore Events() = %q, want %q", got, before)
 	}

@@ -45,11 +45,46 @@ type Host struct {
 	NIC *netsim.NIC
 	B   Behavior
 
-	name string
-	sel  *rfc6724.Selector
-
-	// IPv6 state.
+	name      string
+	sel       *rfc6724.Selector
 	linkLocal netip.Addr
+
+	// gleanND, when set, learns neighbor entries from received unicast
+	// traffic (the way the 5G gateway always does). Fabric worlds set it
+	// on infrastructure servers whose multicast solicitations cannot
+	// cross scoped trunks; flat worlds never set it, keeping their frame
+	// sequences bit-identical to the pre-fabric testbed.
+	gleanND bool
+
+	// hostState holds everything a run changes; Checkpoint saves a copy
+	// in saved and Restore copies it back (checkpoint.go).
+	hostState
+	saved *hostState
+
+	// raScratch is the value every received RA decodes into, so its
+	// Prefixes/RDNSS storage is reused from one RA to the next instead
+	// of allocated per RA. It is scratch, read only while processRA
+	// runs, so Checkpoint/Restore need not capture it.
+	raScratch ndp.RouterAdvert
+
+	// l4Scratch and l3Scratch are the buffers every data-path send
+	// encodes into: the transport segment into l4Scratch, the IP packet
+	// around it into l3Scratch. NIC.Transmit copies the frame into the
+	// fabric's arena, so both are free again as soon as it returns; the
+	// sends that keep a packet longer (the ARP/ND pending queues and
+	// loopback delivery) copy it first. srcScratch holds the RFC 6724
+	// candidates candidateSources rebuilds on every call. All three are
+	// scratch, so Checkpoint/Restore skip them.
+	l4Scratch  []byte
+	l3Scratch  []byte
+	srcScratch []rfc6724.CandidateSource
+}
+
+// hostState is the part of a Host that a run changes: addressing,
+// neighbor and ARP caches, DHCP client state, socket tables, identifier
+// sequences, counters and the event journal.
+type hostState struct {
+	// IPv6 state.
 	v6Addrs   []V6Addr
 	routers   []routerEntry
 	rdnss     []netip.Addr
@@ -96,31 +131,6 @@ type Host struct {
 	// signal landing).
 	UnreachRcvd uint64
 
-	// gleanND, when set, learns neighbor entries from received unicast
-	// traffic (the way the 5G gateway always does). Fabric worlds set it
-	// on infrastructure servers whose multicast solicitations cannot
-	// cross scoped trunks; flat worlds never set it, keeping their frame
-	// sequences bit-identical to the pre-fabric testbed.
-	gleanND bool
-
-	// raScratch is the value every received RA decodes into, so its
-	// Prefixes/RDNSS storage is reused from one RA to the next instead
-	// of allocated per RA. It is scratch, read only while processRA
-	// runs, so Checkpoint/Restore need not capture it.
-	raScratch ndp.RouterAdvert
-
-	// l4Scratch and l3Scratch are the buffers every data-path send
-	// encodes into: the transport segment into l4Scratch, the IP packet
-	// around it into l3Scratch. NIC.Transmit copies the frame into the
-	// fabric's arena, so both are free again as soon as it returns; the
-	// sends that keep a packet longer (the ARP/ND pending queues and
-	// loopback delivery) copy it first. srcScratch holds the RFC 6724
-	// candidates candidateSources rebuilds on every call. All three are
-	// scratch, so Checkpoint/Restore skip them.
-	l4Scratch  []byte
-	l3Scratch  []byte
-	srcScratch []rfc6724.CandidateSource
-
 	// nat64Prefix is the translation prefix learned via RFC 8781 PREF64
 	// or RFC 7050 discovery; invalid means "use the well-known prefix".
 	nat64Prefix netip.Prefix
@@ -138,21 +148,23 @@ type Host struct {
 // has a NIC but no link; attach it to a switch or peer, then call Start.
 func New(net *netsim.Network, name string, b Behavior) *Host {
 	h := &Host{
-		Net:        net,
-		B:          b,
-		name:       name,
-		sel:        rfc6724.NewSelector(),
-		ndCache:    make(map[netip.Addr]netsim.MAC),
-		ndPending:  make(map[netip.Addr][][]byte),
-		arpCache:   make(map[netip.Addr]netsim.MAC),
-		arpPending: make(map[netip.Addr][][]byte),
-		clatPorts:  make(map[portKey]bool),
-		udpBind:    make(map[uint16]UDPHandler),
-		udpNext:    49152,
-		tcpConns:   make(map[tcpKey]*TCPConn),
-		tcpNext:    52000,
-		listens:    make(map[uint16]func(*TCPConn)),
-		pmtu:       make(map[netip.Addr]int),
+		Net:  net,
+		B:    b,
+		name: name,
+		sel:  rfc6724.NewSelector(),
+		hostState: hostState{
+			ndCache:    make(map[netip.Addr]netsim.MAC),
+			ndPending:  make(map[netip.Addr][][]byte),
+			arpCache:   make(map[netip.Addr]netsim.MAC),
+			arpPending: make(map[netip.Addr][][]byte),
+			clatPorts:  make(map[portKey]bool),
+			udpBind:    make(map[uint16]UDPHandler),
+			udpNext:    49152,
+			tcpConns:   make(map[tcpKey]*TCPConn),
+			tcpNext:    52000,
+			listens:    make(map[uint16]func(*TCPConn)),
+			pmtu:       make(map[netip.Addr]int),
+		},
 	}
 	h.NIC = net.NewNIC(name, h)
 	// Declare the flood interests that mirror HandleFrame's demux guards,

@@ -1,46 +1,17 @@
 package mgmtswitch
 
-import (
-	"time"
-
-	"repro/internal/netsim"
-)
-
-// Checkpoint is an opaque copy of the managed switch's dynamic state:
-// the embedded forwarding-plane snapshot (learned table, snooped
-// interest bitsets, filters, port-table length) plus the switch's own
-// counters and pending ULA-beacon deadline. Captured with
-// Switch.Checkpoint and restored with Switch.Restore for testbed world
-// reuse.
-type Checkpoint struct {
-	plane        *netsim.SwitchSnapshot
-	raNextAt     time.Time
-	snoopedDrops uint64
-	rasSent      uint64
+// Checkpoint saves the switch's state: its forwarding plane (learned
+// table, snooped interest, filters, port table) and its counters. It is
+// part of the testbed world-reuse lifecycle; the pending ULA beacon is
+// the network clock's to save and re-arm.
+func (s *Switch) Checkpoint() {
+	saved := s.switchState
+	s.saved = &saved
+	s.Switch.Checkpoint()
 }
 
-// Checkpoint captures the switch's dynamic state.
-func (s *Switch) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		plane:        s.Switch.Snapshot(),
-		raNextAt:     s.raNextAt,
-		snoopedDrops: s.SnoopedDrops,
-		rasSent:      s.RAsSent,
-	}
-}
-
-// Restore rewinds the switch to a previously captured Checkpoint and,
-// when the ULA beacon is enabled, re-arms it at its recorded deadline.
-// The caller must have already rewound the network clock.
-func (s *Switch) Restore(c *Checkpoint) {
-	s.Switch.RestoreSnapshot(c.plane)
-	s.SnoopedDrops = c.snoopedDrops
-	s.RAsSent = c.rasSent
-	s.raNextAt = c.raNextAt
-	if s.cfg.AdvertiseULA {
-		s.raTimer = s.net.Clock.AfterFunc(c.raNextAt.Sub(s.net.Clock.Now()), func() {
-			s.sendRA()
-			s.armRATimer()
-		})
-	}
+// Restore rewinds the switch to its checkpoint.
+func (s *Switch) Restore() {
+	s.switchState = *s.saved
+	s.Switch.Restore()
 }

@@ -47,11 +47,16 @@ type Switch struct {
 	linkLocal netip.Addr
 
 	blockedPorts map[int]bool
-	raTimer      *netsim.Timer
-	// raNextAt is the virtual deadline of the pending ULA beacon; world
-	// reuse re-arms the timer at exactly this instant after a rewind.
-	raNextAt time.Time
 
+	// switchState holds what a run changes; Checkpoint saves a copy in
+	// saved and Restore copies it back (checkpoint.go).
+	switchState
+	saved *switchState
+}
+
+// switchState is the part of a managed Switch that a run changes, on
+// top of its forwarding plane's own state.
+type switchState struct {
 	// SnoopedDrops counts DHCPv4 server frames blocked by snooping.
 	SnoopedDrops uint64
 	RAsSent      uint64
@@ -174,8 +179,7 @@ func (s *Switch) Start() {
 }
 
 func (s *Switch) armRATimer() {
-	s.raNextAt = s.net.Clock.Now().Add(s.cfg.RAInterval)
-	s.raTimer = s.net.Clock.AfterFunc(s.cfg.RAInterval, func() {
+	s.net.Clock.AfterFunc(s.cfg.RAInterval, func() {
 		s.sendRA()
 		s.armRATimer()
 	})

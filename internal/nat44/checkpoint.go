@@ -1,55 +1,38 @@
 package nat44
 
-// Checkpoint is an opaque deep copy of a Translator's dynamic state
-// (session tables, port cursor, log length and counters), captured with
-// Translator.Checkpoint and restored with Translator.Restore for
-// testbed world reuse.
-type Checkpoint struct {
-	sessions map[key]*session // clones; inbound map rebuilt from these
-	nextPort uint16
-	logLen   int
-
-	translated uint64
-	dropped    uint64
-	bytesOut   uint64
-	bytesIn    uint64
+// Checkpoint saves the translator's state — session tables, port
+// cursor, compliance log and counters — for Restore. It is part of the
+// testbed world-reuse lifecycle.
+func (t *Translator) Checkpoint() {
+	t.saved = new(translatorState)
+	t.translatorState.copyInto(t.saved)
 }
 
-// Checkpoint deep-copies the translator's dynamic state. The
-// append-only session Log is captured by length and truncated on
-// restore rather than copied.
-func (t *Translator) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		sessions: make(map[key]*session, len(t.outbound)),
-		nextPort: t.nextPort,
-		logLen:   len(t.Log),
-
-		translated: t.Translated,
-		dropped:    t.Dropped,
-		bytesOut:   t.BytesOut,
-		bytesIn:    t.BytesIn,
-	}
-	for k, s := range t.outbound {
-		cp := *s
-		c.sessions[k] = &cp
-	}
-	return c
+// Restore rewinds the translator to its checkpoint.
+func (t *Translator) Restore() {
+	t.saved.copyInto(&t.translatorState)
 }
 
-// Restore rewinds the translator to a previously captured Checkpoint.
-func (t *Translator) Restore(c *Checkpoint) {
-	t.outbound = make(map[key]*session, len(c.sessions))
-	t.inbound = make(map[extKey]*session, len(c.sessions))
-	for k, s := range c.sessions {
-		cp := *s
-		t.outbound[k] = &cp
-		t.inbound[extKey{proto: k.proto, port: cp.extPort}] = &cp
-	}
-	t.nextPort = c.nextPort
-	t.Log = t.Log[:c.logLen]
+func (s *translatorState) copyInto(dst *translatorState) {
+	live := *dst
+	*dst = *s
+	dst.Log = append(live.Log[:0], s.Log...)
 
-	t.Translated = c.translated
-	t.Dropped = c.dropped
-	t.BytesOut = c.bytesOut
-	t.BytesIn = c.bytesIn
+	// Sessions change in place, and each outbound entry shares its
+	// session with the inbound entry for the same external port: copy
+	// every session once and point both of dst's entries at the copy.
+	in, out := live.inbound, live.outbound
+	if in == nil {
+		in, out = make(map[extKey]*session, len(s.inbound)), make(map[key]*session, len(s.outbound))
+	}
+	clear(in)
+	clear(out)
+	for k, se := range s.inbound {
+		cp := *se
+		in[k] = &cp
+	}
+	for k, se := range s.outbound {
+		out[k] = in[extKey{proto: k.proto, port: se.extPort}]
+	}
+	dst.inbound, dst.outbound = in, out
 }

@@ -38,12 +38,27 @@ type Translator struct {
 	public  netip.Addr
 	now     func() time.Time
 	timeout time.Duration
+	portMin uint16
+	portMax uint16
 
+	// translatorState holds what a run changes; Checkpoint saves a copy
+	// in saved and Restore copies it back (checkpoint.go).
+	translatorState
+	saved *translatorState
+
+	// outScratch and inScratch hold the transport message of the latest
+	// TranslateOut and TranslateIn result (see those methods for its
+	// lifetime). They are scratch, so Checkpoint/Restore skip them.
+	outScratch []byte
+	inScratch  []byte
+}
+
+// translatorState is the part of a Translator that a run changes: the
+// session tables, the port cursor, the compliance log and the counters.
+type translatorState struct {
 	outbound map[key]*session
 	inbound  map[extKey]*session
 	nextPort uint16
-	portMin  uint16
-	portMax  uint16
 
 	// Log holds one entry per new session (not per packet).
 	Log []LogEntry
@@ -54,12 +69,6 @@ type Translator struct {
 	// direction (outbound = private→public), for flow-volume accounting.
 	BytesOut uint64
 	BytesIn  uint64
-
-	// outScratch and inScratch hold the transport message of the latest
-	// TranslateOut and TranslateIn result (see those methods for its
-	// lifetime). They are scratch, so Checkpoint/Restore skip them.
-	outScratch []byte
-	inScratch  []byte
 }
 
 type key struct {
@@ -86,14 +95,16 @@ func New(public netip.Addr, now func() time.Time) (*Translator, error) {
 		return nil, fmt.Errorf("nat44: public address %v must be IPv4", public)
 	}
 	return &Translator{
-		public:   public,
-		now:      now,
-		timeout:  5 * time.Minute,
-		outbound: make(map[key]*session),
-		inbound:  make(map[extKey]*session),
-		portMin:  32768,
-		portMax:  65535,
-		nextPort: 32768,
+		public:  public,
+		now:     now,
+		timeout: 5 * time.Minute,
+		portMin: 32768,
+		portMax: 65535,
+		translatorState: translatorState{
+			outbound: make(map[key]*session),
+			inbound:  make(map[extKey]*session),
+			nextPort: 32768,
+		},
 	}, nil
 }
 

@@ -205,3 +205,40 @@ func TestNewRejectsV6Public(t *testing.T) {
 		t.Error("IPv6 public address accepted")
 	}
 }
+
+// TestRestoreRewindsSessions checkpoints a translator holding a live
+// session, then refreshes it, opens a second one and restores: the
+// tables, log and counters must come back, each session shared by its
+// outbound and inbound entry, and the saved copy untouched by the
+// refresh, so a second Restore gives the same result.
+func TestRestoreRewindsSessions(t *testing.T) {
+	clk := newClock()
+	tr := newT(t, clk)
+	if _, err := translateOut(tr, udp4(inside, remote, 5000, 80, "a")); err != nil {
+		t.Fatal(err)
+	}
+	tr.Checkpoint()
+	k := key{proto: packet.ProtoUDP, src: inside, port: 5000}
+	want := *tr.outbound[k]
+
+	for round := 1; round <= 2; round++ {
+		clk.t = clk.t.Add(time.Minute)
+		for _, sport := range []uint16{5000, 5001} {
+			if _, err := translateOut(tr, udp4(inside, remote, sport, 80, "b")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.Restore()
+		if len(tr.outbound) != 1 || len(tr.inbound) != 1 || len(tr.Log) != 1 || tr.Translated != 1 {
+			t.Fatalf("round %d: after Restore %d outbound, %d inbound, %d log entries, %d translated; want 1 each",
+				round, len(tr.outbound), len(tr.inbound), len(tr.Log), tr.Translated)
+		}
+		s := tr.outbound[k]
+		if *s != want {
+			t.Fatalf("round %d: session after Restore = %+v, want %+v", round, *s, want)
+		}
+		if tr.inbound[extKey{proto: packet.ProtoUDP, port: s.extPort}] != s {
+			t.Fatalf("round %d: the inbound entry does not share the outbound entry's session", round)
+		}
+	}
+}

@@ -1,73 +1,40 @@
 package nat64
 
-// Checkpoint is an opaque deep copy of a Translator's dynamic state
-// (session tables, port cursor, counters and pathology knobs), captured
-// with Translator.Checkpoint and restored with Translator.Restore. It
-// backs testbed world reuse: a pooled world rewinds its translator to
-// the exact post-Build state instead of rebuilding the whole topology.
-type Checkpoint struct {
-	cfg      Config
-	sessions map[mapKey]*Session // clones; inbound map rebuilt from these
-	nextPort uint16
-
-	translatedOut      uint64
-	translatedIn       uint64
-	droppedNoSess      uint64
-	bytesOut           uint64
-	bytesIn            uint64
-	corruptChecksums   bool
-	checksumsCorrupted uint64
-	maxSessionsPerSrc  int
-	portsExhausted     uint64
+// Checkpoint saves the translator's state — session tables, port
+// cursor, counters and pathology knobs — for Restore. It backs testbed
+// world reuse: a pooled world rewinds its translator to the exact
+// post-Build state instead of rebuilding the whole topology. The
+// configuration (prefix, port range, timeouts) is set before the
+// checkpoint and is not saved.
+func (t *Translator) Checkpoint() {
+	t.saved = new(translatorState)
+	t.translatorState.copyInto(t.saved)
 }
 
-// Checkpoint deep-copies the translator's dynamic state. Sessions are
-// cloned (the outbound and inbound tables alias the same *Session; the
-// clone set preserves that aliasing on restore).
-func (t *Translator) Checkpoint() *Checkpoint {
-	c := &Checkpoint{
-		cfg:      t.cfg,
-		sessions: make(map[mapKey]*Session, len(t.outbound)),
-		nextPort: t.nextPort,
-
-		translatedOut:      t.TranslatedOut,
-		translatedIn:       t.TranslatedIn,
-		droppedNoSess:      t.DroppedNoSess,
-		bytesOut:           t.BytesOut,
-		bytesIn:            t.BytesIn,
-		corruptChecksums:   t.CorruptChecksums,
-		checksumsCorrupted: t.ChecksumsCorrupted,
-		maxSessionsPerSrc:  t.MaxSessionsPerSource,
-		portsExhausted:     t.PortsExhausted,
-	}
-	for k, s := range t.outbound {
-		cp := *s
-		c.sessions[k] = &cp
-	}
-	return c
+// Restore rewinds the translator to its checkpoint.
+func (t *Translator) Restore() {
+	t.saved.copyInto(&t.translatorState)
 }
 
-// Restore rewinds the translator to a previously captured Checkpoint.
-// Both session tables are rebuilt from fresh clones so later mutation
-// never leaks back into the checkpoint.
-func (t *Translator) Restore(c *Checkpoint) {
-	t.cfg = c.cfg
-	t.outbound = make(map[mapKey]*Session, len(c.sessions))
-	t.inbound = make(map[extKey]*Session, len(c.sessions))
-	for k, s := range c.sessions {
-		cp := *s
-		t.outbound[k] = &cp
-		t.inbound[extKey{proto: k.proto, port: cp.ExtPort}] = &cp
-	}
-	t.nextPort = c.nextPort
+func (s *translatorState) copyInto(dst *translatorState) {
+	live := *dst
+	*dst = *s
 
-	t.TranslatedOut = c.translatedOut
-	t.TranslatedIn = c.translatedIn
-	t.DroppedNoSess = c.droppedNoSess
-	t.BytesOut = c.bytesOut
-	t.BytesIn = c.bytesIn
-	t.CorruptChecksums = c.corruptChecksums
-	t.ChecksumsCorrupted = c.checksumsCorrupted
-	t.MaxSessionsPerSource = c.maxSessionsPerSrc
-	t.PortsExhausted = c.portsExhausted
+	// Sessions change in place, and each outbound entry shares its
+	// session with the inbound entry for the same external port: copy
+	// every session once and point both of dst's entries at the copy.
+	in, out := live.inbound, live.outbound
+	if in == nil {
+		in, out = make(map[extKey]*Session, len(s.inbound)), make(map[mapKey]*Session, len(s.outbound))
+	}
+	clear(in)
+	clear(out)
+	for k, se := range s.inbound {
+		cp := *se
+		in[k] = &cp
+	}
+	for k, se := range s.outbound {
+		out[k] = in[extKey{proto: k.proto, port: se.ExtPort}]
+	}
+	dst.inbound, dst.outbound = in, out
 }

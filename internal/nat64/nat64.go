@@ -86,6 +86,22 @@ type Translator struct {
 	cfg Config
 	now func() time.Time
 
+	// translatorState holds what a run changes; Checkpoint saves a copy
+	// in saved and Restore copies it back (checkpoint.go).
+	translatorState
+	saved *translatorState
+
+	// out64 and out46 hold the transport message of the latest result
+	// in each direction (see the Translate methods for its lifetime).
+	// They are scratch, so Checkpoint/Restore skip them.
+	out64 []byte
+	out46 []byte
+}
+
+// translatorState is the part of a Translator that a run changes: the
+// session tables, the port cursor, the counters and the pathology
+// knobs.
+type translatorState struct {
 	outbound map[mapKey]*Session
 	inbound  map[extKey]*Session
 	nextPort uint16
@@ -119,12 +135,6 @@ type Translator struct {
 	// PortsExhausted counts outbound flows refused ErrPortsExhausted,
 	// whether by an empty pool or by the per-source session quota.
 	PortsExhausted uint64
-
-	// out64 and out46 hold the transport message of the latest result
-	// in each direction (see the Translate methods for its lifetime).
-	// They are scratch, so Checkpoint/Restore skip them.
-	out64 []byte
-	out46 []byte
 }
 
 // New creates a translator. Zero timeout fields take the RFC defaults;
@@ -155,11 +165,13 @@ func New(cfg Config, now func() time.Time) (*Translator, error) {
 		cfg.TCPTransTimeout = DefaultTCPTransTimeout
 	}
 	return &Translator{
-		cfg:      cfg,
-		now:      now,
-		outbound: make(map[mapKey]*Session),
-		inbound:  make(map[extKey]*Session),
-		nextPort: cfg.PortMin,
+		cfg: cfg,
+		now: now,
+		translatorState: translatorState{
+			outbound: make(map[mapKey]*Session),
+			inbound:  make(map[extKey]*Session),
+			nextPort: cfg.PortMin,
+		},
 	}, nil
 }
 

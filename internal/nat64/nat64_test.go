@@ -371,3 +371,40 @@ func TestUDPRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRestoreRewindsSessions checkpoints a translator holding a live
+// session, then refreshes it, opens a second one and restores: the
+// tables and counters must come back, each session shared by its
+// outbound and inbound entry, and the saved copy untouched by the
+// refresh, so a second Restore gives the same result.
+func TestRestoreRewindsSessions(t *testing.T) {
+	clk := newClock()
+	tr := newT(t, clk)
+	if _, err := v6ToV4(tr, udp6(t, clientV6, 5000, 53, serverV4, "a")); err != nil {
+		t.Fatal(err)
+	}
+	tr.Checkpoint()
+	k := mapKey{proto: packet.ProtoUDP, src: clientV6, port: 5000}
+	want := *tr.outbound[k]
+
+	for round := 1; round <= 2; round++ {
+		clk.t = clk.t.Add(time.Second)
+		for _, sport := range []uint16{5000, 5001} {
+			if _, err := v6ToV4(tr, udp6(t, clientV6, sport, 53, serverV4, "b")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.Restore()
+		if len(tr.outbound) != 1 || len(tr.inbound) != 1 || tr.TranslatedOut != 1 {
+			t.Fatalf("round %d: after Restore %d outbound, %d inbound, %d translated; want 1 each",
+				round, len(tr.outbound), len(tr.inbound), tr.TranslatedOut)
+		}
+		s := tr.outbound[k]
+		if *s != want {
+			t.Fatalf("round %d: session after Restore = %+v, want %+v", round, *s, want)
+		}
+		if tr.inbound[extKey{proto: packet.ProtoUDP, port: s.ExtPort}] != s {
+			t.Fatalf("round %d: the inbound entry does not share the outbound entry's session", round)
+		}
+	}
+}

@@ -1,237 +1,207 @@
 package netsim
 
-import "time"
+import (
+	"maps"
+	"math/bits"
+	"slices"
+)
 
 // This file is the fabric half of the world-reuse lifecycle
-// (testbed.Reset): a Mark captures the Network's dynamic scheduler state
-// at a known-good instant — virtual clock position, sequence counters,
-// hot-path statistics and the MAC allocation watermark — and ResetTo
-// rewinds the fabric to exactly that state. Switches get the same
-// treatment with Snapshot/RestoreSnapshot: learned tables, snooped
-// interest bitsets, filters and port-table length all restore to their
-// at-mark values, so a pooled world replays client bring-up
-// byte-identically to a freshly built one (every MAC, every flood
-// decision and every same-instant ordering tie comes out the same).
+// (testbed.Reset). Network, Clock, Switch and NIC each keep what a run
+// changes in one state struct; Checkpoint saves a copy of it inside the
+// component and Restore copies it back, so a pooled world replays
+// client bring-up byte-identically to a freshly built one (every MAC,
+// every flood decision and every same-instant ordering tie comes out
+// the same). Pending events, timers and ring contents are not state:
+// Restore drops them and re-arms the timers that were pending at the
+// checkpoint, so device owners never re-arm their periodic timers.
+//
+// Every checkpointed component in the repository follows the same
+// shape (DESIGN.md §3h). One copyInto method per state struct serves
+// both directions: a plain struct assignment copies the value fields,
+// then each map and slice is copied by hand into storage the
+// destination already holds (RefillMap, or append onto a truncated
+// slice). Restore therefore allocates nothing once a world has run one
+// cycle, and no map or slice is ever shared between the live state and
+// its saved copy.
 
-// Mark is an opaque snapshot of a Network's dynamic state, captured
-// with Network.Mark and restored with Network.ResetTo.
-type Mark struct {
-	now      time.Time
-	seq      uint64
-	clockSeq uint64
-	macNext  uint32
-	ringNICs int
-
-	frames    uint64
-	dropped   uint64
-	queuePeak int
-
-	impairLost        uint64
-	impairDuplicated  uint64
-	impairReordered   uint64
-	impairFlapDropped uint64
-
-	fanoutEvents     uint64
-	fanoutDeliveries uint64
-	ringFrames       uint64
-	ringBatches      uint64
-	ringOverflows    uint64
-}
-
-// Mark captures the fabric's dynamic state at the current instant. The
-// caller is responsible for capturing it at a quiescent point: pending
-// events and timers are NOT recorded (ResetTo drops whatever is pending
-// and the owner re-arms its own periodic timers).
-func (n *Network) Mark() Mark {
-	return Mark{
-		now:      n.Clock.now,
-		seq:      n.seq,
-		clockSeq: n.Clock.seq,
-		macNext:  n.macs.next,
-		ringNICs: len(n.ringNICs),
-
-		frames:    n.frames,
-		dropped:   n.dropped,
-		queuePeak: n.queuePeak,
-
-		impairLost:        n.impairLost,
-		impairDuplicated:  n.impairDuplicated,
-		impairReordered:   n.impairReordered,
-		impairFlapDropped: n.impairFlapDropped,
-
-		fanoutEvents:     n.fanoutEvents,
-		fanoutDeliveries: n.fanoutDeliveries,
-		ringFrames:       n.ringFrames,
-		ringBatches:      n.ringBatches,
-		ringOverflows:    n.ringOverflows,
+// RefillMap makes dst hold exactly src's entries, reusing dst's
+// storage, and returns it. It allocates only when dst is nil and src is
+// not empty.
+func RefillMap[M ~map[K]V, K comparable, V any](dst, src M) M {
+	if dst == nil {
+		if len(src) == 0 {
+			return nil
+		}
+		return maps.Clone(src)
 	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }
 
-// ResetTo rewinds the fabric to a previously captured Mark: pending
-// events, timers and ring contents are dropped, counters and sequence
-// numbers restore to their at-mark values, the MAC allocator rewinds so
-// the next allocation repeats the first post-mark one, and the virtual
-// clock lands on exactly the mark's instant. NICs registered for ring
-// service after the mark are forgotten (their owners are expected to be
-// discarded by the caller); earlier rings keep their warmed-up storage.
-func (n *Network) ResetTo(m Mark) {
-	n.stopped = false
+// refill makes dst hold a copy of src's elements in dst's storage and
+// returns it. Elements past src's length are zeroed first, so the
+// pointers they held do not stay reachable through dst's backing array.
+func refill[S ~[]E, E any](dst, src S) S {
+	if len(dst) > len(src) {
+		clear(dst[len(src):])
+	}
+	return append(dst[:0], src...)
+}
+
+// Checkpoint saves the fabric's state at the current quiescent instant
+// — clock position, sequence counters, statistics, the MAC allocation
+// watermark and the ring-NIC list — and the timers pending then, for
+// Restore.
+func (n *Network) Checkpoint() {
+	n.saved = new(netState)
+	n.netState.copyInto(n.saved)
+	n.Clock.checkpoint()
+}
+
+// Restore rewinds the fabric to its checkpoint: pending events, timers
+// and ring contents are dropped, counters and sequence numbers restore,
+// the MAC allocator rewinds so the next allocation repeats the first
+// post-checkpoint one, the virtual clock lands on exactly the
+// checkpoint instant, and the timers pending at the checkpoint are
+// armed again. NICs registered for ring service since are forgotten
+// (their owners are expected to be discarded by the caller); earlier
+// rings keep their warmed-up storage.
+func (n *Network) Restore() {
 	n.queue = nil
 	n.clearRings()
-	if m.ringNICs < len(n.ringNICs) {
-		for i := m.ringNICs; i < len(n.ringNICs); i++ {
-			n.ringNICs[i] = nil
+	// A NIC that took a ring since the checkpoint drops out of the ring
+	// list below, so it gives the ring up too: its next frame then
+	// registers it again, and the next Restore clears it. Left holding
+	// the ring unlisted, it would keep frames in flight at a Reset, and
+	// every later frame would queue behind them, never delivered.
+	for _, nc := range n.ringNICs {
+		if !slices.Contains(n.saved.ringNICs, nc) {
+			nc.ring = nil
 		}
-		n.ringNICs = n.ringNICs[:m.ringNICs]
 	}
 	n.arena.recycle()
-
-	n.seq = m.seq
-	n.macs.next = m.macNext
-	n.frames = m.frames
-	n.dropped = m.dropped
-	n.queuePeak = m.queuePeak
-	n.impairLost = m.impairLost
-	n.impairDuplicated = m.impairDuplicated
-	n.impairReordered = m.impairReordered
-	n.impairFlapDropped = m.impairFlapDropped
-	n.fanoutEvents = m.fanoutEvents
-	n.fanoutDeliveries = m.fanoutDeliveries
-	n.ringFrames = m.ringFrames
-	n.ringBatches = m.ringBatches
-	n.ringOverflows = m.ringOverflows
-
-	n.Clock.reset()
-	n.Clock.advance(m.now)
-	n.Clock.seq = m.clockSeq
+	n.saved.copyInto(&n.netState)
+	n.Clock.restore()
 }
 
-// SwitchSnapshot is an opaque copy of a switch's dynamic forwarding
-// state (Switch.Snapshot / Switch.RestoreSnapshot).
-type SwitchSnapshot struct {
-	nPorts   int
-	nFilters int
-	table    map[MAC]int
-
-	restricted portSet
-	wantARP    portSet
-	wantIPv4   portSet
-	wantIPv6   portSet
-	trunks     portSet
-	detached   portSet
-	groups     map[MAC]portSet
-	freePorts  []int
-
-	flooded      uint64
-	forwarded    uint64
-	filtered     uint64
-	fanoutFloods uint64
-	supEther     uint64
-	supGroup     uint64
-	supUnicast   uint64
+func (s *netState) copyInto(dst *netState) {
+	live := *dst
+	*dst = *s
+	dst.ringNICs = refill(live.ringNICs, s.ringNICs)
 }
 
-func clonePortSet(s portSet) portSet {
-	if len(s) == 0 {
-		return nil
+func (c *Clock) checkpoint() {
+	saved := c.clockState
+	c.saved = &saved
+	c.armed = c.armed[:0]
+	for l := range c.wheel {
+		for occ := c.occ[l]; occ != 0; occ &= occ - 1 {
+			c.armed = append(c.armed, c.wheel[l][bits.TrailingZeros64(occ)]...)
+		}
 	}
-	out := make(portSet, len(s))
-	copy(out, s)
-	return out
+	c.armed = append(c.armed, c.overflow...)
 }
 
-// Snapshot deep-copies the switch's dynamic state: learned MAC table,
-// snooped interest bitsets, group membership, free-slot list, counters,
-// and the current port- and filter-table lengths.
-func (s *Switch) Snapshot() *SwitchSnapshot {
-	sn := &SwitchSnapshot{
-		nPorts:     len(s.ports),
-		nFilters:   len(s.filters),
-		table:      make(map[MAC]int, len(s.table)),
-		restricted: clonePortSet(s.restricted),
-		wantARP:    clonePortSet(s.wantARP),
-		wantIPv4:   clonePortSet(s.wantIPv4),
-		wantIPv6:   clonePortSet(s.wantIPv6),
-		trunks:     clonePortSet(s.trunks),
-		detached:   clonePortSet(s.detached),
-		freePorts:  append([]int(nil), s.freePorts...),
-
-		flooded:      s.flooded,
-		forwarded:    s.forwarded,
-		filtered:     s.filtered,
-		fanoutFloods: s.fanoutFloods,
-		supEther:     s.supEther,
-		supGroup:     s.supGroup,
-		supUnicast:   s.supUnicast,
+// restore drops every pending timer, rewinds to the checkpoint and
+// re-arms the timers that were pending then (in a built world, the RA
+// beacons). They keep their deadline and arm sequence, so they fire in
+// the same order against later timers as in a fresh world, and the
+// clock's sequence counter needs no adjustment. With the wheel emptied
+// first, copying cur back is exactly what advancing a fresh clock to
+// the checkpoint instant would compute.
+func (c *Clock) restore() {
+	c.dropAll()
+	c.clockState = *c.saved
+	for _, t := range c.armed {
+		t.stopped = false
+		c.insert(t)
 	}
-	for m, p := range s.table {
-		sn.table[m] = p
-	}
-	if len(s.groups) > 0 {
-		sn.groups = make(map[MAC]portSet, len(s.groups))
-		for g, ps := range s.groups {
-			sn.groups[g] = clonePortSet(*ps)
-		}
-	}
-	return sn
 }
 
-// RestoreSnapshot rewinds the switch to a snapshot taken earlier on the
-// same switch: ports attached since the snapshot are uncabled and their
-// slots dropped, filters added since are removed, and the learned
-// table, interest bitsets, group membership and counters all restore to
-// their at-snapshot values. Slots that were detached (parked) at
-// snapshot time are uncabled again even if a later tenant reused them.
-func (s *Switch) RestoreSnapshot(sn *SwitchSnapshot) {
-	for i := sn.nPorts; i < len(s.ports); i++ {
-		port := s.ports[i]
-		if port.peer != nil {
-			port.peer.peer = nil
-			port.peer = nil
-		}
-		s.ports[i] = nil
-	}
-	s.ports = s.ports[:sn.nPorts]
-	s.filters = s.filters[:sn.nFilters]
+// Checkpoint saves the switch's state: its port and filter tables, the
+// learned MAC table, the snooped interest bitsets and group membership,
+// the free-slot list and the counters.
+func (s *Switch) Checkpoint() {
+	s.saved = new(switchState)
+	s.switchState.copyInto(s.saved)
+}
 
-	for i := 0; i < sn.nPorts; i++ {
-		if sn.detached.has(i) {
-			port := s.ports[i]
-			if port.peer != nil {
-				port.peer.peer = nil
-				port.peer = nil
-			}
+// Restore rewinds the switch to its checkpoint. Ports attached since
+// are uncabled and their slots dropped, and filters added since are
+// removed. Slots that were detached (parked) at the checkpoint are
+// uncabled again, even if a later tenant reused them.
+func (s *Switch) Restore() {
+	for i, port := range s.ports {
+		if i >= len(s.saved.ports) || s.saved.detached.has(i) {
+			port.unplug()
 		}
 	}
+	s.saved.copyInto(&s.switchState)
+}
 
-	for m := range s.table {
-		delete(s.table, m)
+func (s *switchState) copyInto(dst *switchState) {
+	live := *dst
+	*dst = *s
+	dst.ports = refill(live.ports, s.ports)
+	dst.table = RefillMap(live.table, s.table)
+	dst.filters = refill(live.filters, s.filters)
+	dst.restricted = append(live.restricted[:0], s.restricted...)
+	dst.wantARP = append(live.wantARP[:0], s.wantARP...)
+	dst.wantIPv4 = append(live.wantIPv4[:0], s.wantIPv4...)
+	dst.wantIPv6 = append(live.wantIPv6[:0], s.wantIPv6...)
+	dst.trunks = append(live.trunks[:0], s.trunks...)
+	dst.freePorts = append(live.freePorts[:0], s.freePorts...)
+	dst.detached = append(live.detached[:0], s.detached...)
+
+	// Group port sets change in place, so each is copied into a set
+	// dst owns, reusing dst's set for the same group.
+	groups := live.groups
+	if groups == nil && len(s.groups) > 0 {
+		groups = make(map[MAC]*portSet, len(s.groups))
 	}
-	for m, p := range sn.table {
-		s.table[m] = p
-	}
-	s.restricted = clonePortSet(sn.restricted)
-	s.wantARP = clonePortSet(sn.wantARP)
-	s.wantIPv4 = clonePortSet(sn.wantIPv4)
-	s.wantIPv6 = clonePortSet(sn.wantIPv6)
-	s.trunks = clonePortSet(sn.trunks)
-	s.detached = clonePortSet(sn.detached)
-	s.freePorts = append(s.freePorts[:0], sn.freePorts...)
-	if sn.groups == nil {
-		s.groups = nil
-	} else {
-		s.groups = make(map[MAC]*portSet, len(sn.groups))
-		for g, ps := range sn.groups {
-			cp := clonePortSet(ps)
-			s.groups[g] = &cp
+	for g := range groups {
+		if s.groups[g] == nil {
+			delete(groups, g)
 		}
 	}
+	for g, ps := range s.groups {
+		d := groups[g]
+		if d == nil {
+			d = new(portSet)
+			groups[g] = d
+		}
+		*d = append((*d)[:0], *ps...)
+	}
+	dst.groups = groups
+}
 
-	s.flooded = sn.flooded
-	s.forwarded = sn.forwarded
-	s.filtered = sn.filtered
-	s.fanoutFloods = sn.fanoutFloods
-	s.supEther = sn.supEther
-	s.supGroup = sn.supGroup
-	s.supUnicast = sn.supUnicast
+// unplug uncables a port NIC from whatever it is cabled to.
+func (nc *NIC) unplug() {
+	if nc.peer != nil {
+		nc.peer.peer = nil
+		nc.peer = nil
+	}
+}
+
+// Checkpoint saves the NIC's flood-interest declarations and frame
+// counters. The device that owns the NIC calls it from its own
+// Checkpoint.
+func (nc *NIC) Checkpoint() {
+	nc.saved = new(nicState)
+	nc.nicState.copyInto(nc.saved)
+}
+
+// Restore rewinds the NIC's flood-interest declarations and frame
+// counters to its checkpoint. The switch it is cabled to restores its
+// snooped copy of the same declarations, so both sides agree again.
+func (nc *NIC) Restore() {
+	nc.saved.copyInto(&nc.nicState)
+}
+
+func (s *nicState) copyInto(dst *nicState) {
+	live := *dst
+	*dst = *s
+	dst.groups = RefillMap(live.groups, s.groups)
 }

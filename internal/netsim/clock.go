@@ -18,14 +18,19 @@ import (
 // while still popping timers in exact (deadline, arm-order) sequence —
 // see DESIGN.md §3c for why determinism survives the change.
 type Clock struct {
-	now   time.Time
 	epoch time.Time
-	seq   uint64
 
-	// cur is the wheel's reference tick, advanced (with cascading) as
-	// virtual time moves. Invariant: every pending timer's tick >= cur,
-	// because time never advances past an unfired timer's deadline.
-	cur      uint64
+	// clockState holds what a run changes; Checkpoint saves a copy in
+	// saved and Restore copies it back (checkpoint.go).
+	clockState
+	saved *clockState
+
+	// armed lists the timers pending at the checkpoint. Restore drops
+	// every pending timer and puts these back, each with its original
+	// deadline and arm order, exactly as a fresh world holds them.
+	armed []*Timer
+
+	// The pending timers.
 	wheel    [wheelLevels][wheelSlots][]*Timer
 	occ      [wheelLevels]uint64 // per-level slot occupancy bitmaps
 	overflow overflowHeap
@@ -34,6 +39,17 @@ type Clock struct {
 	// minCache memoizes the earliest pending timer between structural
 	// changes, so the event loop's peek-per-step stays O(1).
 	minCache *Timer
+}
+
+// clockState is the part of a Clock that a run changes.
+type clockState struct {
+	now time.Time
+	seq uint64
+
+	// cur is the wheel's reference tick, advanced (with cascading) as
+	// virtual time moves. Invariant: every pending timer's tick >= cur,
+	// because time never advances past an unfired timer's deadline.
+	cur uint64
 
 	// stopped refuses new timers after a purge (Network.Stop); AfterFunc
 	// then hands back inert, pre-stopped handles.
@@ -52,7 +68,7 @@ const (
 // NewClock returns a clock starting at a fixed, arbitrary epoch.
 func NewClock() *Clock {
 	epoch := time.Date(2024, time.November, 17, 9, 0, 0, 0, time.UTC)
-	return &Clock{now: epoch, epoch: epoch}
+	return &Clock{epoch: epoch, clockState: clockState{now: epoch}}
 }
 
 // Now returns the current virtual time.
@@ -282,20 +298,11 @@ func (c *Clock) dropAll() {
 	c.minCache = nil
 }
 
-// purge cancels every pending timer and refuses new ones until reset.
+// purge cancels every pending timer and refuses new ones until the
+// owning Network restores its checkpoint.
 func (c *Clock) purge() {
 	c.stopped = true
 	c.dropAll()
-}
-
-// reset rewinds the clock to a pristine state at the fixed epoch,
-// keeping bucket capacity warm for the next run.
-func (c *Clock) reset() {
-	c.dropAll()
-	c.now = c.epoch
-	c.seq = 0
-	c.cur = 0
-	c.stopped = false
 }
 
 // overflowHeap is a 4-ary min-heap over (when, seq) for timers beyond

@@ -3,17 +3,18 @@ package netsim
 import "time"
 
 // This file gives the fabric an explicit lifecycle. A Network is born
-// running (NewNetwork), can be shut down (Stop), rewound to a captured
-// Mark (ResetTo, in checkpoint.go), or asked to settle in-flight work
-// without following self-rearming beacons forever (Drain). The scenario
-// engine leans on Stop to tear worlds down after a sharded run, and the
-// testbed Checkpoint/Reset lifecycle on Mark and ResetTo to reuse them.
+// running (NewNetwork), can be shut down (Stop), rewound to its
+// checkpoint (Checkpoint and Restore, in checkpoint.go), or asked to
+// settle in-flight work without following self-rearming beacons forever
+// (Drain). The scenario engine leans on Stop to tear worlds down after a
+// sharded run, and the testbed Checkpoint/Reset lifecycle on Checkpoint
+// and Restore to reuse them.
 
 // Stop shuts the fabric down: every pending event and timer is
 // discarded, and any further scheduling — frame transmission, timer
 // arming, deferred callbacks — becomes a silent no-op. Devices stay
 // attached and their state is preserved for inspection, but the world
-// cannot make progress again until ResetTo. Stop is idempotent.
+// cannot make progress again until Restore. Stop is idempotent.
 func (n *Network) Stop() {
 	n.stopped = true
 	n.queue = nil

@@ -35,7 +35,7 @@ func TestStopDiscardsPendingAndRefusesNewWork(t *testing.T) {
 func TestResetRewindsToPristineState(t *testing.T) {
 	n := NewNetwork()
 	epoch := n.Clock.Now()
-	pristine := n.Mark()
+	n.Checkpoint()
 
 	n.schedule(time.Millisecond, func() {})
 	n.RunFor(5 * time.Second)
@@ -44,7 +44,7 @@ func TestResetRewindsToPristineState(t *testing.T) {
 	}
 	n.Stop()
 
-	n.ResetTo(pristine)
+	n.Restore()
 	if n.Stopped() {
 		t.Error("Reset left the fabric stopped")
 	}

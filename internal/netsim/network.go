@@ -15,7 +15,7 @@ import (
 // a delivered payload or any view of it; a flood hands one copy to every
 // port (Shared), and a decoded view may already be in another
 // component's hands. The payload and its views stay valid until the
-// fabric recycles its arena (RecycleArena, run by ResetTo). A
+// fabric recycles its arena (RecycleArena, run by Restore). A
 // receiver that keeps bytes past that point copies them; one that wants
 // to write takes a copy first (Own or Clone).
 type Frame struct {
@@ -90,9 +90,30 @@ const DefaultLinkLatency = 10 * time.Microsecond
 // structure the work sat in.
 type Network struct {
 	Clock *Clock
-	macs  MACAllocator
 
-	queue     eventQueue
+	// netState holds everything a run changes; Checkpoint saves a copy
+	// in saved and Restore copies it back (checkpoint.go).
+	netState
+	saved *netState
+
+	// queue holds the pending events; Restore drops them.
+	queue eventQueue
+
+	// ringsOff disables the unicast ring fast path (SetUnicastRings).
+	ringsOff bool
+
+	arena payloadArena
+
+	// fanoutFree recycles destination-set slices between fan-out events,
+	// so a flood costs no slice allocation once warmed up.
+	fanoutFree [][]*NIC
+}
+
+// netState is the part of a Network that a run changes: the MAC
+// allocation watermark, the event sequence, the delivery statistics and
+// the ring bookkeeping.
+type netState struct {
+	macs      MACAllocator
 	seq       uint64
 	frames    uint64 // total frames delivered
 	dropped   uint64 // frames with no peer
@@ -105,23 +126,15 @@ type Network struct {
 	impairFlapDropped uint64
 
 	// stopped marks a fabric that has been shut down with Stop: pending
-	// work is discarded and new scheduling becomes a no-op until ResetTo.
+	// work is discarded and new scheduling becomes a no-op until Restore.
 	stopped bool
-
-	arena payloadArena
-
-	// fanoutFree recycles destination-set slices between fan-out events,
-	// so a flood costs no slice allocation once warmed up.
-	fanoutFree [][]*NIC
 
 	fanoutEvents     uint64 // fan-out events executed
 	fanoutDeliveries uint64 // frames delivered through fan-out events
 
 	// Unicast ring fast path (see ring.go). ringNICs tracks every NIC
 	// that allocated a ring and was not since released (ReleaseNIC), so
-	// Stop/ResetTo can clear them; ringsOff disables the fast path
-	// (SetUnicastRings).
-	ringsOff      bool
+	// Stop and Restore can clear them.
 	ringNICs      []*NIC
 	ringFrames    uint64 // frames delivered through ring drains
 	ringBatches   uint64 // ring drain events executed
@@ -228,7 +241,7 @@ const arenaMaxRetired = 8
 // pooled chunks, so delivering a frame costs one chunk allocation per
 // ~hundreds of hops instead of one per hop. Chunks are sourced from a
 // sync.Pool; exhausted chunks are parked on a retired list and only
-// returned to the pool by an explicit RecycleArena call (ResetTo
+// returned to the pool by an explicit RecycleArena call (Restore
 // makes one), because receivers decode payloads in place and may
 // hold the views until then (see Frame).
 type payloadArena struct {

@@ -10,17 +10,34 @@ type NIC struct {
 	peer    *NIC
 	handler FrameHandler
 
-	up bool
-
 	// impair, when non-nil, subjects this NIC's traffic to fault
 	// injection (see Impairment and SetImpairment).
 	impair *impairState
 
-	// Flood-interest declarations (see RestrictFlooding). managed is set
-	// once the NIC opts in; switches suppress flooded frames the NIC has
-	// not declared interest in. groups refcounts joined multicast MAC
-	// groups (several IPv6 addresses can map onto one solicited-node
-	// group, so joins and leaves must balance per address).
+	// nicState holds what a run changes; the device owning the NIC
+	// checkpoints it with Checkpoint and Restore (checkpoint.go).
+	nicState
+	saved *nicState
+
+	// Per-link in-flight frame ring (see ring.go): pristine unicast
+	// frames bound for this NIC queue here instead of the global event
+	// heap, represented there by one drain event. Lazily allocated on
+	// first use; ringDraining guards against re-arming the drain event
+	// while drainRing is mid-batch. The Network empties the ring when it
+	// restores its checkpoint.
+	ring         []inflight
+	ringHead     int
+	ringCount    int
+	ringDraining bool
+}
+
+// nicState is the part of a NIC that a run changes: its flood-interest
+// declarations (see RestrictFlooding) and its frame counters. managed is
+// set once the NIC opts in; switches suppress flooded frames the NIC has
+// not declared interest in. groups refcounts joined multicast MAC groups
+// (several IPv6 addresses can map onto one solicited-node group, so
+// joins and leaves must balance per address).
+type nicState struct {
 	managed  bool
 	wantARP  bool
 	wantIPv4 bool
@@ -31,16 +48,6 @@ type NIC struct {
 	rxFrames uint64
 	txBytes  uint64
 	rxBytes  uint64
-
-	// Per-link in-flight frame ring (see ring.go): pristine unicast
-	// frames bound for this NIC queue here instead of the global event
-	// heap, represented there by one drain event. Lazily allocated on
-	// first use; ringDraining guards against re-arming the drain event
-	// while drainRing is mid-batch.
-	ring         []inflight
-	ringHead     int
-	ringCount    int
-	ringDraining bool
 }
 
 // floodSubscriber is implemented by switch port handlers so a connected

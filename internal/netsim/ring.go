@@ -181,7 +181,7 @@ func (n *Network) drainRing(nc *NIC, deadline time.Time, useDeadline bool) {
 }
 
 // clearRings empties every allocated link ring, releasing payload
-// references. Called from Stop and ResetTo; the ring storage itself stays
+// references. Called from Stop and Restore; the ring storage itself stays
 // allocated so a reused fabric does not pay the warm-up again.
 func (n *Network) clearRings() {
 	for _, nc := range n.ringNICs {
@@ -196,7 +196,7 @@ func (n *Network) clearRings() {
 // ReleaseNIC drops nc from the ring bookkeeping once it will carry no
 // more traffic (a parked fabric client's NIC). Without it the list
 // keeps nc, and the Host its handler belongs to, reachable until the
-// next ResetTo. A NIC with frames still queued stays registered; a
+// next Restore. A NIC with frames still queued stays registered; a
 // released NIC that receives again allocates and registers a new ring.
 func (n *Network) ReleaseNIC(nc *NIC) {
 	if nc.ring == nil || nc.ringCount > 0 {

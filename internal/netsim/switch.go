@@ -63,8 +63,27 @@ func (s portSet) empty() bool {
 // are skipped) but turns broadcast-domain cost from O(ports) per flood
 // into O(interested ports).
 type Switch struct {
-	name    string
-	net     *Network
+	name string
+	net  *Network
+
+	// switchState holds what a run changes; Checkpoint saves a copy in
+	// saved and Restore copies it back (checkpoint.go).
+	switchState
+	saved *switchState
+
+	// scopeTrunks makes this switch delimit broadcast domains: no flood
+	// — multicast, broadcast or unknown unicast — ever egresses a trunk
+	// port (see ScopeTrunks).
+	scopeTrunks bool
+
+	// scratch is the reusable eligibility mask for the flood fast path.
+	scratch []uint64
+}
+
+// switchState is the part of a Switch that a run changes: its ports and
+// filters, the learned table, the snooped interest state and the
+// counters.
+type switchState struct {
 	ports   []*NIC
 	table   map[MAC]int
 	filters []FrameFilter
@@ -82,20 +101,14 @@ type Switch struct {
 	groups     map[MAC]*portSet
 
 	// Fabric tier state. trunks marks ports cabled to another switch
-	// (MarkTrunk); with scopeTrunks set this switch delimits broadcast
-	// domains: no flood — multicast, broadcast or unknown unicast — ever
-	// egresses a trunk port. Known-unicast forwarding crosses trunks
-	// normally, so each access domain's floods stay local while learned
-	// conversations route through the fabric. freePorts recycles detached
-	// port slots (DetachPort) so a world that materializes and parks
-	// millions of transient hosts keeps a bounded port table.
-	trunks      portSet
-	scopeTrunks bool
-	freePorts   []int
-	detached    portSet
-
-	// scratch is the reusable eligibility mask for the flood fast path.
-	scratch []uint64
+	// (MarkTrunk). Known-unicast forwarding crosses trunks normally, so
+	// each access domain's floods stay local while learned conversations
+	// route through the fabric. freePorts recycles detached port slots
+	// (DetachPort) so a world that materializes and parks millions of
+	// transient hosts keeps a bounded port table.
+	trunks    portSet
+	freePorts []int
+	detached  portSet
 
 	flooded      uint64
 	forwarded    uint64
@@ -108,7 +121,7 @@ type Switch struct {
 
 // NewSwitch creates a switch with no ports on the given fabric.
 func NewSwitch(net *Network, name string) *Switch {
-	return &Switch{name: name, net: net, table: make(map[MAC]int)}
+	return &Switch{name: name, net: net, switchState: switchState{table: make(map[MAC]int)}}
 }
 
 // AddFilter registers a snooping filter consulted for every ingress frame.
@@ -149,8 +162,7 @@ func (s *Switch) DetachPort(idx int) {
 		return
 	}
 	delete(s.table, peer.mac)
-	port.peer = nil
-	peer.peer = nil
+	port.unplug()
 	s.restricted.remove(idx)
 	s.wantARP.remove(idx)
 	s.wantIPv4.remove(idx)

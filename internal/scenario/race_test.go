@@ -1,0 +1,8 @@
+//go:build race
+
+package scenario
+
+// raceEnabled reports that the race detector is active. Its
+// instrumentation adds allocations, so strict allocation-count
+// assertions are skipped.
+const raceEnabled = true

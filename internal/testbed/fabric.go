@@ -171,6 +171,15 @@ type Fabric struct {
 	// rowStart[len(Access)] is Table.Len().
 	rowStart []int
 
+	// fabricState holds the materialized clients; Checkpoint saves a
+	// copy in saved and Restore copies it back (reset.go).
+	fabricState
+	saved *fabricState
+}
+
+// fabricState is the part of a Fabric that a run changes, on top of its
+// access switches' own state and the Table rows.
+type fabricState struct {
 	active    map[int]*activeClient
 	macDomain map[netsim.MAC]int
 }
@@ -192,11 +201,13 @@ func (tb *Testbed) buildFabric(spec Topology) error {
 		total += as.Clients
 	}
 	fb := &Fabric{
-		tb:        tb,
-		spec:      f,
-		Table:     hoststack.NewTable(total),
-		active:    make(map[int]*activeClient),
-		macDomain: make(map[netsim.MAC]int),
+		tb:    tb,
+		spec:  f,
+		Table: hoststack.NewTable(total),
+		fabricState: fabricState{
+			active:    make(map[int]*activeClient),
+			macDomain: make(map[netsim.MAC]int),
+		},
 	}
 	// The distribution switch never floods out a trunk: broadcast
 	// chatter from one domain reaches the infrastructure but no sibling

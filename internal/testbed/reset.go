@@ -3,11 +3,6 @@ package testbed
 import (
 	"errors"
 
-	"repro/internal/dhcp4"
-	"repro/internal/dns"
-	"repro/internal/gateway5g"
-	"repro/internal/hoststack"
-	"repro/internal/mgmtswitch"
 	"repro/internal/netsim"
 )
 
@@ -15,16 +10,19 @@ import (
 // small scale but dominates sweep cells at large scale: every cell of a
 // chaos or pathology grid used to rebuild the full topology just to run
 // a few hundred device trials in it. Checkpoint captures a built
-// world's exact post-Build state — scheduler mark, every component's
-// dynamic tables and counters, the pending beacon deadlines — and Reset
-// rewinds to it, so a pooled world replays the next run byte-identically
-// to a freshly built one (the Reset-vs-fresh golden digest test pins
-// this).
+// world's exact post-Build state and Reset rewinds to it, so a pooled
+// world replays the next run byte-identically to a freshly built one
+// (the Reset-vs-fresh golden digest test pins this).
+//
+// Every checkpointed component keeps what a run changes in one state
+// struct (DESIGN.md §3h): its Checkpoint saves a copy inside the
+// component and its Restore copies it back. The testbed only lists the
+// components, in Build order, and walks the list.
 //
 // The contract is deliberately narrow: Checkpoint must be taken at the
 // quiescent instant right after Build (plus any pathology install),
 // before any client acts. At that instant the only pending timers are
-// the two RA beacons, which their owners re-arm; everything else is
+// the two RA beacons, which the network clock re-arms; everything else is
 // state with no events in flight.
 
 // ErrClientsBuilt is returned by Checkpoint for worlds whose spec
@@ -36,24 +34,11 @@ var ErrClientsBuilt = errors.New("testbed: cannot checkpoint a world with built 
 // ErrNoCheckpoint is returned by Reset when Checkpoint was never taken.
 var ErrNoCheckpoint = errors.New("testbed: no checkpoint captured")
 
-// checkpoint is the saved post-Build state of every mutable component.
-type checkpoint struct {
-	mark netsim.Mark
-
-	gateway *gateway5g.Checkpoint
-	mgmtsw  *mgmtswitch.Checkpoint
-	access  []*netsim.SwitchSnapshot
-
-	internetHost *hoststack.HostCheckpoint
-	healthyPi    *hoststack.HostCheckpoint
-	poisonPi     *hoststack.HostCheckpoint
-	dhcpPi       *hoststack.HostCheckpoint
-	dhcpServer   *dhcp4.Checkpoint
-
-	healthyCache  *dns.CacheCheckpoint
-	healthyLogLen int
-	poisonLogLen  int
-	activePoison  resolverBox
+// component is one checkpointed part of the world: Checkpoint saves its
+// state inside it and Restore copies that state back.
+type component interface {
+	Checkpoint()
+	Restore()
 }
 
 // Checkpoint captures the world's complete dynamic state at the current
@@ -64,35 +49,33 @@ func (tb *Testbed) Checkpoint() error {
 	if len(tb.Clients) > 0 {
 		return ErrClientsBuilt
 	}
-	cp := &checkpoint{
-		mark: tb.Net.Mark(),
-
-		gateway: tb.Gateway.Checkpoint(),
-		mgmtsw:  tb.Switch.Checkpoint(),
-
-		internetHost: tb.Internet.Host.Checkpoint(),
-		healthyPi:    tb.HealthyPi.Checkpoint(),
-		poisonPi:     tb.PoisonPi.Checkpoint(),
-		dhcpPi:       tb.DHCPPi.Checkpoint(),
-		dhcpServer:   tb.DHCPServer.Checkpoint(),
-
-		healthyCache:  tb.HealthyCache.Checkpoint(),
-		healthyLogLen: tb.HealthyLog.Len(),
-		poisonLogLen:  tb.PoisonLog.Len(),
-		activePoison:  tb.poisonSwitch.active.Load().(resolverBox),
+	// Build order. No Restore depends on another's: the network clock
+	// re-arms the timers pending at the checkpoint (the two RA beacons)
+	// with their original arm order, so devices re-arm nothing.
+	tb.components = []component{
+		tb.Net, tb.Internet.Host, tb.Gateway, tb.Switch,
+		tb.HealthyPi, tb.Healthy64, tb.HealthyLog, tb.HealthyCache,
+		tb.PoisonPi,
 	}
+	switch {
+	case tb.Wildcard != nil:
+		tb.components = append(tb.components, tb.Wildcard)
+	case tb.RPZ != nil:
+		tb.components = append(tb.components, tb.RPZ)
+	}
+	tb.components = append(tb.components, tb.poisonSwitch, tb.PoisonLog, tb.DHCPPi, tb.DHCPServer)
 	if tb.Fabric != nil {
-		for _, asw := range tb.Fabric.Switches {
-			cp.access = append(cp.access, asw.Snapshot())
-		}
+		tb.components = append(tb.components, tb.Fabric)
 	}
-	tb.cp = cp
+	for _, c := range tb.components {
+		c.Checkpoint()
+	}
 	return nil
 }
 
 // Checkpointed reports whether Checkpoint has captured this world's
 // post-Build state (i.e. whether Reset can rewind it).
-func (tb *Testbed) Checkpointed() bool { return tb.cp != nil }
+func (tb *Testbed) Checkpointed() bool { return tb.components != nil }
 
 // Reset rewinds the world to its captured checkpoint: pending events
 // and timers are dropped and re-armed, every component's dynamic tables
@@ -101,42 +84,49 @@ func (tb *Testbed) Checkpointed() bool { return tb.cp != nil }
 // lands back on the checkpoint instant. A reset world runs the next
 // scenario byte-identically to a freshly built one.
 func (tb *Testbed) Reset() error {
-	cp := tb.cp
-	if cp == nil {
+	if tb.components == nil {
 		return ErrNoCheckpoint
 	}
-	tb.Net.ResetTo(cp.mark)
-
-	// Re-arm order mirrors Build: gateway beacon, then switch beacon.
-	// Relative timer order decides same-instant ties, so this must not
-	// change.
-	tb.Gateway.Restore(cp.gateway)
-	tb.Switch.Restore(cp.mgmtsw)
-
-	tb.Internet.Host.Restore(cp.internetHost)
-	tb.HealthyPi.Restore(cp.healthyPi)
-	tb.PoisonPi.Restore(cp.poisonPi)
-	tb.DHCPPi.Restore(cp.dhcpPi)
-	tb.DHCPServer.Restore(cp.dhcpServer)
-
-	tb.HealthyCache.Restore(cp.healthyCache)
-	tb.HealthyLog.Restore(cp.healthyLogLen)
-	tb.PoisonLog.Restore(cp.poisonLogLen)
-	tb.poisonSwitch.active.Store(cp.activePoison)
-
-	if tb.Fabric != nil {
-		for i, asw := range tb.Fabric.Switches {
-			asw.RestoreSnapshot(cp.access[i])
-		}
-		tb.Fabric.Table.ResetRows()
-		clear(tb.Fabric.active)
-		clear(tb.Fabric.macDomain)
+	for _, c := range tb.components {
+		c.Restore()
 	}
-
 	// Nil the slots before truncating: the backing array would otherwise
 	// keep every finished Host (NIC, caches, TCP state, event journal)
 	// reachable until a later run overwrites its slot.
 	clear(tb.Clients)
 	tb.Clients = tb.Clients[:0]
 	return nil
+}
+
+// Checkpoint saves the resolver the poisoned Pi answers through.
+func (s *switchableResolver) Checkpoint() { s.saved = s.active.Load() }
+
+// Restore swaps the checkpoint's resolver back in.
+func (s *switchableResolver) Restore() { s.active.Store(s.saved) }
+
+// Checkpoint saves the fabric's materialized-client tables and its
+// access switches' state. The Table rows need no copy: at the
+// checkpoint no client has acted, so every row is in its
+// just-registered state, which Restore re-zeroes.
+func (fb *Fabric) Checkpoint() {
+	fb.saved = new(fabricState)
+	fb.fabricState.copyInto(fb.saved)
+	for _, asw := range fb.Switches {
+		asw.Checkpoint()
+	}
+}
+
+// Restore rewinds the access tier to its checkpoint and forgets the
+// run's population without reallocating the Table.
+func (fb *Fabric) Restore() {
+	fb.saved.copyInto(&fb.fabricState)
+	for _, asw := range fb.Switches {
+		asw.Restore()
+	}
+	fb.Table.ResetRows()
+}
+
+func (s *fabricState) copyInto(dst *fabricState) {
+	dst.active = netsim.RefillMap(dst.active, s.active)
+	dst.macDomain = netsim.RefillMap(dst.macDomain, s.macDomain)
 }

@@ -159,9 +159,9 @@ type Testbed struct {
 
 	poisonSwitch *switchableResolver
 
-	// cp is the saved post-Build state backing the Checkpoint/Reset
-	// world-reuse lifecycle (reset.go); nil until Checkpoint is taken.
-	cp *checkpoint
+	// components lists every checkpointed part of the world in Build
+	// order (reset.go); nil until Checkpoint is taken.
+	components []component
 
 	Clients []*hoststack.Host
 
@@ -206,6 +206,9 @@ func New(opt Options) *Testbed {
 // Resolve, and a torn read must never be observed.
 type switchableResolver struct {
 	active atomic.Value // holds resolverBox
+	// saved is the box active at the checkpoint (reset.go), kept boxed
+	// so Restore stores it back without allocating.
+	saved any
 }
 
 // resolverBox gives atomic.Value a single consistent concrete type even

@@ -5,9 +5,10 @@
 // bar: every Pathology composite literal must carry non-empty Name,
 // Source and Mechanism strings, and stateful literals (any with a
 // Schedule, Budget or InstallGated field) a non-empty ScheduleDoc. It
-// walks the package directories given as arguments (or
-// ./internal/... and ./cmd/... plus the module root by default), parses
-// the non-test sources with go/parser, and prints one line per missing
+// walks the package directories given as arguments (or the module
+// root, ./internal/..., ./cmd/... and ./tools/... by default; testdata
+// directories are skipped, as the go tool skips them), parses the
+// non-test sources with go/parser, and prints one line per missing
 // comment. Exit status 1 means the bar is not met — CI runs this next
 // to go vet.
 package main
@@ -17,6 +18,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -26,7 +28,14 @@ import (
 )
 
 func main() {
-	roots := os.Args[1:]
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run lints the package directories named by roots (a trailing /...
+// walks the tree below, skipping testdata and dot directories as the go
+// tool does), prints one line per finding to stdout and returns the
+// exit status: 0 when the bar is met, 1 otherwise.
+func run(roots []string, stdout, stderr io.Writer) int {
 	if len(roots) == 0 {
 		roots = []string{".", "./internal/...", "./cmd/...", "./tools/..."}
 	}
@@ -34,8 +43,11 @@ func main() {
 	for _, r := range roots {
 		if rest, ok := strings.CutSuffix(r, "/..."); ok {
 			_ = filepath.WalkDir(rest, func(p string, d fs.DirEntry, err error) error {
-				if err != nil || !d.IsDir() || strings.HasPrefix(d.Name(), ".") {
+				if err != nil || !d.IsDir() {
 					return err
+				}
+				if p != rest && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+					return filepath.SkipDir
 				}
 				dirs[p] = true
 				return nil
@@ -52,37 +64,38 @@ func main() {
 
 	bad := 0
 	for _, dir := range ordered {
-		bad += lintDir(dir)
+		bad += lintDir(dir, stdout, stderr)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doclint: %d exported identifier(s) lack doc comments\n", bad)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "doclint: %d exported identifier(s) lack doc comments\n", bad)
+		return 1
 	}
+	return 0
 }
 
 // lintDir parses one directory's package and reports undocumented
 // exported declarations. Test files are skipped: their exported helpers
 // document themselves through the tests that use them.
-func lintDir(dir string) int {
+func lintDir(dir string, stdout, stderr io.Writer) int {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", dir, err)
+		fmt.Fprintf(stderr, "doclint: %s: %v\n", dir, err)
 		return 1
 	}
 	bad := 0
 	for _, pkg := range pkgs {
 		if !hasPackageDoc(pkg) {
-			fmt.Printf("%s: package %s has no package comment\n", dir, pkg.Name)
+			fmt.Fprintf(stdout, "%s: package %s has no package comment\n", dir, pkg.Name)
 			bad++
 		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				bad += lintDecl(fset, decl)
+				bad += lintDecl(fset, decl, stdout)
 			}
-			bad += lintPathologyLits(fset, file)
+			bad += lintPathologyLits(fset, file, stdout)
 		}
 	}
 	return bad
@@ -103,10 +116,10 @@ func hasPackageDoc(pkg *ast.Package) bool {
 // top-level declaration. A doc comment on a const/var/type group covers
 // every spec inside it; a spec-level doc or trailing line comment also
 // counts.
-func lintDecl(fset *token.FileSet, decl ast.Decl) int {
+func lintDecl(fset *token.FileSet, decl ast.Decl, stdout io.Writer) int {
 	bad := 0
 	report := func(pos token.Pos, kind, name string) {
-		fmt.Printf("%s: %s %s has no doc comment\n", fset.Position(pos), kind, name)
+		fmt.Fprintf(stdout, "%s: %s %s has no doc comment\n", fset.Position(pos), kind, name)
 		bad++
 	}
 	switch d := decl.(type) {
@@ -149,7 +162,7 @@ func lintDecl(fset *token.FileSet, decl ast.Decl) int {
 // mode fails the docs lane before any test ever constructs it. Fields
 // whose values are not compile-time string constants are left to the
 // runtime check.
-func lintPathologyLits(fset *token.FileSet, file *ast.File) int {
+func lintPathologyLits(fset *token.FileSet, file *ast.File, stdout io.Writer) int {
 	bad := 0
 	ast.Inspect(file, func(n ast.Node) bool {
 		cl, ok := n.(*ast.CompositeLit)
@@ -177,12 +190,12 @@ func lintPathologyLits(fset *token.FileSet, file *ast.File) int {
 		for _, req := range required {
 			v, ok := fields[req]
 			if !ok {
-				fmt.Printf("%s: Pathology literal lacks the %s field\n", fset.Position(cl.Pos()), req)
+				fmt.Fprintf(stdout, "%s: Pathology literal lacks the %s field\n", fset.Position(cl.Pos()), req)
 				bad++
 				continue
 			}
 			if s, lit := stringConst(v); lit && strings.TrimSpace(s) == "" {
-				fmt.Printf("%s: Pathology %s is empty\n", fset.Position(v.Pos()), req)
+				fmt.Fprintf(stdout, "%s: Pathology %s is empty\n", fset.Position(v.Pos()), req)
 				bad++
 			}
 		}
