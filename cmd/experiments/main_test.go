@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,44 @@ func TestUsagePinnedInREADME(t *testing.T) {
 	if block != want {
 		t.Errorf("README experiments-flags block is stale.\n--- README ---\n%s\n--- binary -help ---\n%s\n"+
 			"regenerate with: go run ./cmd/experiments -help", block, want)
+	}
+}
+
+// TestMeasuredLinesInGoldens holds EXPERIMENTS.md to what the binary
+// prints: every measured: line it quotes must appear verbatim (trailing
+// blanks aside) in one of the testdata goldens, which
+// TestExperimentGoldens and TestGridGolden pin to the real output.
+func TestMeasuredLinesInGoldens(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens, err := filepath.Glob("testdata/*.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := map[string]bool{}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			printed[strings.TrimRight(line, " ")] = true
+		}
+	}
+	quoted := 0
+	for i, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(line, "measured:") {
+			continue
+		}
+		quoted++
+		if !printed[strings.TrimRight(line, " ")] {
+			t.Errorf("EXPERIMENTS.md:%d is in no golden: %s", i+1, line)
+		}
+	}
+	if quoted == 0 {
+		t.Error("EXPERIMENTS.md quotes no measured: line")
 	}
 }
 

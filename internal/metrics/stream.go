@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,7 +39,7 @@ type RowRecord struct {
 	ConvergeMS int64 `json:"converge_ms,omitempty"`
 }
 
-// rowHeader is the CSV column order; MarshalCSV must stay in sync.
+// rowHeader is the CSV column order; fields must stay in sync.
 var rowHeader = []string{
 	"cell", "repeat", "shard", "index", "device", "profile", "class",
 	"informed", "internet", "used_ipv6", "churned", "reconverged", "converge_ms",
@@ -90,7 +91,9 @@ func ParseEmitFormat(s string) (EmitFormat, error) {
 // scenario engine already serializes sink callbacks, so one Emitter
 // per run needs no extra locking.
 type Emitter struct {
-	w      *bufio.Writer
+	w *bufio.Writer
+	// csv writes RFC 4180 lines ending in \n into w's buffer.
+	csv    *csv.Writer
 	format EmitFormat
 	wrote  bool
 	err    error
@@ -99,7 +102,8 @@ type Emitter struct {
 
 // NewEmitter returns an Emitter writing rows to w in the given format.
 func NewEmitter(w io.Writer, format EmitFormat) *Emitter {
-	return &Emitter{w: bufio.NewWriter(w), format: format}
+	b := bufio.NewWriter(w)
+	return &Emitter{w: b, csv: csv.NewWriter(b), format: format}
 }
 
 // Emit writes one record. After the first error every subsequent Emit
@@ -112,10 +116,10 @@ func (e *Emitter) Emit(r RowRecord) error {
 	switch e.format {
 	case EmitCSV:
 		if !e.wrote {
-			e.err = writeCSVLine(e.w, rowHeader)
+			e.err = e.csv.Write(rowHeader)
 		}
 		if e.err == nil {
-			e.err = writeCSVLine(e.w, r.fields())
+			e.err = e.csv.Write(r.fields())
 		}
 	case EmitJSONL:
 		var b []byte
@@ -146,54 +150,4 @@ func (e *Emitter) Flush() error {
 		e.err = ferr
 	}
 	return e.err
-}
-
-// writeCSVLine writes one comma-separated line, quoting fields that
-// contain separators, quotes or newlines (RFC 4180 style). The record
-// schema is numbers, booleans and device/profile names, so quoting is
-// rare but stays correct if a profile name ever grows a comma.
-func writeCSVLine(w *bufio.Writer, fields []string) error {
-	for i, f := range fields {
-		if i > 0 {
-			if err := w.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		if needsQuoting(f) {
-			if err := writeQuoted(w, f); err != nil {
-				return err
-			}
-		} else if _, err := w.WriteString(f); err != nil {
-			return err
-		}
-	}
-	return w.WriteByte('\n')
-}
-
-func needsQuoting(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ',', '"', '\n', '\r':
-			return true
-		}
-	}
-	return false
-}
-
-func writeQuoted(w *bufio.Writer, s string) error {
-	if err := w.WriteByte('"'); err != nil {
-		return err
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' {
-			if _, err := w.WriteString(`""`); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := w.WriteByte(s[i]); err != nil {
-			return err
-		}
-	}
-	return w.WriteByte('"')
 }

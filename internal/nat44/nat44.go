@@ -11,6 +11,7 @@ import (
 	"net/netip"
 	"time"
 
+	"repro/internal/nat64/napt"
 	"repro/internal/packet"
 )
 
@@ -35,14 +36,14 @@ type LogEntry struct {
 
 // Translator is a stateful NAPT44.
 type Translator struct {
-	public  netip.Addr
-	now     func() time.Time
-	timeout time.Duration
-	portMin uint16
-	portMax uint16
+	public netip.Addr
+	// table holds the sessions, the external port range and the idle
+	// timeout.
+	table *napt.Table
 
-	// translatorState holds what a run changes; Checkpoint saves a copy
-	// in saved and Restore copies it back (checkpoint.go).
+	// translatorState holds what a run changes outside the table;
+	// Checkpoint saves a copy in saved and Restore copies it back
+	// (checkpoint.go).
 	translatorState
 	saved *translatorState
 
@@ -53,13 +54,9 @@ type Translator struct {
 	inScratch  []byte
 }
 
-// translatorState is the part of a Translator that a run changes: the
-// session tables, the port cursor, the compliance log and the counters.
+// translatorState is the part of a Translator that a run changes
+// outside its session table: the compliance log and the counters.
 type translatorState struct {
-	outbound map[key]*session
-	inbound  map[extKey]*session
-	nextPort uint16
-
 	// Log holds one entry per new session (not per packet).
 	Log []LogEntry
 
@@ -71,41 +68,21 @@ type translatorState struct {
 	BytesIn  uint64
 }
 
-type key struct {
-	proto uint8
-	src   netip.Addr
-	port  uint16
-}
-
-type extKey struct {
-	proto uint8
-	port  uint16
-}
-
-type session struct {
-	inside   netip.Addr
-	inPort   uint16
-	extPort  uint16
-	lastSeen time.Time
-}
+// idleTimeout is how long a session of any protocol lives unused.
+const idleTimeout = 5 * time.Minute
 
 // New builds a NAPT44 mapping to the given public address.
 func New(public netip.Addr, now func() time.Time) (*Translator, error) {
 	if !public.Is4() {
 		return nil, fmt.Errorf("nat44: public address %v must be IPv4", public)
 	}
-	return &Translator{
-		public:  public,
-		now:     now,
-		timeout: 5 * time.Minute,
-		portMin: 32768,
-		portMax: 65535,
-		translatorState: translatorState{
-			outbound: make(map[key]*session),
-			inbound:  make(map[extKey]*session),
-			nextPort: 32768,
-		},
-	}, nil
+	table, err := napt.New(32768, 65535, napt.Timeouts{
+		UDP: idleTimeout, TCP: idleTimeout, ICMP: idleTimeout, TCPTrans: idleTimeout,
+	}, now)
+	if err != nil {
+		return nil, err
+	}
+	return &Translator{public: public, table: table}, nil
 }
 
 // Public returns the translator's public address.
@@ -114,11 +91,7 @@ func (t *Translator) Public() netip.Addr { return t.public }
 // SetPortRange constrains the external port pool (used when NAT44 and
 // NAT64 share one public address and must not collide).
 func (t *Translator) SetPortRange(min, max uint16) error {
-	if min == 0 || min > max {
-		return fmt.Errorf("nat44: bad port range %d..%d", min, max)
-	}
-	t.portMin, t.portMax, t.nextPort = min, max, min
-	return nil
+	return t.table.SetPortRange(min, max)
 }
 
 // FlushSessions drops every binding at once — the effect of a gateway
@@ -127,22 +100,10 @@ func (t *Translator) SetPortRange(min, max uint16) error {
 // not kept in translator RAM): external peers may hold connection state
 // keyed by pre-flush ports, so those ports are not reused until the
 // pool wraps.
-func (t *Translator) FlushSessions() {
-	clear(t.outbound)
-	clear(t.inbound)
-}
+func (t *Translator) FlushSessions() { t.table.Flush() }
 
 // SessionCount returns the number of live sessions.
-func (t *Translator) SessionCount() int {
-	n := 0
-	now := t.now()
-	for _, s := range t.outbound {
-		if now.Sub(s.lastSeen) <= t.timeout {
-			n++
-		}
-	}
-	return n
-}
+func (t *Translator) SessionCount() int { return t.table.Live(netip.Addr{}) }
 
 // TranslateOut rewrites an outbound private-source packet to the public
 // address, logging new sessions, and writes the result into out.
@@ -161,7 +122,7 @@ func (t *Translator) TranslateOut(p *packet.IPv4, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		t.outScratch = (&packet.UDP{SrcPort: s.extPort, DstPort: u.DstPort, Payload: u.Payload}).AppendTo(t.outScratch[:0], out.Src, out.Dst)
+		t.outScratch = (&packet.UDP{SrcPort: s.ExtPort, DstPort: u.DstPort, Payload: u.Payload}).AppendTo(t.outScratch[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
 		var tc packet.TCP
 		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
@@ -171,7 +132,7 @@ func (t *Translator) TranslateOut(p *packet.IPv4, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		tc.SrcPort = s.extPort
+		tc.SrcPort = s.ExtPort
 		t.outScratch = tc.AppendTo(t.outScratch[:0], out.Src, out.Dst)
 	case packet.ProtoICMP:
 		var ic packet.ICMP
@@ -186,7 +147,7 @@ func (t *Translator) TranslateOut(p *packet.IPv4, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		t.outScratch = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.extPort, seq, data)}).AppendToV4(t.outScratch[:0])
+		t.outScratch = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.ExtPort, seq, data)}).AppendToV4(t.outScratch[:0])
 	default:
 		return fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
 	}
@@ -206,13 +167,12 @@ func (t *Translator) TranslateIn(p *packet.IPv4, out *packet.IPv4) error {
 		t.Dropped++
 		return ErrNoSession
 	}
-	lookup := func(proto uint8, extPort uint16) (*session, error) {
-		s, ok := t.inbound[extKey{proto: proto, port: extPort}]
-		if !ok || t.now().Sub(s.lastSeen) > t.timeout {
+	lookup := func(proto uint8, extPort uint16) (*napt.Binding, error) {
+		s := t.table.Inbound(proto, extPort)
+		if s == nil {
 			t.Dropped++
 			return nil, ErrNoSession
 		}
-		s.lastSeen = t.now()
 		return s, nil
 	}
 	*out = packet.IPv4{TOS: p.TOS, ID: p.ID, DontFrag: p.DontFrag, TTL: p.TTL, Protocol: p.Protocol, Src: p.Src}
@@ -226,8 +186,8 @@ func (t *Translator) TranslateIn(p *packet.IPv4, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		out.Dst = s.inside
-		t.inScratch = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.inPort, Payload: u.Payload}).AppendTo(t.inScratch[:0], out.Src, out.Dst)
+		out.Dst = s.Src
+		t.inScratch = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.SrcPort, Payload: u.Payload}).AppendTo(t.inScratch[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
 		var tc packet.TCP
 		if err := tc.Decode(p.Payload, p.Src, p.Dst); err != nil {
@@ -237,8 +197,8 @@ func (t *Translator) TranslateIn(p *packet.IPv4, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		out.Dst = s.inside
-		tc.DstPort = s.inPort
+		out.Dst = s.Src
+		tc.DstPort = s.SrcPort
 		t.inScratch = tc.AppendTo(t.inScratch[:0], out.Src, out.Dst)
 	case packet.ProtoICMP:
 		var ic packet.ICMP
@@ -253,8 +213,8 @@ func (t *Translator) TranslateIn(p *packet.IPv4, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		out.Dst = s.inside
-		t.inScratch = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.inPort, seq, data)}).AppendToV4(t.inScratch[:0])
+		out.Dst = s.Src
+		t.inScratch = (&packet.ICMP{Type: ic.Type, Code: ic.Code, Body: packet.EchoBody(s.SrcPort, seq, data)}).AppendToV4(t.inScratch[:0])
 	default:
 		return fmt.Errorf("%w: protocol %d", ErrUnsupported, p.Protocol)
 	}
@@ -266,44 +226,19 @@ func (t *Translator) TranslateIn(p *packet.IPv4, out *packet.IPv4) error {
 
 // session finds or creates the binding for an outbound flow, logging
 // new sessions per M-21-31.
-func (t *Translator) session(proto uint8, src netip.Addr, sport uint16, dst netip.Addr, dport uint16) (*session, error) {
-	k := key{proto: proto, src: src, port: sport}
-	if s, ok := t.outbound[k]; ok && t.now().Sub(s.lastSeen) <= t.timeout {
-		s.lastSeen = t.now()
+func (t *Translator) session(proto uint8, src netip.Addr, sport uint16, dst netip.Addr, dport uint16) (*napt.Binding, error) {
+	if s := t.table.Lookup(proto, src, sport); s != nil {
 		return s, nil
 	}
-	ext, err := t.allocPort(proto)
-	if err != nil {
-		return nil, err
+	s := t.table.Open(proto, src, sport)
+	if s == nil {
+		return nil, ErrPortsExhausted
 	}
-	s := &session{inside: src, inPort: sport, extPort: ext, lastSeen: t.now()}
-	t.outbound[k] = s
-	t.inbound[extKey{proto: proto, port: ext}] = s
 	t.Log = append(t.Log, LogEntry{
-		When: t.now(), Proto: proto,
+		When: s.LastSeen, Proto: proto,
 		Inside: src, InPort: sport,
-		Outside: t.public, OutPort: ext,
+		Outside: t.public, OutPort: s.ExtPort,
 		Dst: dst, DstPort: dport,
 	})
 	return s, nil
-}
-
-func (t *Translator) allocPort(proto uint8) (uint16, error) {
-	span := int(t.portMax) - int(t.portMin) + 1
-	for i := 0; i < span; i++ {
-		p := t.nextPort
-		if t.nextPort == t.portMax {
-			t.nextPort = t.portMin
-		} else {
-			t.nextPort++
-		}
-		k := extKey{proto: proto, port: p}
-		if s, ok := t.inbound[k]; !ok || t.now().Sub(s.lastSeen) > t.timeout {
-			if s != nil {
-				delete(t.outbound, key{proto: proto, src: s.inside, port: s.inPort})
-			}
-			return p, nil
-		}
-	}
-	return 0, ErrPortsExhausted
 }

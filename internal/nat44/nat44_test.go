@@ -207,10 +207,10 @@ func TestNewRejectsV6Public(t *testing.T) {
 }
 
 // TestRestoreRewindsSessions checkpoints a translator holding a live
-// session, then refreshes it, opens a second one and restores: the
-// tables, log and counters must come back, each session shared by its
-// outbound and inbound entry, and the saved copy untouched by the
-// refresh, so a second Restore gives the same result.
+// session, then refreshes it, opens a second one and restores: the log,
+// the counters and the session table must come back (the table's own
+// copy is pinned in package napt), so a second round gives the same
+// result.
 func TestRestoreRewindsSessions(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
@@ -218,27 +218,71 @@ func TestRestoreRewindsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Checkpoint()
-	k := key{proto: packet.ProtoUDP, src: inside, port: 5000}
-	want := *tr.outbound[k]
-
+	var second uint16
 	for round := 1; round <= 2; round++ {
 		clk.t = clk.t.Add(time.Minute)
 		for _, sport := range []uint16{5000, 5001} {
-			if _, err := translateOut(tr, udp4(inside, remote, sport, 80, "b")); err != nil {
+			out, err := translateOut(tr, udp4(inside, remote, sport, 80, "b"))
+			if err != nil {
 				t.Fatal(err)
+			}
+			var u packet.UDP
+			if err := u.Decode(out.Payload, out.Src, out.Dst); err != nil {
+				t.Fatal(err)
+			}
+			if sport == 5001 && round == 1 {
+				second = u.SrcPort
+			} else if sport == 5001 && u.SrcPort != second {
+				t.Fatalf("round %d: second flow got port %d, want %d again", round, u.SrcPort, second)
 			}
 		}
 		tr.Restore()
-		if len(tr.outbound) != 1 || len(tr.inbound) != 1 || len(tr.Log) != 1 || tr.Translated != 1 {
-			t.Fatalf("round %d: after Restore %d outbound, %d inbound, %d log entries, %d translated; want 1 each",
-				round, len(tr.outbound), len(tr.inbound), len(tr.Log), tr.Translated)
+		if len(tr.Log) != 1 || tr.Translated != 1 || tr.SessionCount() != 1 {
+			t.Fatalf("round %d: after Restore %d log entries, %d translated, %d sessions; want 1 each",
+				round, len(tr.Log), tr.Translated, tr.SessionCount())
 		}
-		s := tr.outbound[k]
-		if *s != want {
-			t.Fatalf("round %d: session after Restore = %+v, want %+v", round, *s, want)
+	}
+}
+
+// TestPortWrapKeepsReopenedBinding is the port-wrap regression: on
+// ports 40000–40002, binding A opens and expires, its inside endpoint
+// re-opens as B, another client takes 40002, and a new flow wraps onto
+// A's port. B must keep its binding: its next packet reuses B's port,
+// three sessions stay live and the log holds one line per binding.
+func TestPortWrapKeepsReopenedBinding(t *testing.T) {
+	clk := newClock()
+	tr := newT(t, clk)
+	if err := tr.SetPortRange(40000, 40002); err != nil {
+		t.Fatal(err)
+	}
+	other := netip.MustParseAddr("192.168.12.102")
+	open := func(src netip.Addr, sport uint16) uint16 {
+		t.Helper()
+		out, err := translateOut(tr, udp4(src, remote, sport, 80, "x"))
+		if err != nil {
+			t.Errorf("%v:%d: %v", src, sport, err)
+			return 0
 		}
-		if tr.inbound[extKey{proto: packet.ProtoUDP, port: s.extPort}] != s {
-			t.Fatalf("round %d: the inbound entry does not share the outbound entry's session", round)
+		var u packet.UDP
+		if err := u.Decode(out.Payload, out.Src, out.Dst); err != nil {
+			t.Fatal(err)
 		}
+		return u.SrcPort
+	}
+	open(inside, 5000) // A on 40000
+	clk.t = clk.t.Add(6 * time.Minute)
+	b := open(inside, 5000) // B
+	open(other, 6000)
+	if p := open(other, 6001); p != 40000 {
+		t.Fatalf("wrapping flow got port %d, want A's port 40000", p)
+	}
+	if p := open(inside, 5000); p != b {
+		t.Errorf("B's next packet left on port %d, want B's port %d", p, b)
+	}
+	if n := tr.SessionCount(); n != 3 {
+		t.Errorf("SessionCount = %d, want 3", n)
+	}
+	if len(tr.Log) != 4 {
+		t.Errorf("%d log entries, want 4 (A, B and two more bindings)", len(tr.Log))
 	}
 }

@@ -27,27 +27,26 @@ func (t *Translator) translateICMPv4Error(p *packet.IPv4, ic *packet.ICMP, out *
 		return err
 	}
 	// The embedded packet is the one WE sent: src = our public address.
-	if inner.Src != t.cfg.PublicV4 {
+	if inner.Src != t.public {
 		return ErrNoSession
 	}
 	extPort, dstPort, proto, err := embeddedPorts(inner, innerPayload)
 	if err != nil {
 		return err
 	}
-	s, ok := t.inbound[extKey{proto: proto, port: extPort}]
-	if !ok || t.expired(s, t.now()) {
+	s := t.table.Inbound(proto, extPort)
+	if s == nil {
 		t.DroppedNoSess++
 		return ErrNoSession
 	}
-	s.LastSeen = t.now()
 
 	// Rebuild the embedded packet as the client's original IPv6 packet.
-	innerDstV6, err := dns64.Synthesize(t.cfg.Prefix, inner.Dst)
+	innerDstV6, err := dns64.Synthesize(t.prefix, inner.Dst)
 	if err != nil {
 		return err
 	}
 	innerV6 := &packet.IPv6{
-		HopLimit: inner.TTL, Src: s.SrcV6, Dst: innerDstV6,
+		HopLimit: inner.TTL, Src: s.Src, Dst: innerDstV6,
 	}
 	switch proto {
 	case packet.ProtoUDP:
@@ -66,14 +65,14 @@ func (t *Translator) translateICMPv4Error(p *packet.IPv4, ic *packet.ICMP, out *
 	if !ok {
 		return fmt.Errorf("%w: ICMPv4 error type %d code %d", ErrUnsupported, ic.Type, ic.Code)
 	}
-	srcV6, err := dns64.Synthesize(t.cfg.Prefix, p.Src)
+	srcV6, err := dns64.Synthesize(t.prefix, p.Src)
 	if err != nil {
 		return err
 	}
 	body := append(newMeta, innerV6.Marshal()...)
 	*out = packet.IPv6{
 		NextHeader: packet.ProtoICMPv6, HopLimit: p.TTL - 1,
-		Src: srcV6, Dst: s.SrcV6,
+		Src: srcV6, Dst: s.Src,
 	}
 	t.out46 = (&packet.ICMP{Type: v6Type, Code: v6Code, Body: body}).AppendToV6(t.out46[:0], out.Src, out.Dst)
 	out.Payload = t.out46

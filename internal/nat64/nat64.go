@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dns64"
+	"repro/internal/nat64/napt"
 	"repro/internal/packet"
 )
 
@@ -51,43 +52,17 @@ type Config struct {
 // FIN or RST is seen, the session only lingers briefly.
 const DefaultTCPTransTimeout = 4 * time.Minute
 
-// Session is one RFC 6146 binding (endpoint-independent mapping).
-type Session struct {
-	Proto    uint8
-	SrcV6    netip.Addr
-	SrcPort  uint16 // or ICMP identifier
-	ExtPort  uint16 // allocated external port / identifier
-	LastSeen time.Time
-	PktsOut  uint64
-	PktsIn   uint64
-	// BytesOut / BytesIn count L4 payload octets carried across the
-	// binding in each direction (flow-volume accounting for the
-	// heavy-traffic workload).
-	BytesOut uint64
-	BytesIn  uint64
-	// Closing is set once a FIN or RST crossed the session, switching it
-	// to the short TCP_TRANS timeout.
-	Closing bool
-}
-
-type mapKey struct {
-	proto uint8
-	src   netip.Addr
-	port  uint16
-}
-
-type extKey struct {
-	proto uint8
-	port  uint16
-}
-
 // Translator is a stateful NAT64.
 type Translator struct {
-	cfg Config
-	now func() time.Time
+	prefix netip.Prefix
+	public netip.Addr
+	// table holds the sessions, the external port range and the session
+	// timeouts.
+	table *napt.Table
 
-	// translatorState holds what a run changes; Checkpoint saves a copy
-	// in saved and Restore copies it back (checkpoint.go).
+	// translatorState holds what a run changes outside the table;
+	// Checkpoint saves a copy in saved and Restore copies it back
+	// (checkpoint.go).
 	translatorState
 	saved *translatorState
 
@@ -98,14 +73,9 @@ type Translator struct {
 	out46 []byte
 }
 
-// translatorState is the part of a Translator that a run changes: the
-// session tables, the port cursor, the counters and the pathology
-// knobs.
+// translatorState is the part of a Translator that a run changes
+// outside its session table: the counters and the pathology knobs.
 type translatorState struct {
-	outbound map[mapKey]*Session
-	inbound  map[extKey]*Session
-	nextPort uint16
-
 	// Counters for the experiment harness.
 	TranslatedOut uint64
 	TranslatedIn  uint64
@@ -149,34 +119,26 @@ func New(cfg Config, now func() time.Time) (*Translator, error) {
 	if cfg.PortMin == 0 && cfg.PortMax == 0 {
 		cfg.PortMin, cfg.PortMax = 32768, 65535
 	}
-	if cfg.PortMin > cfg.PortMax {
-		return nil, fmt.Errorf("nat64: port range %d..%d inverted", cfg.PortMin, cfg.PortMax)
+	table, err := napt.New(cfg.PortMin, cfg.PortMax, napt.Timeouts{
+		UDP: DefaultUDPTimeout, TCP: DefaultTCPTimeout, ICMP: DefaultICMPTimeout, TCPTrans: DefaultTCPTransTimeout,
+	}, now)
+	if err != nil {
+		return nil, fmt.Errorf("nat64: %w", err)
 	}
-	if cfg.UDPTimeout == 0 {
-		cfg.UDPTimeout = DefaultUDPTimeout
-	}
-	if cfg.TCPTimeout == 0 {
-		cfg.TCPTimeout = DefaultTCPTimeout
-	}
-	if cfg.ICMPTimeout == 0 {
-		cfg.ICMPTimeout = DefaultICMPTimeout
-	}
-	if cfg.TCPTransTimeout == 0 {
-		cfg.TCPTransTimeout = DefaultTCPTransTimeout
-	}
-	return &Translator{
-		cfg: cfg,
-		now: now,
-		translatorState: translatorState{
-			outbound: make(map[mapKey]*Session),
-			inbound:  make(map[extKey]*Session),
-			nextPort: cfg.PortMin,
-		},
-	}, nil
+	t := &Translator{prefix: cfg.Prefix, public: cfg.PublicV4, table: table}
+	t.SetSessionTimeouts(cfg.UDPTimeout, cfg.TCPTimeout, cfg.ICMPTimeout, cfg.TCPTransTimeout)
+	return t, nil
 }
 
 // Config returns the active configuration.
-func (t *Translator) Config() Config { return t.cfg }
+func (t *Translator) Config() Config {
+	portMin, portMax := t.table.PortRange()
+	idle := t.table.Timeouts()
+	return Config{
+		Prefix: t.prefix, PublicV4: t.public, PortMin: portMin, PortMax: portMax,
+		UDPTimeout: idle.UDP, TCPTimeout: idle.TCP, ICMPTimeout: idle.ICMP, TCPTransTimeout: idle.TCPTrans,
+	}
+}
 
 // FlushSessions drops every binding at once — the effect of a gateway
 // power cycle on translator state. The port cursor is NOT reset:
@@ -184,92 +146,26 @@ func (t *Translator) Config() Config { return t.cfg }
 // minutes, so reusing those ports immediately would splice new sessions
 // into dead peer connections (RFC 6146 §3.5.1.1 recommends not reusing
 // a port while the peer may still associate it with the old session).
-func (t *Translator) FlushSessions() {
-	clear(t.outbound)
-	clear(t.inbound)
-}
+func (t *Translator) FlushSessions() { t.table.Flush() }
 
 // SessionCount returns the number of live (unexpired) sessions.
-func (t *Translator) SessionCount() int {
-	n := 0
-	now := t.now()
-	for _, s := range t.outbound {
-		if !t.expired(s, now) {
-			n++
-		}
-	}
-	return n
-}
-
-func (t *Translator) timeoutFor(s *Session) time.Duration {
-	switch s.Proto {
-	case packet.ProtoTCP:
-		if s.Closing {
-			return t.cfg.TCPTransTimeout
-		}
-		return t.cfg.TCPTimeout
-	case packet.ProtoUDP:
-		return t.cfg.UDPTimeout
-	default:
-		return t.cfg.ICMPTimeout
-	}
-}
-
-func (t *Translator) expired(s *Session, now time.Time) bool {
-	return now.Sub(s.LastSeen) > t.timeoutFor(s)
-}
-
-// ExpireSessions removes sessions idle past their timeout and returns
-// how many were evicted.
-func (t *Translator) ExpireSessions() int {
-	now := t.now()
-	evicted := 0
-	for k, s := range t.outbound {
-		if t.expired(s, now) {
-			delete(t.outbound, k)
-			delete(t.inbound, extKey{proto: s.Proto, port: s.ExtPort})
-			evicted++
-		}
-	}
-	return evicted
-}
+func (t *Translator) SessionCount() int { return t.table.Live(netip.Addr{}) }
 
 // session finds or creates the binding for an outbound flow.
-func (t *Translator) session(proto uint8, src netip.Addr, srcPort uint16) (*Session, error) {
-	key := mapKey{proto: proto, src: src, port: srcPort}
-	if s, ok := t.outbound[key]; ok && !t.expired(s, t.now()) {
+func (t *Translator) session(proto uint8, src netip.Addr, srcPort uint16) (*napt.Binding, error) {
+	if s := t.table.Lookup(proto, src, srcPort); s != nil {
 		return s, nil
 	}
-	if t.MaxSessionsPerSource > 0 && t.liveFrom(src) >= t.MaxSessionsPerSource {
+	if t.MaxSessionsPerSource > 0 && t.table.Live(src) >= t.MaxSessionsPerSource {
 		t.PortsExhausted++
 		return nil, ErrPortsExhausted
 	}
-	ext, err := t.allocPort(proto)
-	if err != nil {
-		if errors.Is(err, ErrPortsExhausted) {
-			t.PortsExhausted++
-		}
-		return nil, err
+	s := t.table.Open(proto, src, srcPort)
+	if s == nil {
+		t.PortsExhausted++
+		return nil, ErrPortsExhausted
 	}
-	s := &Session{Proto: proto, SrcV6: src, SrcPort: srcPort, ExtPort: ext, LastSeen: t.now()}
-	t.outbound[key] = s
-	t.inbound[extKey{proto: proto, port: ext}] = s
 	return s, nil
-}
-
-// liveFrom counts the unexpired sessions held by one IPv6 source. The
-// table is walked on demand: expiry is lazy, so a cached per-source
-// counter would overcount sessions that timed out but were never
-// reclaimed.
-func (t *Translator) liveFrom(src netip.Addr) int {
-	n := 0
-	now := t.now()
-	for _, s := range t.outbound {
-		if s.SrcV6 == src && !t.expired(s, now) {
-			n++
-		}
-	}
-	return n
 }
 
 // SetPortRange replaces the external port pool bounds — the
@@ -277,49 +173,13 @@ func (t *Translator) liveFrom(src netip.Addr) int {
 // built (session-free) world to size the pool to the shard's device
 // count. The allocation cursor restarts at the new minimum.
 func (t *Translator) SetPortRange(min, max uint16) error {
-	if min == 0 || min > max {
-		return fmt.Errorf("nat64: port range %d..%d invalid", min, max)
-	}
-	t.cfg.PortMin, t.cfg.PortMax = min, max
-	t.nextPort = min
-	return nil
+	return t.table.SetPortRange(min, max)
 }
 
 // SetSessionTimeouts overrides the session idle timeouts in place.
 // Non-positive arguments leave the corresponding timeout untouched.
 func (t *Translator) SetSessionTimeouts(udp, tcp, icmp, tcpTrans time.Duration) {
-	if udp > 0 {
-		t.cfg.UDPTimeout = udp
-	}
-	if tcp > 0 {
-		t.cfg.TCPTimeout = tcp
-	}
-	if icmp > 0 {
-		t.cfg.ICMPTimeout = icmp
-	}
-	if tcpTrans > 0 {
-		t.cfg.TCPTransTimeout = tcpTrans
-	}
-}
-
-func (t *Translator) allocPort(proto uint8) (uint16, error) {
-	span := int(t.cfg.PortMax) - int(t.cfg.PortMin) + 1
-	for i := 0; i < span; i++ {
-		p := t.nextPort
-		if t.nextPort == t.cfg.PortMax {
-			t.nextPort = t.cfg.PortMin
-		} else {
-			t.nextPort++
-		}
-		k := extKey{proto: proto, port: p}
-		if s, ok := t.inbound[k]; !ok || t.expired(s, t.now()) {
-			if s != nil {
-				delete(t.outbound, mapKey{proto: s.Proto, src: s.SrcV6, port: s.SrcPort})
-			}
-			return p, nil
-		}
-	}
-	return 0, ErrPortsExhausted
+	t.table.SetTimeouts(napt.Timeouts{UDP: udp, TCP: tcp, ICMP: icmp, TCPTrans: tcpTrans})
 }
 
 // TranslateV6ToV4 translates one outbound IPv6 packet into IPv4 per
@@ -329,7 +189,7 @@ func (t *Translator) allocPort(proto uint8) (uint16, error) {
 // caller that keeps it longer copies it. On error out is left in an
 // unspecified state.
 func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
-	dstV4, ok := dns64.Extract(t.cfg.Prefix, p.Dst)
+	dstV4, ok := dns64.Extract(t.prefix, p.Dst)
 	if !ok {
 		return ErrNotInPrefix
 	}
@@ -338,7 +198,7 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
 	}
 	*out = packet.IPv4{
 		TTL:      p.HopLimit - 1,
-		Src:      t.cfg.PublicV4,
+		Src:      t.public,
 		Dst:      dstV4,
 		DontFrag: true,
 	}
@@ -352,9 +212,6 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		s.LastSeen = t.now()
-		s.PktsOut++
-		s.BytesOut += uint64(len(p.Payload))
 		out.Protocol = packet.ProtoUDP
 		t.out64 = (&packet.UDP{SrcPort: s.ExtPort, DstPort: u.DstPort, Payload: u.Payload}).AppendTo(t.out64[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
@@ -366,9 +223,6 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		s.LastSeen = t.now()
-		s.PktsOut++
-		s.BytesOut += uint64(len(p.Payload))
 		if tc.Flags&(packet.TCPFin|packet.TCPRst) != 0 {
 			s.Closing = true
 		} else if tc.HasFlags(packet.TCPSyn) {
@@ -393,9 +247,6 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
 		if err != nil {
 			return err
 		}
-		s.LastSeen = t.now()
-		s.PktsOut++
-		s.BytesOut += uint64(len(p.Payload))
 		out.Protocol = packet.ProtoICMP
 		t.out64 = (&packet.ICMP{Type: packet.ICMPv4Echo, Body: packet.EchoBody(s.ExtPort, seq, data)}).AppendToV4(t.out64[:0])
 	default:
@@ -412,8 +263,10 @@ func (t *Translator) TranslateV6ToV4(p *packet.IPv6, out *packet.IPv4) error {
 }
 
 // corruptL4 flips the L4 checksum of a freshly marshaled v4 payload in
-// place. The field offsets are fixed per protocol; a zero result is
-// avoided for UDP, where RFC 768 would read it as "no checksum".
+// place. The field offsets are fixed per protocol. 0x0000 and 0xffff
+// are the same ones'-complement zero, so a flip between them would
+// still verify (and UDP would read 0x0000 as "no checksum"): those two
+// become 1 instead.
 func corruptL4(proto uint8, b []byte) {
 	var off int
 	switch proto {
@@ -431,7 +284,7 @@ func corruptL4(proto uint8, b []byte) {
 	}
 	ck := uint16(b[off])<<8 | uint16(b[off+1])
 	ck ^= 0xffff
-	if ck == 0 {
+	if ck == 0 || ck == 0xffff {
 		ck = 1
 	}
 	b[off] = byte(ck >> 8)
@@ -445,27 +298,24 @@ func corruptL4(proto uint8, b []byte) {
 // a caller that keeps it longer copies it. On error out is left in an
 // unspecified state.
 func (t *Translator) TranslateV4ToV6(p *packet.IPv4, out *packet.IPv6) error {
-	if p.Dst != t.cfg.PublicV4 {
+	if p.Dst != t.public {
 		return ErrNoSession
 	}
 	if p.TTL <= 1 {
 		return ErrHopLimit
 	}
-	srcV6, err := dns64.Synthesize(t.cfg.Prefix, p.Src)
+	srcV6, err := dns64.Synthesize(t.prefix, p.Src)
 	if err != nil {
 		return err
 	}
 	*out = packet.IPv6{HopLimit: p.TTL - 1, Src: srcV6}
 
-	lookup := func(proto uint8, extPort uint16) (*Session, error) {
-		s, ok := t.inbound[extKey{proto: proto, port: extPort}]
-		if !ok || t.expired(s, t.now()) {
+	lookup := func(proto uint8, extPort uint16) (*napt.Binding, error) {
+		s := t.table.Inbound(proto, extPort)
+		if s == nil {
 			t.DroppedNoSess++
 			return nil, ErrNoSession
 		}
-		s.LastSeen = t.now()
-		s.PktsIn++
-		s.BytesIn += uint64(len(p.Payload))
 		return s, nil
 	}
 
@@ -479,7 +329,7 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4, out *packet.IPv6) error {
 		if err != nil {
 			return err
 		}
-		out.Dst = s.SrcV6
+		out.Dst = s.Src
 		out.NextHeader = packet.ProtoUDP
 		t.out46 = (&packet.UDP{SrcPort: u.SrcPort, DstPort: s.SrcPort, Payload: u.Payload}).AppendTo(t.out46[:0], out.Src, out.Dst)
 	case packet.ProtoTCP:
@@ -494,7 +344,7 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4, out *packet.IPv6) error {
 		if tc.Flags&(packet.TCPFin|packet.TCPRst) != 0 {
 			s.Closing = true
 		}
-		out.Dst = s.SrcV6
+		out.Dst = s.Src
 		out.NextHeader = packet.ProtoTCP
 		tc.DstPort = s.SrcPort
 		t.out46 = tc.AppendTo(t.out46[:0], out.Src, out.Dst)
@@ -517,7 +367,7 @@ func (t *Translator) TranslateV4ToV6(p *packet.IPv4, out *packet.IPv6) error {
 		if err != nil {
 			return err
 		}
-		out.Dst = s.SrcV6
+		out.Dst = s.Src
 		out.NextHeader = packet.ProtoICMPv6
 		t.out46 = (&packet.ICMP{Type: packet.ICMPv6EchoReply, Body: packet.EchoBody(s.SrcPort, seq, data)}).AppendToV6(t.out46[:0], out.Src, out.Dst)
 	default:

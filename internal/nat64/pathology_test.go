@@ -68,3 +68,39 @@ func TestCorruptChecksumsOffIsClean(t *testing.T) {
 		t.Errorf("ChecksumsCorrupted = %d, want 0", tr.ChecksumsCorrupted)
 	}
 }
+
+// TestCorruptChecksumsZeroSum covers the one TCP checksum a bit flip
+// cannot break: a segment whose correct checksum is 0x0000. Its
+// complement, 0xffff, is the other ones'-complement zero, so a receiver
+// would accept it; the corruption must pick another value.
+func TestCorruptChecksumsZeroSum(t *testing.T) {
+	dst := synth(t, serverV4)
+	seg := func(payload []byte) *packet.IPv6 {
+		return &packet.IPv6{
+			NextHeader: packet.ProtoTCP, HopLimit: 64, Src: clientV6, Dst: dst,
+			Payload: (&packet.TCP{SrcPort: 5001, DstPort: 80, Flags: packet.TCPAck, Payload: payload}).Marshal(clientV6, dst),
+		}
+	}
+	payload := make([]byte, 2)
+	out, err := v6ToV4(newT(t, newClock()), seg(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Adding the checksum to a zero payload word makes the sum all ones,
+	// so the correct checksum becomes 0x0000.
+	payload[0], payload[1] = out.Payload[16], out.Payload[17]
+	tr := newT(t, newClock())
+	if out, err = v6ToV4(tr, seg(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if out.Payload[16] != 0 || out.Payload[17] != 0 {
+		t.Fatalf("setup: checksum %#02x%02x, want 0x0000", out.Payload[16], out.Payload[17])
+	}
+	tr.CorruptChecksums = true
+	if out, err = v6ToV4(tr, seg(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := new(packet.TCP).Decode(out.Payload, out.Src, out.Dst); !errors.Is(err, packet.ErrBadChecksum) {
+		t.Fatalf("TCP Decode err = %v, want ErrBadChecksum", err)
+	}
+}

@@ -375,11 +375,10 @@ func init() {
 			return nil
 		},
 		Budget: func(tb *testbed.Testbed, devices int) error {
-			maxPort := 32768 + exhaustionQuota*devices - 1
-			if maxPort > 49151 {
-				maxPort = 49151
-			}
-			return tb.Gateway.NAT64.SetPortRange(32768, uint16(maxPort))
+			nat := tb.Gateway.NAT64
+			cfg := nat.Config()
+			maxPort := min(int(cfg.PortMin)+exhaustionQuota*devices-1, int(cfg.PortMax))
+			return nat.SetPortRange(cfg.PortMin, uint16(maxPort))
 		},
 	})
 

@@ -87,12 +87,17 @@ var checkpointFields = map[string]fieldClass{
 		config: []string{"cfg", "now", "domainOf", "domainIndex", "domainPools"},
 	},
 	"nat44.Translator": {
-		config:  []string{"public", "now", "timeout", "portMin", "portMax"},
+		parts:   []string{"table"},
+		config:  []string{"public"},
 		scratch: []string{"outScratch", "inScratch"},
 	},
 	"nat64.Translator": {
-		config:  []string{"cfg", "now"},
+		parts:   []string{"table"},
+		config:  []string{"prefix", "public"},
 		scratch: []string{"out64", "out46"},
+	},
+	"napt.Table": {
+		config: []string{"now", "portMin", "portMax", "idle"},
 	},
 	"dns.Cache": {
 		config: []string{"Inner", "Now", "NegativeTTL", "MaxEntries"},
