@@ -237,7 +237,7 @@ func BenchmarkAblationPoisonerComparison(b *testing.B) {
 	zone := dns.NewZone("mix.example")
 	const existing = 5000
 	for i := 0; i < existing; i++ {
-		if err := zone.AddA(hostLabel(i), netip.MustParseAddr("198.51.100.1"), 60); err != nil {
+		if err := zone.Add(dnswire.RR{Name: hostLabel(i), Type: dnswire.TypeA, TTL: 60, Addr: netip.MustParseAddr("198.51.100.1")}); err != nil {
 			b.Fatal(err)
 		}
 	}

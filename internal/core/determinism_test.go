@@ -15,7 +15,7 @@ import (
 
 func fingerprint(tb *testbed.Testbed) string {
 	s := fmt.Sprintf("frames=%d healthy=%d poison=%d snoop=%d ras=%d nat64=%d",
-		tb.Net.FramesDelivered(), tb.HealthyLog.Len(), tb.PoisonLog.Len(),
+		tb.Net.Stats().FramesDelivered, tb.HealthyLog.Len(), tb.PoisonLog.Len(),
 		tb.Switch.SnoopedDrops, tb.Gateway.RAsSent, tb.Gateway.NAT64.SessionCount())
 	for _, c := range tb.Clients {
 		o := Evaluate(tb, c)

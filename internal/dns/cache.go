@@ -68,13 +68,6 @@ func NewCache(inner Resolver, now func() time.Time) *Cache {
 		cacheState: cacheState{entries: make(map[cacheKey]*cacheEntry)}}
 }
 
-// NewCacheSize builds a cache with an explicit capacity bound.
-func NewCacheSize(inner Resolver, now func() time.Time, maxEntries int) *Cache {
-	c := NewCache(inner, now)
-	c.MaxEntries = maxEntries
-	return c
-}
-
 func (c *Cache) cap() int {
 	if c.MaxEntries > 0 {
 		return c.MaxEntries
@@ -179,12 +172,6 @@ func (c *Cache) remove(e *cacheEntry) {
 // Len reports the number of cached entries (fresh or stale entries not
 // yet lazily expired). It never exceeds the configured capacity.
 func (c *Cache) Len() int { return len(c.entries) }
-
-// Flush drops every cached entry.
-func (c *Cache) Flush() {
-	c.entries = make(map[cacheKey]*cacheEntry)
-	c.head, c.tail = nil, nil
-}
 
 func (c *Cache) ttlFor(msg *dnswire.Message) time.Duration {
 	if msg.Rcode != dnswire.RcodeSuccess || len(msg.Answers) == 0 {

@@ -60,7 +60,8 @@ func TestCacheHitSurvivesCallerAppend(t *testing.T) {
 func TestCacheCapacityBoundLRU(t *testing.T) {
 	now := time.Date(2024, 11, 17, 9, 0, 0, 0, time.UTC)
 	calls := 0
-	c := NewCacheSize(countingInner(&calls, 3600), func() time.Time { return now }, 4)
+	c := NewCache(countingInner(&calls, 3600), func() time.Time { return now })
+	c.MaxEntries = 4
 
 	for i := 0; i < 10; i++ {
 		mustResolve(t, c, q(fmt.Sprintf("host%d.test", i), dnswire.TypeA))
@@ -89,7 +90,8 @@ func TestCacheCapacityBoundLRU(t *testing.T) {
 func TestCacheLRUTouchOnHit(t *testing.T) {
 	now := time.Date(2024, 11, 17, 9, 0, 0, 0, time.UTC)
 	calls := 0
-	c := NewCacheSize(countingInner(&calls, 3600), func() time.Time { return now }, 2)
+	c := NewCache(countingInner(&calls, 3600), func() time.Time { return now })
+	c.MaxEntries = 2
 
 	mustResolve(t, c, q("a.test", dnswire.TypeA))
 	mustResolve(t, c, q("b.test", dnswire.TypeA))
@@ -141,7 +143,8 @@ func TestCacheInsertionShedsExpiredBeforeLive(t *testing.T) {
 		resp.Answers = []dnswire.RR{{Name: qq.Name, Type: dnswire.TypeA, TTL: ttl, Addr: netip.MustParseAddr("192.0.2.1")}}
 		return resp, nil
 	})
-	c := NewCacheSize(inner, func() time.Time { return now }, 3)
+	c := NewCache(inner, func() time.Time { return now })
+	c.MaxEntries = 3
 
 	mustResolve(t, c, q("old1.test", dnswire.TypeA))
 	mustResolve(t, c, q("old2.test", dnswire.TypeA))
@@ -189,7 +192,8 @@ func lruOrder(t *testing.T, c *Cache) []string {
 func TestCacheRestoreRewindsLRUOrder(t *testing.T) {
 	now := time.Date(2024, 11, 17, 9, 0, 0, 0, time.UTC)
 	calls := 0
-	c := NewCacheSize(countingInner(&calls, 3600), func() time.Time { return now }, 3)
+	c := NewCache(countingInner(&calls, 3600), func() time.Time { return now })
+	c.MaxEntries = 3
 	for _, name := range []string{"a.test", "b.test", "c.test"} {
 		mustResolve(t, c, q(name, dnswire.TypeA))
 	}

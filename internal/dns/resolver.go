@@ -1,8 +1,9 @@
 // Package dns provides the server-side DNS machinery of the testbed:
-// authoritative zones with CNAME chasing and wildcards, an authority that
-// routes questions to the longest-matching zone, a forwarding resolver,
-// and a TTL cache. All components speak through the Resolver interface so
-// the DNS64 synthesizer and the two poisoners can wrap any of them.
+// authoritative zones with CNAME chasing and wildcards, an authority
+// that routes questions to the longest-matching zone, a wrapper that
+// fails the names under unreachable delegations, and a TTL cache. All
+// components speak through the Resolver interface so the DNS64
+// synthesizer and the two poisoners can wrap any of them.
 package dns
 
 import (
@@ -25,7 +26,7 @@ type ResolverFunc func(q dnswire.Question) (*dnswire.Message, error)
 // Resolve calls fn(q).
 func (fn ResolverFunc) Resolve(q dnswire.Question) (*dnswire.Message, error) { return fn(q) }
 
-// ErrNoUpstream reports a forwarding resolver with nowhere to send.
+// ErrNoUpstream reports a resolver with nowhere to send a question.
 var ErrNoUpstream = errors.New("dns: no upstream configured")
 
 // ErrDrop instructs the serving glue to discard the query without
@@ -103,21 +104,6 @@ func SingleAnswer(rr dnswire.RR) *dnswire.Message {
 	buf.msg.Response = true
 	buf.msg.Answers = buf.rr[:]
 	return &buf.msg
-}
-
-// Forwarder relays every question to Upstream, mirroring dnsmasq's
-// "server=..." directive. Upstream is any Resolver — typically a remote
-// server reached through a stub-resolver transport.
-type Forwarder struct {
-	Upstream Resolver
-}
-
-// Resolve forwards q to the upstream resolver.
-func (f *Forwarder) Resolve(q dnswire.Question) (*dnswire.Message, error) {
-	if f.Upstream == nil {
-		return nil, ErrNoUpstream
-	}
-	return f.Upstream.Resolve(q)
 }
 
 // Static is a trivial resolver answering from a fixed record set, keyed

@@ -2,7 +2,6 @@ package dns
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
 	"repro/internal/dnswire"
@@ -78,21 +77,6 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 	if err := z.Add(rr); err != nil {
 		panic(err)
 	}
-}
-
-// AddA adds an A record for a relative or absolute name.
-func (z *Zone) AddA(name string, addr netip.Addr, ttl uint32) error {
-	return z.Add(dnswire.RR{Name: name, Type: dnswire.TypeA, TTL: ttl, Addr: addr})
-}
-
-// AddAAAA adds an AAAA record.
-func (z *Zone) AddAAAA(name string, addr netip.Addr, ttl uint32) error {
-	return z.Add(dnswire.RR{Name: name, Type: dnswire.TypeAAAA, TTL: ttl, Addr: addr})
-}
-
-// AddCNAME adds a CNAME record.
-func (z *Zone) AddCNAME(name, target string) error {
-	return z.Add(dnswire.RR{Name: name, Type: dnswire.TypeCNAME, Target: dnswire.CanonicalName(target)})
 }
 
 func (z *Zone) qualify(name string) string {
@@ -259,27 +243,4 @@ func (a *Authority) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 		return resp, nil
 	}
 	return z.Resolve(q)
-}
-
-// Recursive combines an Authority for local zones with a fallback
-// resolver for everything else — the shape of the testbed's healthy
-// Raspberry Pi DNS64 server (local rfc8925.com zone + upstream
-// recursion).
-type Recursive struct {
-	Local    *Authority
-	Fallback Resolver
-}
-
-// Resolve tries the local authority first; out-of-zone questions go to
-// the fallback.
-func (r *Recursive) Resolve(q dnswire.Question) (*dnswire.Message, error) {
-	if r.Local != nil {
-		if z := r.Local.Match(dnswire.CanonicalName(q.Name)); z != nil {
-			return z.Resolve(q)
-		}
-	}
-	if r.Fallback == nil {
-		return nil, ErrNoUpstream
-	}
-	return r.Fallback.Resolve(q)
 }

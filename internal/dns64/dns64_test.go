@@ -154,10 +154,10 @@ func TestDNS64TTLCap(t *testing.T) {
 
 func TestDNS64CNAMEChainPreserved(t *testing.T) {
 	z := dns.NewZone("example.org")
-	if err := z.AddCNAME("www", "origin.example.org"); err != nil {
+	if err := z.Add(dnswire.RR{Name: "www", Type: dnswire.TypeCNAME, Target: "origin.example.org."}); err != nil {
 		t.Fatal(err)
 	}
-	if err := z.AddA("origin", netip.MustParseAddr("198.51.100.9"), 120); err != nil {
+	if err := z.Add(dnswire.RR{Name: "origin", Type: dnswire.TypeA, TTL: 120, Addr: netip.MustParseAddr("198.51.100.9")}); err != nil {
 		t.Fatal(err)
 	}
 	r := New(z)

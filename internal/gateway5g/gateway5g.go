@@ -47,8 +47,6 @@ type Config struct {
 	// addresses let the venue's test-ipv6 mirror tell translated
 	// (CLAT/NAT64) clients from natively dual-stack ones.
 	WANv4NAT44 netip.Addr
-	// RAInterval is the unsolicited RA beacon period.
-	RAInterval time.Duration
 	// WANMTU is the 5G link MTU; IPv6 packets larger than this in either
 	// direction are answered with ICMPv6 Packet Too Big (the mirror's
 	// v6-mtu subtest exists to catch exactly this). 0 disables the limit.
@@ -182,9 +180,6 @@ func (g *Gateway) BlockNAT44() { g.blockNAT44 = true }
 func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 	if len(cfg.GUAPrefixes) == 0 {
 		return nil, fmt.Errorf("gateway5g: need at least one GUA prefix")
-	}
-	if cfg.RAInterval == 0 {
-		cfg.RAInterval = 10 * time.Second
 	}
 	if !cfg.WANv4NAT44.IsValid() && cfg.WANv4.IsValid() {
 		cfg.WANv4NAT44 = cfg.WANv4.Next()
@@ -337,7 +332,7 @@ func (g *Gateway) Reboot() {
 }
 
 func (g *Gateway) armRATimer() {
-	g.net.Clock.AfterFunc(g.cfg.RAInterval, func() {
+	g.net.Clock.AfterFunc(ndp.RAInterval, func() {
 		g.sendRA()
 		g.armRATimer()
 	})

@@ -39,9 +39,3 @@ type Behavior struct {
 	// triggers the paper's Fig. 9 pathology).
 	UseSuffixSearch bool
 }
-
-// IPv6Only reports whether the profile ships with only IPv6 enabled.
-func (b Behavior) IPv6Only() bool { return b.IPv6Enabled && !b.IPv4Enabled }
-
-// IPv4Only reports whether the profile ships with only IPv4 enabled.
-func (b Behavior) IPv4Only() bool { return b.IPv4Enabled && !b.IPv6Enabled }

@@ -24,10 +24,6 @@ type dhcpClient struct {
 	// attempt counts retransmissions of the in-flight message; the
 	// RFC 2131 §4.1 backoff doubles the interval per attempt.
 	attempt int
-	// Renewals counts successful T1 renewals (observable in tests).
-	Renewals int
-	// Retransmits counts DISCOVER/REQUEST resends (observable in tests).
-	Retransmits int
 }
 
 // RFC 2131 §4.1 retransmission schedule: 4s, 8s, 16s, 32s, then 64s
@@ -58,11 +54,7 @@ func (h *Host) nextDHCPXID() uint32 {
 // option 108 in the parameter request list.
 func (h *Host) dhcpStart() {
 	h.stopDHCPRetry()
-	h.dhcp = dhcpClient{
-		xid: h.nextDHCPXID(), state: "selecting",
-		// Observability counters survive transaction restarts.
-		Renewals: h.dhcp.Renewals, Retransmits: h.dhcp.Retransmits,
-	}
+	h.dhcp = dhcpClient{xid: h.nextDHCPXID(), state: "selecting"}
 	h.udpBind[dhcp4.ClientPort] = func(_ netip.Addr, _ uint16, _ netip.Addr, payload []byte) {
 		// Fixed-offset peek before the full parse: every client hears
 		// every broadcast OFFER/ACK on the LAN, and handleDHCPReply drops
@@ -148,7 +140,6 @@ func (h *Host) dhcpRetransmit() {
 			h.record(evDHCPGaveUp, h.dhcp.attempt)
 			return
 		}
-		h.dhcp.Retransmits++
 		h.record(evDHCPDiscoverRetry, h.dhcp.attempt)
 		h.sendDiscover()
 		h.armDHCPRetry()
@@ -159,7 +150,6 @@ func (h *Host) dhcpRetransmit() {
 			h.dhcpStart()
 			return
 		}
-		h.dhcp.Retransmits++
 		h.record(evDHCPRequestRetry, h.dhcp.attempt)
 		if h.dhcp.state == "renewing" {
 			h.sendRenewRequest()
@@ -228,7 +218,6 @@ func (h *Host) handleDHCPReply(msg *dhcp4.Message) {
 		}
 		h.scheduleRenewal()
 		if renewed {
-			h.dhcp.Renewals++
 			h.record(evDHCPRenewed, h.v4Addr)
 			return
 		}
@@ -284,12 +273,6 @@ func (h *Host) sendRenewRequest() {
 	req.CIAddr = h.v4Addr
 	h.sendDHCP(req)
 }
-
-// DHCPRenewals reports how many T1 renewals completed.
-func (h *Host) DHCPRenewals() int { return h.dhcp.Renewals }
-
-// DHCPRetransmits reports how many DISCOVER/REQUEST resends occurred.
-func (h *Host) DHCPRetransmits() int { return h.dhcp.Retransmits }
 
 // bestCLATSource picks the host's best translation source: a GUA when
 // one exists (carriers and the testbed's gateway drop ULA-sourced

@@ -24,7 +24,7 @@ func TestNSLookupSuffixFirstThenPlain(t *testing.T) {
 	lanWith(net, client, server)
 	client.SetIPv4Static(netip.MustParseAddr("192.168.12.10"), lanPrefix, netip.Addr{})
 	server.SetIPv4Static(netip.MustParseAddr("192.168.12.53"), lanPrefix, netip.Addr{})
-	client.SetV4DNSStatic(netip.MustParseAddr("192.168.12.53"))
+	client.v4DNS = []netip.Addr{netip.MustParseAddr("192.168.12.53")}
 	client.v4Domain = "example"
 
 	// "real" is unqualified; nslookup tries real.example first and wins.
@@ -47,7 +47,7 @@ func TestNSLookupQualifiedNameSkipsSuffix(t *testing.T) {
 	lanWith(net, client, server)
 	client.SetIPv4Static(netip.MustParseAddr("192.168.12.10"), lanPrefix, netip.Addr{})
 	server.SetIPv4Static(netip.MustParseAddr("192.168.12.53"), lanPrefix, netip.Addr{})
-	client.SetV4DNSStatic(netip.MustParseAddr("192.168.12.53"))
+	client.v4DNS = []netip.Addr{netip.MustParseAddr("192.168.12.53")}
 	client.v4Domain = "example"
 
 	// Trailing dot: fully qualified, no suffix attempt.
@@ -138,10 +138,6 @@ func TestRouterExpiryRemovesDefaultRoute(t *testing.T) {
 	if _, ok := client.bestRouter(); ok {
 		t.Error("expired router still used as default")
 	}
-	client.ExpireRouters()
-	if len(client.routers) != 0 {
-		t.Error("ExpireRouters left stale entries")
-	}
 }
 
 func TestLoopbackDelivery(t *testing.T) {
@@ -181,19 +177,6 @@ func TestQueryDNSIDMismatchRejected(t *testing.T) {
 
 	if _, err := client.QueryDNS(netip.MustParseAddr("fd00:976a::66"), "x.test", dnswire.TypeA); err == nil {
 		t.Error("mismatched DNS transaction ID accepted")
-	}
-}
-
-func TestBehaviorHelpers(t *testing.T) {
-	if !(Behavior{IPv6Enabled: true}).IPv6Only() {
-		t.Error("IPv6Only wrong")
-	}
-	if !(Behavior{IPv4Enabled: true}).IPv4Only() {
-		t.Error("IPv4Only wrong")
-	}
-	dual := Behavior{IPv4Enabled: true, IPv6Enabled: true}
-	if dual.IPv4Only() || dual.IPv6Only() {
-		t.Error("dual misclassified")
 	}
 }
 

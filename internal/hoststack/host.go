@@ -251,17 +251,11 @@ func (h *Host) V6Addresses() []V6Addr {
 	return append([]V6Addr(nil), h.v6Addrs...)
 }
 
-// LinkLocal returns the host's fe80:: address (invalid if IPv6 is off).
-func (h *Host) LinkLocal() netip.Addr { return h.linkLocal }
-
 // RDNSS returns the learned IPv6 resolvers.
 func (h *Host) RDNSS() []netip.Addr { return append([]netip.Addr(nil), h.rdnss...) }
 
 // V4DNS returns the DHCP-learned IPv4 resolvers.
 func (h *Host) V4DNS() []netip.Addr { return append([]netip.Addr(nil), h.v4DNS...) }
-
-// DomainSuffix returns the connection-specific DNS suffix from DHCP.
-func (h *Host) DomainSuffix() string { return h.v4Domain }
 
 // IPv6OnlyActive reports whether option 108 disabled IPv4.
 func (h *Host) IPv6OnlyActive() bool {
@@ -285,9 +279,6 @@ func (h *Host) AddIPv6Static(addr netip.Addr, prefix netip.Prefix) {
 	h.joinSolicitedNode(addr)
 	h.record(evIPv6Static, addr, prefix.Bits())
 }
-
-// SetV4DNSStatic overrides the DHCP-provided IPv4 resolvers.
-func (h *Host) SetV4DNSStatic(servers ...netip.Addr) { h.v4DNS = servers }
 
 // AddIPv4Alias adds an extra IPv4 address the host answers for; the
 // internet-cloud host serves many public services this way.

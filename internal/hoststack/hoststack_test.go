@@ -2,6 +2,7 @@ package hoststack
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +26,17 @@ func lanWith(net *netsim.Network, hosts ...*Host) *netsim.Switch {
 		sw.AttachPort(h.NIC)
 	}
 	return sw
+}
+
+// countEvents counts h's event lines that contain substr.
+func countEvents(h *Host, substr string) int {
+	n := 0
+	for _, e := range h.Events() {
+		if strings.Contains(e, substr) {
+			n++
+		}
+	}
+	return n
 }
 
 func serverBehavior() Behavior {
@@ -108,7 +120,7 @@ func newRARouter(net *netsim.Network, name string, ra *ndp.RouterAdvert) *raRout
 func (r *raRouter) advertise() {
 	r.ra.SourceLinkAddr = r.host.NIC.MAC()
 	r.ra.HasSourceLink = true
-	src := r.host.LinkLocal()
+	src := r.host.linkLocal
 	body := (&packet.ICMP{Type: packet.ICMPv6RouterAdvert, Body: r.ra.Marshal()}).MarshalV6(src, ndp.AllNodes)
 	p := &packet.IPv6{NextHeader: packet.ProtoICMPv6, HopLimit: 255, Src: src, Dst: ndp.AllNodes, Payload: body}
 	r.host.NIC.Transmit(netsim.Frame{
@@ -178,7 +190,7 @@ func TestRouterPreferenceSelection(t *testing.T) {
 	if !ok {
 		t.Fatal("no router learned")
 	}
-	if r.addr != med.host.LinkLocal() {
+	if r.addr != med.host.linkLocal {
 		t.Errorf("best router = %v, want the medium-preference one", r.addr)
 	}
 }
@@ -219,8 +231,8 @@ func TestDHCPClientFullDORA(t *testing.T) {
 	if dnsList := client.V4DNS(); len(dnsList) != 1 || dnsList[0] != netip.MustParseAddr("192.168.12.253") {
 		t.Errorf("dns = %v", dnsList)
 	}
-	if client.DomainSuffix() != "rfc8925.com" {
-		t.Errorf("suffix = %q", client.DomainSuffix())
+	if client.v4Domain != "rfc8925.com" {
+		t.Errorf("suffix = %q", client.v4Domain)
 	}
 }
 
@@ -328,7 +340,7 @@ func TestTCPConnectSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !conn.Established() {
+	if conn.state != tcpEstablished {
 		t.Fatal("not established")
 	}
 	if err := conn.Send([]byte("ping")); err != nil {

@@ -390,15 +390,3 @@ func (h *Host) expireV6Addrs(now time.Time) {
 		h.v6Addrs = kept
 	}
 }
-
-// ExpireRouters drops default routers whose lifetimes have lapsed.
-func (h *Host) ExpireRouters() {
-	now := h.Net.Clock.Now()
-	kept := h.routers[:0]
-	for _, r := range h.routers {
-		if r.expires.After(now) {
-			kept = append(kept, r)
-		}
-	}
-	h.routers = kept
-}

@@ -29,8 +29,8 @@ func TestDHCPLeaseRenewalAtT1(t *testing.T) {
 
 	// Run past T1 (30 min): the client renews and keeps its address.
 	net.RunFor(31 * time.Minute)
-	if client.DHCPRenewals() != 1 {
-		t.Errorf("renewals = %d, want 1", client.DHCPRenewals())
+	if n := countEvents(client, "dhcp renewed"); n != 1 {
+		t.Errorf("renewals = %d, want 1", n)
 	}
 	if client.IPv4Addr() != addr {
 		t.Errorf("address changed across renewal: %v -> %v", client.IPv4Addr(), addr)
@@ -40,8 +40,8 @@ func TestDHCPLeaseRenewalAtT1(t *testing.T) {
 	if _, ok := srv.LeaseFor([6]byte(client.MAC())); !ok {
 		t.Error("server lease expired despite renewals")
 	}
-	if client.DHCPRenewals() < 2 {
-		t.Errorf("renewals = %d, want ongoing T1 cycle", client.DHCPRenewals())
+	if n := countEvents(client, "dhcp renewed"); n < 2 {
+		t.Errorf("renewals = %d, want ongoing T1 cycle", n)
 	}
 }
 

@@ -56,9 +56,6 @@ func (c *TCPConn) Remote() netip.Addr { return c.remote }
 // LocalAddr returns the connection's local (source) address.
 func (c *TCPConn) LocalAddr() netip.Addr { return c.local }
 
-// Established reports whether the handshake completed.
-func (c *TCPConn) Established() bool { return c.state == tcpEstablished }
-
 // RemoteClosed reports whether the peer sent FIN.
 func (c *TCPConn) RemoteClosed() bool { return c.remoteClosed }
 

@@ -6,6 +6,7 @@
 package httpsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -70,52 +71,6 @@ type HandlerFunc func(req *Request) *Response
 // Serve calls fn(req).
 func (fn HandlerFunc) Serve(req *Request) *Response { return fn(req) }
 
-// Mux routes by (host, path-prefix); longest path prefix wins, empty
-// host matches any.
-type Mux struct {
-	routes []route
-}
-
-type route struct {
-	host    string
-	prefix  string
-	handler Handler
-}
-
-// Handle registers a handler for the host (may be "") and path prefix.
-func (m *Mux) Handle(host, prefix string, h Handler) {
-	m.routes = append(m.routes, route{host: strings.ToLower(strings.TrimSuffix(host, ".")), prefix: prefix, handler: h})
-}
-
-// Serve implements Handler.
-func (m *Mux) Serve(req *Request) *Response {
-	reqHost := strings.ToLower(strings.TrimSuffix(hostOnly(req.Host), "."))
-	var best *route
-	for i := range m.routes {
-		r := &m.routes[i]
-		if r.host != "" && r.host != reqHost {
-			continue
-		}
-		if !strings.HasPrefix(req.Path, r.prefix) {
-			continue
-		}
-		if best == nil || len(r.prefix) > len(best.prefix) || (len(r.prefix) == len(best.prefix) && best.host == "" && r.host != "") {
-			best = r
-		}
-	}
-	if best == nil {
-		return &Response{Status: 404, Body: []byte("not found")}
-	}
-	return best.handler.Serve(req)
-}
-
-func hostOnly(hostport string) string {
-	if i := strings.LastIndex(hostport, ":"); i > 0 && !strings.Contains(hostport, "]") {
-		return hostport[:i]
-	}
-	return strings.Trim(hostport, "[]")
-}
-
 // Serve attaches an HTTP server to the host on port.
 func Serve(h *hoststack.Host, port uint16, handler Handler) {
 	h.ListenTCP(port, func(conn *hoststack.TCPConn) {
@@ -144,38 +99,56 @@ func Serve(h *hoststack.Host, port uint16, handler Handler) {
 	})
 }
 
-func parseRequest(b []byte) (*Request, bool) {
-	s := string(b)
-	idx := strings.Index(s, "\r\n\r\n")
-	if idx < 0 {
-		return nil, false
+// parseHead parses the head of the HTTP/1.1 message at the start of b:
+// the start line split at its first two spaces, and the header fields,
+// names lower-cased and both sides trimmed. ok is false until b holds
+// the blank line that ends the head; body is the offset of the first
+// byte after it.
+func parseHead(b []byte) (start []string, header map[string]string, body int, ok bool) {
+	end := bytes.Index(b, []byte("\r\n\r\n"))
+	if end < 0 {
+		return nil, nil, 0, false
 	}
-	lines := strings.Split(s[:idx], "\r\n")
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 {
-		return nil, false
-	}
-	req := &Request{Method: parts[0], Path: parts[1], Header: make(map[string]string)}
-	for _, line := range lines[1:] {
-		kv := strings.SplitN(line, ":", 2)
-		if len(kv) == 2 {
-			req.Header[strings.ToLower(strings.TrimSpace(kv[0]))] = strings.TrimSpace(kv[1])
+	line, rest, _ := strings.Cut(string(b[:end]), "\r\n")
+	start = strings.SplitN(line, " ", 3)
+	header = make(map[string]string)
+	for rest != "" {
+		line, rest, _ = strings.Cut(rest, "\r\n")
+		if k, v, found := strings.Cut(line, ":"); found {
+			header[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
 		}
 	}
-	req.Host = req.Header["host"]
-	return req, true
+	return start, header, end + 4, true
+}
+
+// appendHead appends the head of a connection-close response: the
+// status line, Content-Length, Connection: close, the extra header
+// fields and the blank line.
+func appendHead(b []byte, status, contentLength int, header map[string]string) []byte {
+	b = fmt.Appendf(b, "HTTP/1.1 %d %s\r\nContent-Length: %d\r\nConnection: close\r\n",
+		status, StatusText(status), contentLength)
+	for k, v := range header {
+		b = fmt.Appendf(b, "%s: %s\r\n", k, v)
+	}
+	return append(b, "\r\n"...)
+}
+
+// getRequest renders the GET request every client fetch sends.
+func getRequest(hostHeader, path string) []byte {
+	return fmt.Appendf(nil, "GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: ipv6lab\r\nConnection: close\r\n\r\n",
+		path, hostHeader)
+}
+
+func parseRequest(b []byte) (*Request, bool) {
+	start, header, _, ok := parseHead(b)
+	if !ok || len(start) != 3 {
+		return nil, false
+	}
+	return &Request{Method: start[0], Path: start[1], Host: header["host"], Header: header}, true
 }
 
 func renderResponse(r *Response) []byte {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "HTTP/1.1 %d %s\r\n", r.Status, StatusText(r.Status))
-	fmt.Fprintf(&sb, "Content-Length: %d\r\n", len(r.Body))
-	fmt.Fprintf(&sb, "Connection: close\r\n")
-	for k, v := range r.Header {
-		fmt.Fprintf(&sb, "%s: %s\r\n", k, v)
-	}
-	sb.WriteString("\r\n")
-	return append([]byte(sb.String()), r.Body...)
+	return append(appendHead(nil, r.Status, len(r.Body), r.Header), r.Body...)
 }
 
 // errors for the client side.
@@ -204,8 +177,7 @@ func GetAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, path s
 	if err != nil {
 		return nil, err
 	}
-	req := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: ipv6lab\r\nConnection: close\r\n\r\n", path, hostHeader)
-	if err := conn.Send([]byte(req)); err != nil {
+	if err := conn.Send(getRequest(hostHeader, path)); err != nil {
 		return nil, err
 	}
 	var buf []byte
@@ -218,50 +190,34 @@ func GetAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, path s
 	if !ok && !responseComplete(buf) {
 		return nil, hoststack.ErrTimeout
 	}
-	return parseResponse(buf)
+	return ParseResponse(buf)
 }
 
 func responseComplete(b []byte) bool {
-	_, err := parseResponse(b)
+	_, err := ParseResponse(b)
 	return err == nil
 }
 
-// ParseResponse decodes a raw HTTP/1.1 response (used by tunnel-style
-// transports that carry rendered responses).
-func ParseResponse(b []byte) (*Response, error) { return parseResponse(b) }
-
-func parseResponse(b []byte) (*Response, error) {
-	s := string(b)
-	idx := strings.Index(s, "\r\n\r\n")
-	if idx < 0 {
+// ParseResponse decodes a raw HTTP/1.1 response. A Content-Length
+// header bounds the body; without one the body runs to the end of b.
+func ParseResponse(b []byte) (*Response, error) {
+	start, header, body, ok := parseHead(b)
+	if !ok || len(start) < 2 || !strings.HasPrefix(start[0], "HTTP/1.") {
 		return nil, ErrBadResponse
 	}
-	lines := strings.Split(s[:idx], "\r\n")
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return nil, ErrBadResponse
-	}
-	status, err := strconv.Atoi(parts[1])
+	status, err := strconv.Atoi(start[1])
 	if err != nil {
 		return nil, ErrBadResponse
 	}
-	resp := &Response{Status: status, Header: make(map[string]string)}
-	for _, line := range lines[1:] {
-		kv := strings.SplitN(line, ":", 2)
-		if len(kv) == 2 {
-			resp.Header[strings.ToLower(strings.TrimSpace(kv[0]))] = strings.TrimSpace(kv[1])
-		}
-	}
-	body := []byte(s[idx+4:])
-	if cl, ok := resp.Header["content-length"]; ok {
+	end := len(b)
+	if cl, ok := header["content-length"]; ok {
 		n, err := strconv.Atoi(cl)
-		if err != nil || len(body) < n {
+		if err != nil || n < 0 || end-body < n {
 			return nil, ErrBadResponse
 		}
-		body = body[:n]
+		end = body + n
 	}
-	resp.Body = body
-	return resp, nil
+	return &Response{Status: status, Header: header, Body: bytes.Clone(b[body:end])}, nil
 }
 
 // Browse fetches a URL of the form http://name[:port]/path the way a
@@ -288,26 +244,15 @@ func browse(h *hoststack.Host, url string, depth int) (*FetchResult, error) {
 	if depth > 5 {
 		return nil, errors.New("httpsim: too many redirects")
 	}
-	name, port, path, err := splitURL(url)
+	name, port, path, err := SplitURL(url)
 	if err != nil {
 		return nil, err
 	}
-	res := &FetchResult{Redirects: depth}
-
-	var addrs []netip.Addr
-	if lit, err := netip.ParseAddr(strings.Trim(name, "[]")); err == nil {
-		addrs = []netip.Addr{lit}
-	} else {
-		lr, err := h.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		addrs = lr.Addrs
-		res.UsedName = lr.Name
+	addrs, usedName, err := resolve(h, name)
+	if err != nil {
+		return nil, err
 	}
-	if len(addrs) == 0 {
-		return nil, ErrNoAddresses
-	}
+	res := &FetchResult{Redirects: depth, UsedName: usedName}
 	var lastErr error
 	for _, addr := range addrs {
 		resp, err := GetAddr(h, addr, port, name, path)
@@ -335,12 +280,25 @@ func browse(h *hoststack.Host, url string, depth int) (*FetchResult, error) {
 	return nil, lastErr
 }
 
-// SplitURL decomposes an http:// URL into host, port and path.
-func SplitURL(url string) (name string, port uint16, path string, err error) {
-	return splitURL(url)
+// resolve returns the addresses to try for a URL's host, in RFC 6724
+// order: an address literal as is, a name through the host's resolver.
+// usedName is the name the resolver answered for ("" for a literal).
+func resolve(h *hoststack.Host, host string) (addrs []netip.Addr, usedName string, err error) {
+	if lit, err := netip.ParseAddr(strings.Trim(host, "[]")); err == nil {
+		return []netip.Addr{lit}, "", nil
+	}
+	lr, err := h.Lookup(host)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(lr.Addrs) == 0 {
+		return nil, "", ErrNoAddresses
+	}
+	return lr.Addrs, lr.Name, nil
 }
 
-func splitURL(url string) (name string, port uint16, path string, err error) {
+// SplitURL decomposes an http:// URL into host, port and path.
+func SplitURL(url string) (name string, port uint16, path string, err error) {
 	rest, ok := strings.CutPrefix(url, "http://")
 	if !ok {
 		return "", 0, "", fmt.Errorf("httpsim: unsupported URL %q", url)

@@ -138,26 +138,6 @@ func TestBrowseLiteralAddress(t *testing.T) {
 	}
 }
 
-func TestMuxRouting(t *testing.T) {
-	var m Mux
-	m.Handle("a.test", "/", HandlerFunc(func(*Request) *Response { return &Response{Status: 200, Body: []byte("a")} }))
-	m.Handle("", "/shared", HandlerFunc(func(*Request) *Response { return &Response{Status: 200, Body: []byte("shared")} }))
-	m.Handle("a.test", "/deep/", HandlerFunc(func(*Request) *Response { return &Response{Status: 200, Body: []byte("deep")} }))
-
-	if r := m.Serve(&Request{Host: "a.test", Path: "/"}); string(r.Body) != "a" {
-		t.Errorf("host route = %q", r.Body)
-	}
-	if r := m.Serve(&Request{Host: "A.TEST.", Path: "/deep/x"}); string(r.Body) != "deep" {
-		t.Errorf("longest prefix = %q", r.Body)
-	}
-	if r := m.Serve(&Request{Host: "b.test", Path: "/shared"}); string(r.Body) != "shared" {
-		t.Errorf("wildcard host = %q", r.Body)
-	}
-	if r := m.Serve(&Request{Host: "b.test", Path: "/nope"}); r.Status != 404 {
-		t.Errorf("miss = %d", r.Status)
-	}
-}
-
 func TestParseResponseBadInputs(t *testing.T) {
 	for _, b := range []string{"", "HTTP/1.1\r\n\r\n", "garbage\r\n\r\n", "HTTP/1.1 abc OK\r\n\r\n"} {
 		if _, err := ParseResponse([]byte(b)); err == nil {
@@ -171,6 +151,10 @@ func TestParseResponseBadInputs(t *testing.T) {
 	}
 	if _, err := ParseResponse([]byte("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc")); err == nil {
 		t.Error("short body accepted")
+	}
+	// A negative length used to slice the body out of bounds and panic.
+	if _, err := ParseResponse([]byte("HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nabc")); err == nil {
+		t.Error("negative Content-Length accepted")
 	}
 }
 

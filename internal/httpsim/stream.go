@@ -1,11 +1,8 @@
 package httpsim
 
 import (
-	"bytes"
-	"fmt"
 	"net/netip"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/hoststack"
@@ -62,15 +59,7 @@ func serveStream(h *hoststack.Host, conn *hoststack.TCPConn, resp *Response) {
 		chunk = DefaultStreamChunk
 	}
 
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "HTTP/1.1 %d %s\r\n", resp.Status, StatusText(resp.Status))
-	fmt.Fprintf(&sb, "Content-Length: %d\r\n", spec.TotalBytes)
-	fmt.Fprintf(&sb, "Connection: close\r\n")
-	for k, v := range resp.Header {
-		fmt.Fprintf(&sb, "%s: %s\r\n", k, v)
-	}
-	sb.WriteString("\r\n")
-	if conn.Send([]byte(sb.String())) != nil {
+	if conn.Send(appendHead(nil, resp.Status, spec.TotalBytes, resp.Header)) != nil {
 		return
 	}
 
@@ -137,10 +126,10 @@ func StreamAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, pat
 	if err != nil {
 		return nil, err
 	}
-	req := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: ipv6lab\r\nConnection: close\r\n\r\n", path, hostHeader)
+	req := getRequest(hostHeader, path)
 	st := &StreamStats{BytesUp: int64(len(req))}
 
-	var header []byte
+	var head []byte
 	headerDone := false
 	contentLen := int64(-1)
 	conn.OnData = func(*hoststack.TCPConn) {
@@ -162,36 +151,27 @@ func StreamAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, pat
 				return
 			}
 			st.BytesDown += int64(len(b))
-			if len(header) == 0 {
+			if len(head) == 0 {
 				// Recv hands over ownership, so the usual case — header
 				// (plus the first batched chunk) in one burst — needs no
 				// copy at all.
-				header = b
+				head = b
 			} else {
-				header = append(header, b...)
+				head = append(head, b...)
 			}
-			idx := bytes.Index(header, []byte("\r\n\r\n"))
-			if idx < 0 {
+			start, header, body, ok := parseHead(head)
+			if !ok {
 				continue
 			}
 			headerDone = true
-			st.BodyBytes += int64(len(header) - (idx + 4))
-			for i, line := range strings.Split(string(header[:idx]), "\r\n") {
-				if i == 0 {
-					parts := strings.SplitN(line, " ", 3)
-					if len(parts) >= 2 {
-						st.Status, _ = strconv.Atoi(parts[1])
-					}
-					continue
-				}
-				if kv := strings.SplitN(line, ":", 2); len(kv) == 2 &&
-					strings.EqualFold(strings.TrimSpace(kv[0]), "content-length") {
-					if n, err := strconv.ParseInt(strings.TrimSpace(kv[1]), 10, 64); err == nil {
-						contentLen = n
-					}
-				}
+			st.BodyBytes += int64(len(head) - body)
+			if len(start) >= 2 {
+				st.Status, _ = strconv.Atoi(start[1])
 			}
-			header = nil // body bytes are only counted from here on
+			if n, err := strconv.ParseInt(header["content-length"], 10, 64); err == nil {
+				contentLen = n
+			}
+			head = nil // body bytes are only counted from here on
 		}
 	}
 	// An abandoned flow's connection stays in the host's table until the
@@ -201,7 +181,7 @@ func StreamAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, pat
 		conn.OnData = nil
 		conn.Recv() // drops the buffer
 	}()
-	if err := conn.Send([]byte(req)); err != nil {
+	if err := conn.Send(req); err != nil {
 		return nil, err
 	}
 	h.Net.RunUntil(func() bool {
@@ -219,22 +199,13 @@ func StreamAddr(h *hoststack.Host, addr netip.Addr, port uint16, hostHeader, pat
 // and trying RFC 6724-ordered addresses like Browse does. It returns
 // the stats of the first address that yields a response.
 func Stream(h *hoststack.Host, url string, timeout time.Duration) (*StreamStats, error) {
-	name, port, path, err := splitURL(url)
+	name, port, path, err := SplitURL(url)
 	if err != nil {
 		return nil, err
 	}
-	var addrs []netip.Addr
-	if lit, err := netip.ParseAddr(strings.Trim(name, "[]")); err == nil {
-		addrs = []netip.Addr{lit}
-	} else {
-		lr, err := h.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		addrs = lr.Addrs
-	}
-	if len(addrs) == 0 {
-		return nil, ErrNoAddresses
+	addrs, _, err := resolve(h, name)
+	if err != nil {
+		return nil, err
 	}
 	var lastErr error
 	for _, addr := range addrs {

@@ -7,10 +7,6 @@
 package metrics
 
 import (
-	"bytes"
-	"net/netip"
-	"sort"
-
 	"repro/internal/netsim"
 	"repro/internal/packet"
 )
@@ -52,12 +48,6 @@ func (u Usage) Classify() Class {
 type SSIDMonitor struct {
 	perMAC  map[netsim.MAC]*Usage
 	exclude map[netsim.MAC]bool
-
-	// sortedMACs caches the sorted key list for MACs(); it is
-	// invalidated whenever a new client MAC is first observed, so the
-	// report path does not re-sort and re-allocate per call while the
-	// population is unchanged.
-	sortedMACs []netsim.MAC
 }
 
 // NewSSIDMonitor returns an empty monitor.
@@ -104,7 +94,6 @@ func (m *SSIDMonitor) usage(mac netsim.MAC) *Usage {
 	if !ok {
 		u = &Usage{}
 		m.perMAC[mac] = u
-		m.sortedMACs = nil // new key: invalidate the report-path cache
 	}
 	return u
 }
@@ -136,23 +125,6 @@ func (m *SSIDMonitor) ClassOf(mac netsim.MAC) Class {
 	return ClassNone
 }
 
-// UsageOf returns a copy of a client's usage.
-func (m *SSIDMonitor) UsageOf(mac netsim.MAC) Usage {
-	if u, ok := m.perMAC[mac]; ok {
-		return *u
-	}
-	return Usage{}
-}
-
-// Counts aggregates the population by class.
-func (m *SSIDMonitor) Counts() map[Class]int {
-	out := make(map[Class]int)
-	for _, u := range m.perMAC {
-		out[u.Classify()]++
-	}
-	return out
-}
-
 // MergeCounts adds src's per-class tallies into dst and returns dst,
 // allocating it when nil. The merge is associative and commutative, so
 // per-shard scenario reports can be folded in any order.
@@ -164,59 +136,4 @@ func MergeCounts(dst, src map[Class]int) map[Class]int {
 		dst[c] += n
 	}
 	return dst
-}
-
-// ReportedIPv6Only is the naive SC23-style statistic: every client that
-// sent any IPv6 data counts as an "IPv6 client" — even when it also ran
-// IPv4-literal applications.
-func (m *SSIDMonitor) ReportedIPv6Only() int {
-	n := 0
-	for _, u := range m.perMAC {
-		if u.V6Data > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// TrueIPv6Only counts clients whose data traffic was exclusively IPv6.
-func (m *SSIDMonitor) TrueIPv6Only() int {
-	n := 0
-	for _, u := range m.perMAC {
-		if u.Classify() == ClassV6Only {
-			n++
-		}
-	}
-	return n
-}
-
-// MACs returns the observed client MACs in stable order. The slice is
-// cached between calls and only rebuilt after a new MAC appears; callers
-// must treat it as read-only.
-func (m *SSIDMonitor) MACs() []netsim.MAC {
-	if m.sortedMACs == nil && len(m.perMAC) > 0 {
-		out := make([]netsim.MAC, 0, len(m.perMAC))
-		for mac := range m.perMAC {
-			out = append(out, mac)
-		}
-		// Byte order and colon-hex string order agree, so compare raw
-		// bytes instead of formatting two strings per comparison.
-		sort.Slice(out, func(i, j int) bool {
-			return bytes.Compare(out[i][:], out[j][:]) < 0
-		})
-		m.sortedMACs = out
-	}
-	return m.sortedMACs
-}
-
-// AddrFamily is a tiny helper for reports: "IPv4", "IPv6" or "none".
-func AddrFamily(a netip.Addr) string {
-	switch {
-	case a.Is4():
-		return "IPv4"
-	case a.Is6():
-		return "IPv6"
-	default:
-		return "none"
-	}
 }

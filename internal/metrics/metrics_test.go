@@ -57,10 +57,6 @@ func TestClassification(t *testing.T) {
 	if got := m.ClassOf(macD); got != ClassNone {
 		t.Errorf("D = %s", got)
 	}
-	counts := m.Counts()
-	if counts[ClassV4Only] != 1 || counts[ClassV6Only] != 1 || counts[ClassDual] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
 }
 
 func TestDHCPAndNDExcluded(t *testing.T) {
@@ -71,7 +67,7 @@ func TestDHCPAndNDExcluded(t *testing.T) {
 	f(0, frameV6(mac, packet.ICMPv6RouterSolicit))   // RS
 	f(0, frameV6(mac, packet.ICMPv6NeighborSolicit)) // NS
 	if got := m.ClassOf(mac); got != ClassNone {
-		t.Errorf("control traffic classified as data: %s (usage %+v)", got, m.UsageOf(mac))
+		t.Errorf("control traffic classified as data: %s (usage %+v)", got, m.perMAC[mac])
 	}
 	// ICMPv6 echo IS data.
 	f(0, frameV6(mac, packet.ICMPv6EchoRequest))
@@ -85,8 +81,8 @@ func TestExcludeInfrastructure(t *testing.T) {
 	infra := netsim.MAC{2, 0, 0, 0, 0, 0xaa}
 	m.Exclude(infra)
 	m.Filter()(0, frameV4(infra, 5000, 80))
-	if len(m.MACs()) != 0 {
-		t.Errorf("excluded MAC counted: %v", m.MACs())
+	if got := m.ClassOf(infra); got != ClassNone {
+		t.Errorf("excluded MAC counted as %s", got)
 	}
 }
 
@@ -99,18 +95,12 @@ func TestReportedVsTrue(t *testing.T) {
 	f(0, frameV6(mixed, 0))
 	f(0, frameV4(mixed, 5198, 5198)) // the Echolink pollution
 
-	if m.ReportedIPv6Only() != 2 {
-		t.Errorf("reported = %d, want 2 (naive count includes the dual host)", m.ReportedIPv6Only())
+	// Both hosts sent IPv6 data, so a naive SC23-style count reports two
+	// IPv6 clients; the traffic classes count only the pure one.
+	if got := m.ClassOf(pure); got != ClassV6Only {
+		t.Errorf("pure host = %s, want %s", got, ClassV6Only)
 	}
-	if m.TrueIPv6Only() != 1 {
-		t.Errorf("true = %d, want 1", m.TrueIPv6Only())
-	}
-}
-
-func TestAddrFamily(t *testing.T) {
-	if AddrFamily(netip.MustParseAddr("1.2.3.4")) != "IPv4" ||
-		AddrFamily(netip.MustParseAddr("::1")) != "IPv6" ||
-		AddrFamily(netip.Addr{}) != "none" {
-		t.Error("AddrFamily wrong")
+	if got := m.ClassOf(mixed); got != ClassDual {
+		t.Errorf("Echolink host = %s, want %s (it must not count as IPv6-only)", got, ClassDual)
 	}
 }

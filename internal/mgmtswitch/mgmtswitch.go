@@ -24,8 +24,6 @@ import (
 type Config struct {
 	// ULAPrefix is advertised with low router preference (and SLAAC).
 	ULAPrefix netip.Prefix
-	// RAInterval is the beacon period.
-	RAInterval time.Duration
 	// AdvertiseULA enables intervention 1.
 	AdvertiseULA bool
 	// SnoopDHCP enables intervention 2 once a trusted port is set.
@@ -64,9 +62,6 @@ type switchState struct {
 
 // New creates a managed switch on the fabric.
 func New(net *netsim.Network, name string, cfg Config) *Switch {
-	if cfg.RAInterval == 0 {
-		cfg.RAInterval = 10 * time.Second
-	}
 	s := &Switch{
 		Switch:       netsim.NewSwitch(net, name),
 		cfg:          cfg,
@@ -179,7 +174,7 @@ func (s *Switch) Start() {
 }
 
 func (s *Switch) armRATimer() {
-	s.net.Clock.AfterFunc(s.cfg.RAInterval, func() {
+	s.net.Clock.AfterFunc(ndp.RAInterval, func() {
 		s.sendRA()
 		s.armRATimer()
 	})

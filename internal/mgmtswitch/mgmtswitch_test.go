@@ -37,7 +37,7 @@ func TestULARAGivesClientsSLAAC(t *testing.T) {
 
 func TestRSTriggersImmediateRA(t *testing.T) {
 	net := netsim.NewNetwork()
-	sw := newTestSwitch(net, Config{ULAPrefix: ula, AdvertiseULA: true, RAInterval: time.Hour})
+	sw := newTestSwitch(net, Config{ULAPrefix: ula, AdvertiseULA: true})
 	c := hoststack.New(net, "c", hoststack.Behavior{Name: "c", IPv6Enabled: true, SupportsRDNSS: true})
 	sw.AttachPort(c.NIC)
 

@@ -25,7 +25,6 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 		RDNSSLifetime: 30 * time.Minute,
 		PREF64:        netip.MustParsePrefix("64:ff9b::/96"), PREF64Lifetime: 30 * time.Minute,
 	}).Marshal()
-	rs := (&RouterSolicit{SourceLinkAddr: mac, HasSourceLink: true}).Marshal()
 	ns := (&NeighborSolicit{Target: target, SourceLinkAddr: mac, HasSourceLink: true}).Marshal()
 	na := (&NeighborAdvert{Solicited: true, Target: target, TargetLinkAddr: mac, HasTargetLink: true}).Marshal()
 	var reused RouterAdvert
@@ -34,7 +33,6 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 		decode func() error
 	}{
 		{"RA into a reused value", func() error { return reused.Decode(ra) }},
-		{"RS", func() error { var m RouterSolicit; return m.Decode(rs) }},
 		{"NS", func() error { var m NeighborSolicit; return m.Decode(ns) }},
 		{"NA", func() error { var m NeighborAdvert; return m.Decode(na) }},
 	} {

@@ -162,16 +162,6 @@ func FuzzRouterAdvertDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { c.check(t, b) })
 }
 
-func FuzzRouterSolicitDecode(f *testing.F) {
-	addSeeds(f, packet.ICMPv6RouterSolicit)
-	c := codec[ndp.RouterSolicit]{
-		decode: (*ndp.RouterSolicit).Decode,
-		encode: (*ndp.RouterSolicit).Marshal,
-		full:   (&ndp.RouterSolicit{SourceLinkAddr: fullMAC, HasSourceLink: true}).Marshal(),
-	}
-	f.Fuzz(func(t *testing.T, b []byte) { c.check(t, b) })
-}
-
 func FuzzNeighborSolicitDecode(f *testing.F) {
 	addSeeds(f, packet.ICMPv6NeighborSolicit)
 	c := codec[ndp.NeighborSolicit]{

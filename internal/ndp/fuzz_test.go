@@ -15,12 +15,6 @@ func TestParsersNeverPanic(t *testing.T) {
 				_ = ra.Marshal()
 			}
 		},
-		"RS": func(b []byte) {
-			var rs RouterSolicit
-			if rs.Decode(b) == nil {
-				_ = rs.Marshal()
-			}
-		},
 		"NS": func(b []byte) {
 			var ns NeighborSolicit
 			if ns.Decode(b) == nil {

@@ -14,6 +14,11 @@ import (
 	"time"
 )
 
+// RAInterval is the period of the unsolicited Router Advertisements the
+// 5G gateway and the managed switch beacon (RFC 4861 §6.2.4). The
+// scenario engine aligns trials to multiples of it.
+const RAInterval = 10 * time.Second
+
 // Option types (RFC 4861 §4.6, RFC 8106).
 const (
 	optSourceLinkAddr uint8 = 1
@@ -281,17 +286,6 @@ func (rs *RouterSolicit) Marshal() []byte {
 		b = append(b, rs.SourceLinkAddr[:]...)
 	}
 	return b
-}
-
-// Decode decodes an RS body from b into rs. On error rs is left in an
-// unspecified state.
-func (rs *RouterSolicit) Decode(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("%w: RS body %d bytes", ErrBadNDP, len(b))
-	}
-	mac, ok, err := linkAddrOption(b[4:], optSourceLinkAddr)
-	*rs = RouterSolicit{SourceLinkAddr: mac, HasSourceLink: ok}
-	return err
 }
 
 // NeighborSolicit is an NS (ICMPv6 type 135 body).

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -10,7 +11,7 @@ import (
 // boxing in the heap, and payload copies bump-allocated from the arena.
 func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation makes sync.Pool drop items; allocation counts are meaningless")
+		t.Skip("race instrumentation adds allocations; allocation counts are meaningless")
 	}
 	net := NewNetwork()
 	a := net.NewNIC("a", nil)
@@ -62,6 +63,35 @@ func TestArenaRecycleReusesChunks(t *testing.T) {
 	st := net.Stats()
 	if st.ArenaChunksReused == 0 {
 		t.Errorf("no chunk reuse after RecycleArena: %+v", st)
+	}
+}
+
+// The arena's recycled chunks must survive garbage collections: a world
+// that sends the same traffic after every Restore stops allocating
+// chunks once its free list has warmed up, however often the collector
+// runs in between.
+func TestArenaChunksSurviveCollections(t *testing.T) {
+	net := NewNetwork()
+	a := net.NewNIC("a", nil)
+	b := net.NewNIC("b", FrameHandlerFunc(func(*NIC, Frame) {}))
+	net.Connect(a, b)
+	net.Checkpoint()
+	payload := make([]byte, 1024)
+	var after [5]uint64
+	for cycle := range after {
+		for i := 0; i < 128; i++ { // 128 KiB: retires four chunks
+			a.Transmit(Frame{Dst: b.MAC(), Payload: payload})
+		}
+		net.Run(0)
+		net.Restore()
+		runtime.GC()
+		runtime.GC()
+		after[cycle] = net.Stats().ArenaChunksAllocated
+	}
+	for cycle := 2; cycle < len(after); cycle++ {
+		if after[cycle] != after[1] {
+			t.Fatalf("chunks allocated after each cycle = %v: still growing after the second cycle", after)
+		}
 	}
 }
 

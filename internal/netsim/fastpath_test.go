@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -215,7 +216,7 @@ func TestFloodFanoutSinglePayloadCopy(t *testing.T) {
 }
 
 // mutator corrupts the first payload byte on delivery, optionally taking
-// a private copy first via Frame.Own.
+// a private copy of the payload first.
 type mutator struct {
 	own  bool
 	seen []byte
@@ -223,15 +224,15 @@ type mutator struct {
 
 func (m *mutator) HandleFrame(_ *NIC, f Frame) {
 	if m.own {
-		f = f.Own()
+		f.Payload = bytes.Clone(f.Payload)
 	}
 	m.seen = append(m.seen, f.Payload[0])
 	f.Payload[0] = 'X'
 }
 
 // TestFanoutPayloadIsShared proves the fan-out payload really is one
-// buffer: a receiver that mutates in place (violating the Shared
-// contract) is visible to the next receiver in port order. This is the
+// buffer: a receiver that mutates in place (violating the read-only
+// payload contract) is visible to the next receiver in port order. This is the
 // negative control for the copy-on-write test below.
 func TestFanoutPayloadIsShared(t *testing.T) {
 	net := NewNetwork()
@@ -249,17 +250,14 @@ func TestFanoutPayloadIsShared(t *testing.T) {
 	if len(after.frames) != 1 {
 		t.Fatalf("late receiver got %d frames, want 1", len(after.frames))
 	}
-	if !after.frames[0].Shared {
-		t.Error("fan-out delivery not marked Shared")
-	}
 	if got := string(after.frames[0].Payload); got != "Xrig" {
 		t.Errorf("in-place mutation not visible to co-receiver: got %q, want %q (shared buffer)", got, "Xrig")
 	}
 }
 
 // TestFanoutCopyOnWriteIsolation is the positive control: a receiver
-// that takes ownership with Frame.Own before writing leaves every other
-// receiver's view of the shared payload untouched.
+// that copies the payload before writing leaves every other receiver's
+// view of the shared payload untouched.
 func TestFanoutCopyOnWriteIsolation(t *testing.T) {
 	net := NewNetwork()
 	sw := NewSwitch(net, "sw")
@@ -274,7 +272,7 @@ func TestFanoutCopyOnWriteIsolation(t *testing.T) {
 	net.Run(0)
 
 	if got := string(after.frames[0].Payload); got != "orig" {
-		t.Errorf("Own() did not isolate mutation: co-receiver saw %q, want %q", got, "orig")
+		t.Errorf("copying did not isolate mutation: co-receiver saw %q, want %q", got, "orig")
 	}
 	if len(cow.seen) != 1 || cow.seen[0] != 'o' {
 		t.Errorf("mutating receiver saw %q before writing, want 'o'", cow.seen)

@@ -15,18 +15,6 @@ type Impairment struct {
 	// Loss is the probability in [0,1] that an eligible frame is
 	// silently discarded.
 	Loss float64
-	// Duplicate is the probability in [0,1] that an eligible frame is
-	// delivered twice (the copy follows the original's schedule plus
-	// one link latency).
-	Duplicate float64
-	// ReorderProb is the probability in [0,1] that an eligible frame
-	// is held back by ReorderWindow, letting later traffic overtake
-	// it. Reordering is windowed rather than unbounded so every
-	// delayed frame still arrives within a fixed horizon and the
-	// event queue stays bounded.
-	ReorderProb float64
-	// ReorderWindow is the extra delay a reordered frame suffers.
-	ReorderWindow time.Duration
 	// Jitter adds a uniform random delay in [0, Jitter) to every
 	// eligible frame.
 	Jitter time.Duration
@@ -41,10 +29,7 @@ type Impairment struct {
 
 // Enabled reports whether any impairment knob is active.
 func (im Impairment) Enabled() bool {
-	return im.Loss > 0 || im.Duplicate > 0 ||
-		(im.ReorderProb > 0 && im.ReorderWindow > 0) ||
-		im.Jitter > 0 ||
-		(im.FlapEvery > 0 && im.FlapDown > 0)
+	return im.Loss > 0 || im.Jitter > 0 || (im.FlapEvery > 0 && im.FlapDown > 0)
 }
 
 // splitmix64 is the PRNG behind every impairment decision: tiny,
@@ -123,9 +108,9 @@ func (st *impairState) flapDown(now time.Time) bool {
 }
 
 // transmitImpaired replaces the fast-path schedule for frames subject
-// to st. The PRNG draw order per surviving frame is fixed — loss,
-// jitter, duplicate, reorder — so a spec change never silently shifts
-// which draw decides what.
+// to st. The PRNG draw order per surviving frame is fixed — loss, then
+// jitter — so a spec change never silently shifts which draw decides
+// what.
 func (nc *NIC) transmitImpaired(peer *NIC, f Frame, st *impairState, rng *splitmix64) {
 	n := nc.net
 	if st.flapDown(n.Clock.Now()) {
@@ -140,24 +125,8 @@ func (nc *NIC) transmitImpaired(peer *NIC, f Frame, st *impairState, rng *splitm
 	if st.spec.Jitter > 0 {
 		delay += time.Duration(rng.float64() * float64(st.spec.Jitter))
 	}
-	dup := st.spec.Duplicate > 0 && rng.float64() < st.spec.Duplicate
-	if st.spec.ReorderProb > 0 && st.spec.ReorderWindow > 0 &&
-		rng.float64() < st.spec.ReorderProb {
-		delay += st.spec.ReorderWindow
-		n.impairReordered++
-	}
 	p := n.arena.alloc(len(f.Payload))
 	copy(p, f.Payload)
-	orig := f
 	f.Payload = p
-	f.Shared = false
 	n.scheduleFrame(delay, peer, f)
-	if dup {
-		n.impairDuplicated++
-		q := n.arena.alloc(len(orig.Payload))
-		copy(q, orig.Payload)
-		orig.Payload = q
-		orig.Shared = false
-		n.scheduleFrame(delay+DefaultLinkLatency, peer, orig)
-	}
 }

@@ -8,12 +8,11 @@
 // A Network runs until Stop, after which every transmission and timer
 // arming becomes a silent no-op — worlds can be torn down mid-flight
 // without draining queues. Per-NIC fault injection is declarative: set
-// an Impairment (loss, duplication, windowed reorder, jitter, scheduled
-// flaps) with SetImpairment and the NIC's traffic degrades according to
-// PRNG streams derived from the seed alone, so an impaired run replays
-// bit-identically and shards across worlds without divergence. Stats
-// aggregates fabric counters, including the impairment drop/dup/reorder
-// tallies.
+// an Impairment (loss, jitter, scheduled flaps) with SetImpairment and
+// the NIC's traffic degrades according to PRNG streams derived from the
+// seed alone, so an impaired run replays bit-identically and shards
+// across worlds without divergence. Stats aggregates fabric counters,
+// including the impairment loss and flap-drop tallies.
 package netsim
 
 import "fmt"
@@ -28,9 +27,6 @@ var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
-
-// IsBroadcast reports whether m is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == Broadcast }
 
 // IsMulticast reports whether m has the group bit set (includes broadcast).
 func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }

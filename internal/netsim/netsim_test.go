@@ -20,12 +20,12 @@ func TestMACString(t *testing.T) {
 }
 
 func TestMACPredicates(t *testing.T) {
-	if !Broadcast.IsBroadcast() || !Broadcast.IsMulticast() {
-		t.Error("broadcast should be broadcast and multicast")
+	if !Broadcast.IsMulticast() {
+		t.Error("broadcast should be multicast")
 	}
 	m := MAC{0x33, 0x33, 0, 0, 0, 1} // IPv6 multicast MAC prefix
-	if !m.IsMulticast() || m.IsBroadcast() {
-		t.Error("33:33::1 should be multicast, not broadcast")
+	if !m.IsMulticast() {
+		t.Error("33:33::1 should be multicast")
 	}
 	var z MAC
 	if !z.IsZero() {
@@ -75,8 +75,8 @@ func TestTransmitOnUnconnectedNICDrops(t *testing.T) {
 	a := net.NewNIC("a", nil)
 	a.Transmit(Frame{Dst: Broadcast})
 	net.Run(0)
-	if net.FramesDropped() != 1 {
-		t.Errorf("FramesDropped = %d, want 1", net.FramesDropped())
+	if got := net.Stats().FramesDropped; got != 1 {
+		t.Errorf("FramesDropped = %d, want 1", got)
 	}
 }
 

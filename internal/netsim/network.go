@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Frame is an Ethernet-style layer-2 frame. Payload holds an encoded
 // layer-3 packet (ARP, IPv4 or IPv6).
@@ -11,23 +8,17 @@ import (
 // Payload ownership, one rule for every delivered frame: Transmit copies
 // the payload into the fabric's arena, and receivers decode that copy in
 // place — the packet and ndp decoders return views (Payload, Options,
-// Body) that alias it rather than copies. Receivers never write through
-// a delivered payload or any view of it; a flood hands one copy to every
-// port (Shared), and a decoded view may already be in another
-// component's hands. The payload and its views stay valid until the
-// fabric recycles its arena (RecycleArena, run by Restore). A
-// receiver that keeps bytes past that point copies them; one that wants
-// to write takes a copy first (Own or Clone).
+// Body) that alias it rather than copies. A delivered payload is
+// read-only: a flood hands one shared copy to every port, and a decoded
+// view may already be in another component's hands. The payload and its
+// views stay valid until the fabric recycles its arena (RecycleArena,
+// run by Restore). A receiver that keeps bytes past that point, or
+// wants to write them, copies them first.
 type Frame struct {
 	Src       MAC
 	Dst       MAC
 	EtherType uint16
 	Payload   []byte
-
-	// Shared marks a payload delivered to multiple receivers at once (a
-	// switch flood fan-out carries one copy for every port), so a write
-	// through it would reach every co-receiver; Own copies exactly these.
-	Shared bool
 }
 
 // EtherType values used by the simulator.
@@ -36,28 +27,6 @@ const (
 	EtherTypeARP  uint16 = 0x0806
 	EtherTypeIPv6 uint16 = 0x86dd
 )
-
-// Clone returns a deep copy of the frame so receivers may mutate payloads.
-func (f Frame) Clone() Frame {
-	p := make([]byte, len(f.Payload))
-	copy(p, f.Payload)
-	f.Payload = p
-	f.Shared = false
-	return f
-}
-
-// Own returns a frame whose payload is safe to mutate: a shared
-// (fan-out) payload is copied, a private one — this hop's copy, held by
-// no other receiver — is returned as-is, to be written only once the
-// receiver's own decoded views of it are no longer in use. This is the
-// copy-on-write half of the shared-payload flood path — only
-// receivers that actually write pay for a copy.
-func (f Frame) Own() Frame {
-	if !f.Shared {
-		return f
-	}
-	return f.Clone()
-}
 
 // FrameHandler receives frames delivered to a NIC.
 type FrameHandler interface {
@@ -121,8 +90,6 @@ type netState struct {
 
 	// Fault-injection counters (see Impairment).
 	impairLost        uint64
-	impairDuplicated  uint64
-	impairReordered   uint64
 	impairFlapDropped uint64
 
 	// stopped marks a fabric that has been shut down with Stop: pending
@@ -233,22 +200,24 @@ const arenaChunkSize = 32 << 10
 // dedicated allocation so one jumbo frame cannot burn a whole chunk.
 const arenaMaxPayload = arenaChunkSize / 4
 
-// arenaMaxRetired bounds how many exhausted chunks are kept for
-// RecycleArena; beyond it, chunks are dropped for the GC to reclaim.
+// arenaMaxRetired bounds how many spare chunks the arena keeps, retired
+// and free together; beyond it, exhausted chunks are dropped for the GC
+// to reclaim.
 const arenaMaxRetired = 8
 
 // payloadArena bump-allocates per-hop frame payload copies out of
-// pooled chunks, so delivering a frame costs one chunk allocation per
-// ~hundreds of hops instead of one per hop. Chunks are sourced from a
-// sync.Pool; exhausted chunks are parked on a retired list and only
-// returned to the pool by an explicit RecycleArena call (Restore
-// makes one), because receivers decode payloads in place and may
-// hold the views until then (see Frame).
+// reused chunks, so delivering a frame costs one chunk allocation per
+// ~hundreds of hops instead of one per hop. Exhausted chunks are parked
+// on a retired list and only moved to the free list by an explicit
+// RecycleArena call (Restore makes one), because receivers decode
+// payloads in place and may hold the views until then (see Frame). The
+// free list belongs to the network, so the chunks survive garbage
+// collections and a Reset after the first allocates none.
 type payloadArena struct {
-	pool    sync.Pool
-	cur     []byte
-	curRef  *[]byte
-	retired []*[]byte
+	chunk   []byte // the chunk being carved; off bytes of it are served
+	off     int
+	retired [][]byte
+	free    [][]byte
 
 	chunksNew    uint64
 	chunksReused uint64
@@ -262,40 +231,49 @@ func (a *payloadArena) alloc(n int) []byte {
 		a.oversized++
 		return make([]byte, n)
 	}
-	if len(a.cur) < n {
-		if a.curRef != nil && len(a.retired) < arenaMaxRetired {
-			a.retired = append(a.retired, a.curRef)
-		}
-		if ref, ok := a.pool.Get().(*[]byte); ok {
+	if len(a.chunk)-a.off < n {
+		spent := a.chunk
+		if k := len(a.free); k > 0 {
 			a.chunksReused++
-			a.curRef = ref
+			a.chunk = a.free[k-1]
+			a.free[k-1] = nil
+			a.free = a.free[:k-1]
 		} else {
 			a.chunksNew++
-			b := make([]byte, arenaChunkSize)
-			a.curRef = &b
+			a.chunk = make([]byte, arenaChunkSize)
 		}
-		a.cur = *a.curRef
+		a.off = 0
+		// Retire after taking the next chunk, so swapping a spent chunk
+		// for a free one never drops a chunk at the bound.
+		if spent != nil && len(a.retired)+len(a.free) < arenaMaxRetired {
+			a.retired = append(a.retired, spent)
+		}
 	}
-	p := a.cur[:n:n]
-	a.cur = a.cur[n:]
+	p := a.chunk[a.off : a.off+n : a.off+n]
+	a.off += n
 	a.served++
 	a.servedBytes += uint64(n)
 	return p
 }
 
 func (a *payloadArena) recycle() {
-	for _, ref := range a.retired {
-		a.pool.Put(ref)
+	if a.free == nil {
+		// Retired and free chunks never number more than
+		// arenaMaxRetired, so later recycles never grow the list.
+		a.free = make([][]byte, 0, arenaMaxRetired)
 	}
+	a.free = append(a.free, a.retired...)
+	clear(a.retired)
 	a.retired = a.retired[:0]
 }
 
-// RecycleArena returns exhausted payload chunks to the arena's pool for
-// reuse. The caller asserts that no previously delivered frame payload,
-// nor any decoded view of one, is still referenced — e.g. between iterations of a benchmark or
-// scenario sweep after the fabric has gone quiescent. Without explicit
-// recycling the arena stays safe: retired chunks are simply left to the
-// garbage collector.
+// RecycleArena moves exhausted payload chunks to the arena's free list
+// for reuse. The caller asserts that no previously delivered frame
+// payload, nor any decoded view of one, is still referenced — e.g.
+// between iterations of a benchmark or scenario sweep after the fabric
+// has gone quiescent. Without explicit recycling the arena stays safe:
+// it allocates fresh chunks and leaves the exhausted ones beyond its
+// bound to the garbage collector.
 func (n *Network) RecycleArena() { n.arena.recycle() }
 
 // Stats is a point-in-time snapshot of the fabric's hot-path counters,
@@ -305,7 +283,8 @@ type Stats struct {
 	QueueDepth int
 	// QueuePeak is the deepest the event queue has ever been.
 	QueuePeak int
-	// FramesDelivered / FramesDropped mirror the accessor methods.
+	// FramesDelivered counts every frame delivered so far;
+	// FramesDropped counts frames transmitted on unconnected NICs.
 	FramesDelivered uint64
 	FramesDropped   uint64
 	// PayloadsServed counts per-hop payload copies served by the arena;
@@ -326,18 +305,15 @@ type Stats struct {
 	UnicastRingFrames    uint64
 	UnicastRingBatches   uint64
 	UnicastRingOverflows uint64
-	// ArenaChunksAllocated / ArenaChunksReused count 32 KiB chunk
-	// fetches that missed / hit the sync.Pool.
+	// ArenaChunksAllocated / ArenaChunksReused count 32 KiB chunks the
+	// arena allocated / took back from its free list.
 	ArenaChunksAllocated uint64
 	ArenaChunksReused    uint64
 	// OversizedPayloads counts payloads too large for the arena.
 	OversizedPayloads uint64
-	// FramesImpairLost / FramesImpairDuplicated / FramesImpairReordered
-	// / FramesImpairFlapDropped count fault-injection outcomes on
-	// impaired links (see Impairment).
+	// FramesImpairLost / FramesImpairFlapDropped count the frames that
+	// impaired links lost to Loss and to a flap (see Impairment).
 	FramesImpairLost        uint64
-	FramesImpairDuplicated  uint64
-	FramesImpairReordered   uint64
 	FramesImpairFlapDropped uint64
 }
 
@@ -366,8 +342,6 @@ func (n *Network) Stats() Stats {
 		OversizedPayloads:    n.arena.oversized,
 
 		FramesImpairLost:        n.impairLost,
-		FramesImpairDuplicated:  n.impairDuplicated,
-		FramesImpairReordered:   n.impairReordered,
 		FramesImpairFlapDropped: n.impairFlapDropped,
 	}
 }
@@ -457,19 +431,12 @@ func (n *Network) scheduleFanout(d time.Duration, dsts []*NIC, f Frame) {
 	if d < 0 {
 		d = 0
 	}
-	f.Shared = true
 	n.seq++
 	n.queue.push(event{when: n.Clock.Now().Add(d), seq: n.seq, dsts: dsts, frame: f})
 	if len(n.queue) > n.queuePeak {
 		n.queuePeak = len(n.queue)
 	}
 }
-
-// FramesDelivered reports the total number of frames delivered so far.
-func (n *Network) FramesDelivered() uint64 { return n.frames }
-
-// FramesDropped reports frames transmitted on unconnected NICs.
-func (n *Network) FramesDropped() uint64 { return n.dropped }
 
 // run executes one popped event.
 func (n *Network) run(ev event) {

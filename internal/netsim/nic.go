@@ -164,9 +164,6 @@ func (nc *NIC) LeaveGroup(g MAC) {
 	}
 }
 
-// Name returns the interface name given at creation.
-func (nc *NIC) Name() string { return nc.name }
-
 // MAC returns the hardware address of the interface.
 func (nc *NIC) MAC() MAC { return nc.mac }
 
@@ -205,7 +202,6 @@ func (nc *NIC) Transmit(f Frame) {
 	p := nc.net.arena.alloc(len(f.Payload))
 	copy(p, f.Payload)
 	f.Payload = p
-	f.Shared = false
 	nc.net.scheduleFrameRing(peer, f)
 }
 

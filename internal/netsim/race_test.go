@@ -3,6 +3,6 @@
 package netsim
 
 // raceEnabled reports that the race detector is active. Its
-// instrumentation adds allocations and makes sync.Pool drop items
-// randomly, so strict allocation-count assertions are skipped.
+// instrumentation adds allocations, so strict allocation-count
+// assertions are skipped.
 const raceEnabled = true

@@ -25,7 +25,7 @@ func newRingWorld(rings bool) *ringWorld {
 	mk := func(name string) *NIC {
 		nc := w.net.NewNIC(name, FrameHandlerFunc(func(self *NIC, f Frame) {
 			tag := int(f.Payload[0])<<8 | int(f.Payload[1])
-			w.log = append(w.log, fmt.Sprintf("%s %d @%s", self.Name(), tag, w.net.Clock.Now().Format("15:04:05.000000")))
+			w.log = append(w.log, fmt.Sprintf("%s %d @%s", self.name, tag, w.net.Clock.Now().Format("15:04:05.000000")))
 			if tag%3 == 0 && tag < 120 {
 				w.send(self, tag*2+1)
 			}

@@ -139,7 +139,3 @@ func EchoFields(body []byte) (id, seq uint16, data []byte, err error) {
 func IsICMPv4Error(typ uint8) bool {
 	return typ == ICMPv4DestUnreachable || typ == ICMPv4TimeExceeded || typ == 4 || typ == 5 || typ == 12
 }
-
-// IsICMPv6Error reports whether an ICMPv6 type is an error message
-// (types below 128 per RFC 4443 §2.1).
-func IsICMPv6Error(typ uint8) bool { return typ < 128 }

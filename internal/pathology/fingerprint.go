@@ -3,7 +3,6 @@ package pathology
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/hoststack"
 	"repro/internal/httpsim"
@@ -59,9 +58,10 @@ func (f Fingerprint) String() string {
 // joins, then a full mirror run scored with the fixed (family-
 // validating) logic. Everything runs on the virtual clock, so the
 // result is deterministic. Stateful pathologies record an AlignPeriod
-// on the testbed; the probe client's join is aligned to that grid —
-// the same protocol the scenario engine applies to trials — so the
-// fingerprint samples the identical schedule phase a sweep trial does.
+// on the testbed; the probe client's join is aligned to that grid with
+// the aligner the scenario engine applies to trials (AlignTrial), so
+// the fingerprint samples the identical schedule phase a sweep trial
+// does. Stateless pathologies join unaligned.
 func Compute(name string) (Fingerprint, error) {
 	var f Fingerprint
 	for i, prof := range FingerprintProfiles() {
@@ -70,7 +70,9 @@ func Compute(name string) (Fingerprint, error) {
 			tb.Close()
 			return f, err
 		}
-		alignToGrid(tb)
+		if tb.AlignPeriod > 0 {
+			tb.AlignTrial()
+		}
 		c := tb.AddClient("probe", prof)
 		res := portal.Run(httpsim.Fetcher(c), tb.Mirror)
 		f.Points[i] = portal.ScoreFixed(res).Points
@@ -78,19 +80,6 @@ func Compute(name string) (Fingerprint, error) {
 		tb.Close()
 	}
 	return f, nil
-}
-
-// alignToGrid advances a world to the next AlignPeriod boundary (Unix
-// arithmetic, matching the scenario trial aligner) so probes sample the
-// schedule phase every grid-aligned trial samples. Worlds without an
-// AlignPeriod — every stateless pathology — are untouched.
-func alignToGrid(tb *testbed.Testbed) {
-	if tb.AlignPeriod <= 0 {
-		return
-	}
-	if rem := time.Duration(tb.Net.Clock.Now().UnixNano()) % tb.AlignPeriod; rem != 0 {
-		tb.Net.RunFor(tb.AlignPeriod - rem)
-	}
 }
 
 // ComputeAll measures every registered pathology, keyed by name.

@@ -177,16 +177,6 @@ func Names() []string {
 	return append([]string{None}, rest...)
 }
 
-// All returns the registered pathologies in Names order.
-func All() []Pathology {
-	names := Names()
-	out := make([]Pathology, 0, len(names))
-	for _, n := range names {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
 // Apply installs the named pathology into a built testbed. Stateful
 // pathologies are armed with their registered schedule; their Budget
 // (if any) is not invoked — use ApplySized when the world's device

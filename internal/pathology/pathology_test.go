@@ -60,8 +60,8 @@ func TestNamesCanonicalOrder(t *testing.T) {
 			t.Errorf("Names() not sorted after none: %q >= %q", names[i-1], names[i])
 		}
 	}
-	if got, want := len(All()), len(names); got != want {
-		t.Errorf("len(All()) = %d, want %d", got, want)
+	if got, want := len(registry), len(names); got != want {
+		t.Errorf("registered pathologies = %d, Names() lists %d", got, want)
 	}
 }
 

@@ -4,16 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/ndp"
 	"repro/internal/netsim"
 )
-
-// beaconGrid is the scenario engine's trial-alignment grid: the 10 s RA
-// beacon cadence every trial start snaps to. A stateful schedule's flap
-// pattern must be commensurable with this grid (FlapEvery dividing it,
-// or a multiple of it) so that every grid-aligned trial observes the
-// same schedule phase — the precondition for serial ≡ sharded equality
-// with a flapping pathology active.
-const beaconGrid = 10 * time.Second
 
 // Schedule describes the lifecycle of a stateful pathology in virtual
 // time: an onset delay before the failure activates, an active-phase
@@ -88,14 +81,18 @@ func (s Schedule) Stateful() bool { return s != (Schedule{}) }
 // a multiple of the grid. Trials aligned to this period always observe
 // the same schedule phase.
 func (s Schedule) AlignPeriod() time.Duration {
-	if s.FlapEvery > beaconGrid {
+	if s.FlapEvery > ndp.RAInterval {
 		return s.FlapEvery
 	}
-	return beaconGrid
+	return ndp.RAInterval
 }
 
 // validate checks the flap pattern's internal consistency and its
-// commensurability with the beacon grid.
+// commensurability with the beacon grid (ndp.RAInterval, the period
+// trials are aligned to): FlapEvery must divide it or be a multiple of
+// it, so that every grid-aligned trial observes the same schedule
+// phase — the precondition for serial ≡ sharded equality with a
+// flapping pathology active.
 func (s Schedule) validate() error {
 	if s.FlapEvery < 0 || s.FlapDown < 0 || s.Onset < 0 || s.Active < 0 {
 		return fmt.Errorf("pathology: negative schedule durations")
@@ -109,8 +106,8 @@ func (s Schedule) validate() error {
 	if s.FlapDown <= 0 || s.FlapDown >= s.FlapEvery {
 		return fmt.Errorf("pathology: FlapDown %v must be inside (0, FlapEvery %v)", s.FlapDown, s.FlapEvery)
 	}
-	if beaconGrid%s.FlapEvery != 0 && s.FlapEvery%beaconGrid != 0 {
-		return fmt.Errorf("pathology: FlapEvery %v is incommensurable with the %v beacon grid", s.FlapEvery, beaconGrid)
+	if ndp.RAInterval%s.FlapEvery != 0 && s.FlapEvery%ndp.RAInterval != 0 {
+		return fmt.Errorf("pathology: FlapEvery %v is incommensurable with the %v beacon grid", s.FlapEvery, ndp.RAInterval)
 	}
 	return nil
 }

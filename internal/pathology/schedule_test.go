@@ -198,7 +198,7 @@ func TestGateRegisteredOffsetsCoverGridPhase(t *testing.T) {
 		tb := testbed.New(testbed.DefaultOptions())
 		g := p.Schedule.Arm(tb.Net.Clock)
 		tb.AlignPeriod = p.Schedule.AlignPeriod()
-		alignToGrid(tb)
+		tb.AlignTrial()
 		if !g.Down() {
 			t.Errorf("%s: grid-aligned instant not inside the down-window", name)
 		}

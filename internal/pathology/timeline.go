@@ -69,7 +69,11 @@ func ComputeTimeline(name string) (Timeline, error) {
 		// Probe instants are scheduled off the aligned grid instant, not
 		// raw arm time: build costs a little virtual time, and only
 		// grid instants are guaranteed to sit inside flap down-windows.
-		alignToGrid(tb)
+		// A pathology without a gated install sets no grid and joins
+		// unaligned.
+		if tb.AlignPeriod > 0 {
+			tb.AlignTrial()
+		}
 		aligned := tb.Net.Clock.Now()
 		c := tb.AddClient("probe", prof)
 		probe := func(f *Fingerprint) {

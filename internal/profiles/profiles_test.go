@@ -56,11 +56,8 @@ func TestPaperObservedQuirks(t *testing.T) {
 	if NintendoSwitch().IPv6Enabled {
 		t.Error("the Switch is IPv4-only (paper Fig. 6)")
 	}
-	if !NintendoSwitch().IPv4Only() {
-		t.Error("IPv4Only() helper wrong")
-	}
-	if !IPv6OnlyLinux().IPv6Only() {
-		t.Error("IPv6Only() helper wrong")
+	if b := IPv6OnlyLinux(); b.IPv4Enabled || !b.IPv6Enabled {
+		t.Error("the IPv6-only Linux client has IPv4 enabled or IPv6 disabled")
 	}
 	if Windows10NoV6().IPv6Enabled {
 		t.Error("the Fig. 5 client has IPv6 disabled")

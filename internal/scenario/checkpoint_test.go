@@ -612,7 +612,7 @@ func checkNothingPending(t *testing.T, tb *testbed.Testbed, snap worldSnapshot) 
 	}
 	for _, nc := range nics {
 		if n := field(reflect.ValueOf(nc).Elem(), "ringCount").Int(); n != 0 {
-			t.Errorf("%s still holds %d frames in its ring after Reset", nc.Name(), n)
+			t.Errorf("NIC %v still holds %d frames in its ring after Reset", nc.MAC(), n)
 		}
 	}
 	if n := field(field(net, "arena"), "retired").Len(); n != 0 {
@@ -850,10 +850,11 @@ func TestResetRewindsNICGroups(t *testing.T) {
 // cycle, Reset copies every component's state into storage the
 // component already holds, and the clock puts back the timers pending
 // at the checkpoint instead of arming new ones, so Reset allocates
-// nothing. Reset returns the run's payload chunks to the arena's
-// sync.Pool, whose bookkeeping allocates again after a collection or
-// when a chunk lands on another P's share, so the test measures with
-// the collector off and one P.
+// nothing; the run's payload chunks go back to the arena's free list,
+// which grows only while it warms up and survives collections. The
+// test measures with the collector off and one P, so that runtime work
+// outside Reset (a collection, another P's cache) cannot count against
+// it.
 func TestResetAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")

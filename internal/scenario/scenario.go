@@ -268,34 +268,6 @@ type RunOptions struct {
 // RunOptions.ConvergeTimeout is zero.
 const DefaultConvergeTimeout = 60 * time.Second
 
-// beaconPhase is the period of the world's unsolicited RA beacons (the
-// gateway's and the managed switch's, both 10s by default). Chaos runs
-// align each device trial to this grid: a client whose router
-// solicitation is lost falls back to the next periodic beacon, so its
-// outcome depends on the beacon phase at join time. Aligning trial
-// starts makes that phase a constant, which is what keeps impaired
-// runs position-independent — the precondition for serial ≡ sharded
-// reports. Topologies that override RAInterval off the 10s grid are
-// outside the chaos shard-equality contract.
-const beaconPhase = 10 * time.Second
-
-// alignToBeaconPhase advances the world's virtual clock to the next
-// trial-grid boundary: the beacon grid by default, or the testbed's
-// AlignPeriod when a stateful pathology demanded a coarser one (the
-// flap period, so every trial observes the same flap phase). All worlds
-// share one clock epoch, so "the grid" is the same in every world a
-// sharded run builds.
-func alignToBeaconPhase(tb *testbed.Testbed) {
-	period := beaconPhase
-	if tb.AlignPeriod > period {
-		period = tb.AlignPeriod
-	}
-	rem := time.Duration(tb.Net.Clock.Now().UnixNano()) % period
-	if rem != 0 {
-		tb.Net.RunFor(period - rem)
-	}
-}
-
 // Run executes the workload for each device on a fresh client attached
 // to tb and returns the aggregate report.
 func Run(tb *testbed.Testbed, devices []DeviceSpec) *Report {
@@ -383,8 +355,10 @@ func newTrialRunner(tb *testbed.Testbed, opt RunOptions) *trialRunner {
 		opt:   opt,
 		churn: churn,
 		// Impaired, churned or stateful-pathology trials are aligned to
-		// the trial grid; with every knob off the classic run is
-		// reproduced untouched.
+		// the trial grid (Testbed.AlignTrial): that keeps impaired runs
+		// position-independent, the precondition for serial ≡ sharded
+		// reports. With every knob off the classic run is reproduced
+		// untouched.
 		align:           churn || tb.Spec.Impair.Enabled() || tb.AlignPeriod > 0 || tb.SampleNAT64PerTrial,
 		convergeTimeout: convergeTimeout,
 		rep: &Report{
@@ -409,7 +383,7 @@ func newTrialRunner(tb *testbed.Testbed, opt RunOptions) *trialRunner {
 func (r *trialRunner) runTrial(spec DeviceSpec, join func() *hoststack.Host) {
 	tb := r.tb
 	if r.align {
-		alignToBeaconPhase(tb)
+		tb.AlignTrial()
 	}
 	nat44Before := len(tb.Gateway.NAT44.Log)
 	// SessionCount walks every session, so take the NAT64 baseline only

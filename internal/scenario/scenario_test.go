@@ -71,7 +71,7 @@ func TestScenarioSC23VsSC24Counting(t *testing.T) {
 	}
 	v4onlyBrowsers := 0
 	for _, d := range devices {
-		if d.Profile.IPv4Only() && !d.EcholinkOnly {
+		if d.Profile.IPv4Enabled && !d.Profile.IPv6Enabled && !d.EcholinkOnly {
 			v4onlyBrowsers++
 		}
 	}

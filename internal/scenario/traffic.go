@@ -30,8 +30,6 @@ type TrafficOptions struct {
 	FlowsPerDevice int
 	// FlowBytes is the body size of each flow (default 64 KiB).
 	FlowBytes int
-	// ChunkBytes is the server's per-write size (0 = httpsim default).
-	ChunkBytes int
 	// Pace is the virtual-time gap between server writes; 0 streams each
 	// flow as one synchronous burst.
 	Pace time.Duration
@@ -88,10 +86,7 @@ func runFlows(c *hoststack.Host, t *TrafficOptions) FlowStats {
 	if bytes <= 0 {
 		bytes = 64 << 10
 	}
-	chunk := t.ChunkBytes
-	if chunk <= 0 {
-		chunk = httpsim.DefaultStreamChunk
-	}
+	const chunk = httpsim.DefaultStreamChunk
 	url := fmt.Sprintf("http://%s/flow/%d/%d/%d", testbed.StreamCDNName, bytes, chunk, t.Pace.Milliseconds())
 
 	chunks := (bytes + chunk - 1) / chunk

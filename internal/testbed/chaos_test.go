@@ -63,20 +63,17 @@ func TestChurnClientsReconverge(t *testing.T) {
 	// renumbers, and every IPv6-capable client must adopt an address in
 	// the NEW GUA prefix — with the stale one deprecated — within one RA
 	// beacon interval plus margin of bounded virtual time.
-	spec := DefaultTopology(DefaultOptions())
-	spec.Clients = []ClientSpec{
-		{Name: "android", Behavior: profiles.Android()},
-		{Name: "win11", Behavior: profiles.Windows11()},
-		{Name: "mac", Behavior: profiles.MacOS()},
-	}
-	tb, err := Build(spec)
+	tb, err := Build(DefaultTopology(DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tb.Close()
+	tb.AddClient("android", profiles.Android())
+	tb.AddClient("win11", profiles.Windows11())
+	tb.AddClient("mac", profiles.MacOS())
 
 	oldPfx := tb.Gateway.CurrentGUAPrefix()
-	// Clients joined during Build (2 s each, so 6 s after settle); the
+	// Clients joined after Build (2 s each, so 6 s after settle); the
 	// reboot fires at settle+30 s. Run past it plus one RA interval
 	// (10 s) + margin.
 	tb.Net.Clock.AfterFunc(24*time.Second, tb.Gateway.Reboot)

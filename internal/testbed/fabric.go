@@ -276,14 +276,6 @@ func (fb *Fabric) DomainOf(row int) int {
 // access switch i.
 func (fb *Fabric) Rows(i int) (lo, hi int) { return fb.rowStart[i], fb.rowStart[i+1] }
 
-// Active returns the materialized host for a row, or nil when parked.
-func (fb *Fabric) Active(row int) *hoststack.Host {
-	if a, ok := fb.active[row]; ok {
-		return a.host
-	}
-	return nil
-}
-
 // ActiveCount reports how many clients are currently materialized.
 func (fb *Fabric) ActiveCount() int { return len(fb.active) }
 

@@ -43,7 +43,7 @@ func TestFabricClientBringup(t *testing.T) {
 				sw, r.Response.Status, r.UsedAddr)
 		}
 		fb.Park(lo)
-		if fb.Active(lo) != nil {
+		if _, ok := fb.active[lo]; ok {
 			t.Errorf("switch %d client still active after Park", sw)
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"repro/internal/hoststack"
 	"repro/internal/inet"
 	"repro/internal/mgmtswitch"
+	"repro/internal/ndp"
 	"repro/internal/netsim"
 	"repro/internal/portal"
 	"repro/internal/vpn"
@@ -169,12 +170,11 @@ type Testbed struct {
 	// FabricSpec is populated (see fabric.go).
 	Fabric *Fabric
 
-	// AlignPeriod, when non-zero, asks the scenario engine to align
-	// every device trial to this virtual-time period (a multiple of the
-	// 10 s RA beacon grid). Stateful pathology installs set it so each
-	// trial observes the same schedule phase regardless of its position
-	// in the run — the serial ≡ sharded precondition for scheduled
-	// failures.
+	// AlignPeriod, when non-zero, asks AlignTrial to align every device
+	// trial to this virtual-time period (a multiple of ndp.RAInterval).
+	// Stateful pathology installs set it so each trial observes the same
+	// schedule phase regardless of its position in the run — the
+	// serial ≡ sharded precondition for scheduled failures.
 	AlignPeriod time.Duration
 
 	// SampleNAT64PerTrial, when set, makes the scenario engine
@@ -263,6 +263,21 @@ func (tb *Testbed) AddClient(name string, b hoststack.Behavior) *hoststack.Host 
 	tb.Net.RunFor(2 * time.Second)
 	tb.Clients = append(tb.Clients, c)
 	return c
+}
+
+// AlignTrial advances the virtual clock to the next trial boundary: a
+// multiple of the RA beacon period (ndp.RAInterval), or of AlignPeriod
+// when a stateful pathology asked for a coarser grid. A client whose
+// router solicitation is lost falls back to the next periodic beacon,
+// so its outcome depends on the beacon phase at join time; starting
+// every trial on the grid makes that phase a constant. All worlds share
+// one clock epoch, so the grid is the same in every world a sharded
+// run builds.
+func (tb *Testbed) AlignTrial() {
+	period := max(ndp.RAInterval, tb.AlignPeriod)
+	if rem := time.Duration(tb.Net.Clock.Now().UnixNano()) % period; rem != 0 {
+		tb.Net.RunFor(period - rem)
+	}
 }
 
 // RestrictIPv4Internet applies the §VI ACL: the gateway stops forwarding

@@ -23,11 +23,12 @@ import (
 
 // Topology is the declarative description of a Fig. 4 world: LAN
 // addressing, the 5G gateway, the managed switch, the three Raspberry
-// Pi roles, the public internet sites and any clients to bring up after
-// settle. Build assembles a spec into a running Testbed; zero-valued
-// fields take the paper's deployment values, so Build(Topology{Opt:
-// opt}) is exactly the classic New(opt) world. Specs are plain data —
-// copy one, tweak a field, and Build again to get an independent world.
+// Pi roles and the public internet sites. Build assembles a spec into a
+// running Testbed. Start from a constructor (DefaultTopology,
+// ScaleTopology, FabricTopology or SubtreeTopology), which fills every
+// field; Build(DefaultTopology(opt)) is the classic New(opt) world.
+// Specs are plain data — copy one, tweak a field, and Build again to
+// get an independent world.
 type Topology struct {
 	Opt Options
 
@@ -44,14 +45,6 @@ type Topology struct {
 	// endpoints the experiments depend on (the test-ipv6 mirror, ip6.me,
 	// ipv4only.arpa, the Echolink UDP service) are always present.
 	Sites []SiteSpec
-
-	// Clients are brought up in order after the infrastructure settles,
-	// exactly as successive AddClient calls would.
-	Clients []ClientSpec
-
-	// SettleTime is how long beacons and server bring-up are given
-	// before Build returns (default one second).
-	SettleTime time.Duration
 
 	// Impair, when any knob is set, is applied to every client NIC at
 	// attach time. Each client's PRNG streams are seeded from ChaosSeed
@@ -80,11 +73,8 @@ type GatewaySpec struct {
 	// PoolStart/PoolEnd bound the gateway's built-in DHCPv4 pool (the
 	// one the managed switch snoops away under Options.SnoopDHCP).
 	PoolStart, PoolEnd netip.Addr
-	// WANMTU is the 5G link MTU: 0 means the deployment's 1480,
-	// negative disables the limit entirely.
+	// WANMTU is the 5G link MTU; 0 disables the limit.
 	WANMTU int
-	// RAInterval overrides the unsolicited RA beacon period (default 10s).
-	RAInterval time.Duration
 	// DHCPLeaseTime overrides the built-in server's one-hour lease.
 	DHCPLeaseTime time.Duration
 	// NAT64*Timeout override the translator session lifetimes (zero =
@@ -125,12 +115,6 @@ type SiteSpec struct {
 	Name   string
 	V4, V6 netip.Addr
 	Body   string
-}
-
-// ClientSpec declares a client to attach during Build.
-type ClientSpec struct {
-	Name     string
-	Behavior hoststack.Behavior
 }
 
 // DefaultSites returns the paper's three generic sites: the SC24
@@ -174,8 +158,7 @@ func DefaultTopology(opt Options) Topology {
 			V6OnlyWait: 30 * time.Minute,
 			DomainName: "rfc8925.com",
 		},
-		Sites:      DefaultSites(),
-		SettleTime: time.Second,
+		Sites: DefaultSites(),
 	}
 }
 
@@ -232,85 +215,6 @@ func maskFor(p netip.Prefix) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)})
 }
 
-// withDefaults fills zero-valued fields from DefaultTopology, so sparse
-// specs (Topology{Opt: opt}) behave like the classic constructor.
-func (spec Topology) withDefaults() Topology {
-	def := DefaultTopology(spec.Opt)
-	spec.Opt = def.Opt // applies the RedirectV4 default
-	if !spec.LANPrefix.IsValid() {
-		spec.LANPrefix = def.LANPrefix
-	}
-	if !spec.GatewayLANv4.IsValid() {
-		spec.GatewayLANv4 = def.GatewayLANv4
-	}
-	g, dg := &spec.Gateway, def.Gateway
-	if !g.WANv4.IsValid() {
-		g.WANv4 = dg.WANv4
-	}
-	if !g.WANv4NAT44.IsValid() {
-		g.WANv4NAT44 = dg.WANv4NAT44
-	}
-	if len(g.GUAPrefixes) == 0 {
-		g.GUAPrefixes = dg.GUAPrefixes
-	}
-	if !g.PoolStart.IsValid() {
-		g.PoolStart = dg.PoolStart
-	}
-	if !g.PoolEnd.IsValid() {
-		g.PoolEnd = dg.PoolEnd
-	}
-	if g.WANMTU == 0 {
-		g.WANMTU = dg.WANMTU
-	}
-	if spec.Switch.Name == "" {
-		spec.Switch.Name = def.Switch.Name
-	}
-	if !spec.Switch.ULAPrefix.IsValid() {
-		spec.Switch.ULAPrefix = def.Switch.ULAPrefix
-	}
-	p, dp := &spec.Pis, def.Pis
-	if !p.HealthyV6.IsValid() {
-		p.HealthyV6 = dp.HealthyV6
-	}
-	if !p.HealthyV6B.IsValid() {
-		p.HealthyV6B = dp.HealthyV6B
-	}
-	if !p.HealthyV4.IsValid() {
-		p.HealthyV4 = dp.HealthyV4
-	}
-	if !p.PoisonV4.IsValid() {
-		p.PoisonV4 = dp.PoisonV4
-	}
-	if !p.DHCPV4.IsValid() {
-		p.DHCPV4 = dp.DHCPV4
-	}
-	if !p.PoolStart.IsValid() {
-		p.PoolStart = dp.PoolStart
-	}
-	if !p.PoolEnd.IsValid() {
-		p.PoolEnd = dp.PoolEnd
-	}
-	if p.LeaseTime == 0 {
-		p.LeaseTime = dp.LeaseTime
-	}
-	if p.V6OnlyWait == 0 {
-		p.V6OnlyWait = dp.V6OnlyWait
-	}
-	if p.DomainName == "" {
-		p.DomainName = dp.DomainName
-	}
-	if spec.Sites == nil {
-		spec.Sites = def.Sites
-	}
-	if spec.SettleTime == 0 {
-		spec.SettleTime = def.SettleTime
-	}
-	if spec.Fabric.Enabled() && spec.Fabric.DomainStride == 0 {
-		spec.Fabric.DomainStride = 1024
-	}
-	return spec
-}
-
 // validate rejects specs Build cannot assemble into a coherent world.
 func (spec Topology) validate() error {
 	if !spec.LANPrefix.Addr().Is4() {
@@ -356,6 +260,10 @@ func (spec Topology) validate() error {
 	return spec.validateFabric()
 }
 
+// settleTime is how long Build gives beacons and server bring-up before
+// it returns the world.
+const settleTime = time.Second
+
 // Build assembles a spec into a running, settled world. Unlike the
 // panicking New, every construction failure comes back as an error and
 // nothing is half-started: the caller either gets a working Testbed or
@@ -363,7 +271,6 @@ func (spec Topology) validate() error {
 // its fabric, clock and MAC space are private — so worlds can be
 // simulated on separate goroutines without synchronization.
 func Build(spec Topology) (*Testbed, error) {
-	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -409,10 +316,6 @@ func Build(spec Topology) (*Testbed, error) {
 		})
 
 	// The 5G gateway.
-	wanMTU := spec.Gateway.WANMTU
-	if wanMTU < 0 {
-		wanMTU = 0 // spec sentinel: no MTU limit
-	}
 	gw, err := gateway5g.New(tb.Net, gateway5g.Config{
 		LANv4:                spec.GatewayLANv4,
 		LANv4Prefix:          spec.LANPrefix,
@@ -423,8 +326,7 @@ func Build(spec Topology) (*Testbed, error) {
 		WANv4:                spec.Gateway.WANv4,
 		WANv4NAT44:           spec.Gateway.WANv4NAT44,
 		CarrierDNS:           tb.Internet.Resolver(),
-		RAInterval:           spec.Gateway.RAInterval,
-		WANMTU:               wanMTU,
+		WANMTU:               spec.Gateway.WANMTU,
 		DHCPLeaseTime:        spec.Gateway.DHCPLeaseTime,
 		NAT64UDPTimeout:      spec.Gateway.NAT64UDPTimeout,
 		NAT64TCPTimeout:      spec.Gateway.NAT64TCPTimeout,
@@ -467,11 +369,7 @@ func Build(spec Topology) (*Testbed, error) {
 	gw.Start()
 	tb.Switch.Start()
 	// Let beacons and server bring-up settle.
-	tb.Net.RunFor(spec.SettleTime)
-
-	for _, c := range spec.Clients {
-		tb.AddClient(c.Name, c.Behavior)
-	}
+	tb.Net.RunFor(settleTime)
 	return tb, nil
 }
 

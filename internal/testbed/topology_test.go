@@ -11,32 +11,6 @@ import (
 	"repro/internal/profiles"
 )
 
-// TestBuildSparseSpecMatchesNew proves the compatibility contract: a
-// zero spec with only Opt set builds the exact world New does. Frame
-// counts after an identical client workload are a strong proxy for
-// bit-identical behaviour on the deterministic fabric.
-func TestBuildSparseSpecMatchesNew(t *testing.T) {
-	legacy := New(DefaultOptions())
-	built, err := Build(Topology{Opt: DefaultOptions()})
-	if err != nil {
-		t.Fatalf("Build(sparse spec): %v", err)
-	}
-
-	lc := legacy.AddClient("probe", profiles.MacOS())
-	bc := built.AddClient("probe", profiles.MacOS())
-
-	if got, want := built.Net.FramesDelivered(), legacy.Net.FramesDelivered(); got != want {
-		t.Errorf("frames delivered diverged: Build=%d New=%d", got, want)
-	}
-	if got, want := len(bc.IPv6GlobalAddrs()) > 0, len(lc.IPv6GlobalAddrs()) > 0; got != want {
-		t.Errorf("client GUA presence diverged: Build=%v New=%v", got, want)
-	}
-	if !built.Net.Clock.Now().Equal(legacy.Net.Clock.Now()) {
-		t.Errorf("virtual clocks diverged: Build=%v New=%v",
-			built.Net.Clock.Now(), legacy.Net.Clock.Now())
-	}
-}
-
 func TestBuildRejectsIncoherentSpecs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -86,9 +60,9 @@ func TestCloseFreezesWorld(t *testing.T) {
 	}
 	tb.Close()
 
-	before := tb.Net.FramesDelivered()
+	before := tb.Net.Stats().FramesDelivered
 	c := tb.AddClient("late", profiles.MacOS())
-	if got := tb.Net.FramesDelivered(); got != before {
+	if got := tb.Net.Stats().FramesDelivered; got != before {
 		t.Errorf("closed world delivered %d new frames", got-before)
 	}
 	if len(c.IPv6GlobalAddrs()) > 0 || c.IPv4Addr().IsValid() {
@@ -114,7 +88,7 @@ func TestSnapshotFactoryBuildsIndependentTwins(t *testing.T) {
 		t.Fatalf("factory build B: %v", err)
 	}
 	// Twins are deterministic copies of each other...
-	if a, b := twinA.Net.FramesDelivered(), twinB.Net.FramesDelivered(); a != b {
+	if a, b := twinA.Net.Stats().FramesDelivered, twinB.Net.Stats().FramesDelivered; a != b {
 		t.Errorf("twin worlds diverged at birth: %d vs %d frames", a, b)
 	}
 	// ...and fully independent: closing one leaves the other running.

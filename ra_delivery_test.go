@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -32,7 +33,8 @@ func gatewayRAFixture(tb testing.TB) (*testbed.Testbed, *hoststack.Host, netsim.
 		if f.Src == gwMAC && f.Dst == allNodes && f.EtherType == netsim.EtherTypeIPv6 &&
 			len(f.Payload) > packet.IPv6HeaderLen && f.Payload[6] == packet.ProtoICMPv6 &&
 			f.Payload[packet.IPv6HeaderLen] == packet.ICMPv6RouterAdvert {
-			ra = f.Clone()
+			ra = f
+			ra.Payload = bytes.Clone(f.Payload)
 		}
 		return true
 	})
