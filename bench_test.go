@@ -462,10 +462,10 @@ func BenchmarkBroadcastDomain(b *testing.B) {
 		b.Run(fmt.Sprintf("clients-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			net := netsim.NewNetwork()
-			sw := netsim.NewSwitch(net, "sw")
+			sw := netsim.NewSwitch(net)
 			nics := make([]*netsim.NIC, n)
 			for i := range nics {
-				nics[i] = net.NewNIC(fmt.Sprintf("c%d", i), sink)
+				nics[i] = net.NewNIC(sink)
 				nics[i].RestrictFlooding()
 				nics[i].AddEtherTypeInterest(netsim.EtherTypeIPv4)
 				sw.AttachPort(nics[i])
@@ -608,8 +608,8 @@ func BenchmarkHeavyTraffic(b *testing.B) {
 		tx := make([]*netsim.NIC, pairs)
 		rx := make([]*netsim.NIC, pairs)
 		for i := 0; i < pairs; i++ {
-			tx[i] = net.NewNIC(fmt.Sprintf("a%d", i), sink)
-			rx[i] = net.NewNIC(fmt.Sprintf("z%d", i), sink)
+			tx[i] = net.NewNIC(sink)
+			rx[i] = net.NewNIC(sink)
 			net.Connect(tx[i], rx[i])
 		}
 		round := func() {

@@ -35,7 +35,7 @@ type gridConfig struct {
 	// Shards are the shard counts to sweep (default [1]).
 	Shards []int `json:"shards"`
 	// LossLevels are the link-loss fractions to sweep (default [0]);
-	// non-zero levels build impaired worlds exactly like ChaosSweep.
+	// non-zero levels build impaired worlds through scenario.ChaosSpec.
 	LossLevels []float64 `json:"loss_levels"`
 	// RebootLevels are the per-device gateway reboot counts (default [0]).
 	RebootLevels []int `json:"reboot_levels"`

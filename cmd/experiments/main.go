@@ -5,10 +5,12 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -524,15 +526,63 @@ func chaos(w io.Writer) {
 	fmt.Fprintln(w, "engine: sweep the loss × gateway-reboot grid over impaired worlds; every value")
 	fmt.Fprintln(w, "        is a counter or virtual-clock duration, so this output is deterministic")
 	fmt.Fprintln(w, "        and documented verbatim in EXPERIMENTS.md §chaos")
-	m, err := scenario.ChaosSweep(scenario.ChaosConfig{Seed: 1, N: 24, Shards: 4})
-	if err != nil {
-		fmt.Fprintf(w, "measured: chaos sweep error %v\n", err)
-		return
+	const n, seed = 24, 1
+	devices := scenario.Population(seed, n, scenario.DefaultMix())
+	fmt.Fprintf(w, "degradation matrix: n=%d devices per cell, seed %d\n", n, seed)
+	fmt.Fprintf(w, "%-6s %8s %10s %10s %12s %14s\n",
+		"loss", "reboots", "internet", "informed", "reconverged", "worst-converge")
+	// The per-class detail of the churned cells prints after the matrix.
+	var classes strings.Builder
+	cell := 0 // row-major over (loss, reboots); seeds each cell's impairment
+	for _, loss := range []float64{0, 0.10, 0.30} {
+		for _, reboots := range []int{0, 1, 2} {
+			spec := scenario.ChaosSpec(seed, n, cell, loss, 0)
+			cell++
+			build := func(int) (*testbed.Testbed, error) { return testbed.Build(spec) }
+			rep, err := scenario.RunShardedSized(build, devices, scenario.ShardOptions{
+				Shards: 4,
+				Seed:   seed,
+				Run:    scenario.RunOptions{RebootsPerDevice: reboots},
+			})
+			if err != nil {
+				fmt.Fprintf(w, "measured: chaos cell loss=%.0f%% reboots=%d error %v\n", loss*100, reboots, err)
+				return
+			}
+			conv, worst := "-", "-"
+			if reboots > 0 {
+				keys := make([]metrics.Class, 0, len(rep.Convergence))
+				for cls := range rep.Convergence {
+					keys = append(keys, cls)
+				}
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				if len(keys) > 0 {
+					fmt.Fprintf(&classes, "loss=%.0f%% reboots=%d:\n", loss*100, reboots)
+				}
+				var probed, recon int
+				var slowest time.Duration
+				for _, cls := range keys {
+					cc := rep.Convergence[cls]
+					probed += cc.Devices
+					recon += cc.Reconverged
+					slowest = max(slowest, cc.MaxTime)
+					mean := time.Duration(0)
+					if cc.Reconverged > 0 {
+						mean = cc.TotalTime / time.Duration(cc.Reconverged)
+					}
+					fmt.Fprintf(&classes, "  %-10s %2d/%2d reconverged, mean %v, worst %v\n",
+						cls, cc.Reconverged, cc.Devices,
+						mean.Round(time.Millisecond), cc.MaxTime.Round(time.Millisecond))
+				}
+				conv = fmt.Sprintf("%d/%d", recon, probed)
+				worst = slowest.Round(time.Millisecond).String()
+			}
+			fmt.Fprintf(w, "%5.0f%% %8d %10d %10d %12s %14s\n",
+				loss*100, reboots, rep.InternetOK, rep.Informed, conv, worst)
+		}
 	}
-	fmt.Fprint(w, m.String())
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "per-class re-convergence after gateway reboots:")
-	fmt.Fprint(w, m.ClassBreakdown())
+	fmt.Fprint(w, classes.String())
 	fmt.Fprintln(w, "shape: loss hurts the v4-only tail first (DHCP retransmission vs RA beacons);")
 	fmt.Fprintln(w, "       churned devices that had internet re-converge within the RA/DHCP retry")
 	fmt.Fprintln(w, "       budget, and the renumbered prefix never strands an RFC 4862 host")
@@ -576,16 +626,48 @@ func traffic(w io.Writer) {
 	fmt.Fprintln(w, "       shard-exactly (TestTrafficShardedMatchesSerial)")
 }
 
+// profileHeads abbreviates the profile names of scenario.DefaultMix
+// into the pathology matrix's column headers.
+var profileHeads = map[string]string{
+	"iOS": "iOS", "Android": "Andr", "macOS": "mac", "Windows 10": "W10", "Windows 11": "W11",
+	"Linux": "Lnx", "Nintendo Switch": "NSw", "Windows XP": "XP",
+}
+
 func pathologyExp(w io.Writer) {
 	fmt.Fprintln(w, "engine: install each registered DNS/NAT64/delegation failure mode into fresh")
 	fmt.Fprintln(w, "        worlds and sweep the default population across it; every cell is a")
 	fmt.Fprintln(w, "        deterministic sharded run, documented verbatim in EXPERIMENTS.md §bench6")
-	m, err := scenario.PathologySweep(scenario.PathologyConfig{Seed: 1, N: 24, Shards: 4})
-	if err != nil {
-		fmt.Fprintf(w, "measured: pathology sweep error %v\n", err)
-		return
+	const n, seed = 24, 1
+	mix := scenario.DefaultMix()
+	devices := scenario.Population(seed, n, mix)
+	// One column per distinct profile of the mix, in mix order.
+	var cols []string
+	for _, e := range mix {
+		if !slices.Contains(cols, e.Profile.Name) {
+			cols = append(cols, e.Profile.Name)
+		}
 	}
-	fmt.Fprint(w, m.String())
+	fmt.Fprintf(w, "pathology degradation matrix: n=%d devices per cell, seed %d (internet-ok/devices per profile)\n", n, seed)
+	fmt.Fprintf(w, "%-26s %8s %9s", "pathology", "internet", "informed")
+	for _, p := range cols {
+		fmt.Fprintf(w, " %6s", cmp.Or(profileHeads[p], p))
+	}
+	fmt.Fprintln(w)
+	base := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}.Build
+	for _, name := range pathology.Names() {
+		rep, err := scenario.RunShardedSized(pathology.FactorySized(base, name), devices,
+			scenario.ShardOptions{Shards: 4, Seed: seed})
+		if err != nil {
+			fmt.Fprintf(w, "measured: pathology cell %q error %v\n", name, err)
+			return
+		}
+		fmt.Fprintf(w, "%-26s %8d %9d", name, rep.InternetOK, rep.Informed)
+		for _, p := range cols {
+			pc := rep.Profiles[p]
+			fmt.Fprintf(w, " %6s", fmt.Sprintf("%d/%d", pc.InternetOK, pc.Devices))
+		}
+		fmt.Fprintln(w)
+	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "mirror fingerprints (ScoreFixed points per canonical profile, PATHOLOGIES.md):")
 	fingerprintTable(w)

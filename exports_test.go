@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -68,31 +69,7 @@ var exportAllowlist = map[string]string{
 // not count; a method that implements an interface declared in a loaded
 // package (error, fmt.Stringer, dns.Resolver, …) counts as referenced.
 func TestInternalExportsHaveProductionUses(t *testing.T) {
-	l := &loader{
-		fset:  token.NewFileSet(),
-		std:   importer.Default(),
-		pkgs:  map[string]*types.Package{},
-		files: map[string][]*ast.File{},
-		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
-	}
-	for _, root := range []string{".", "perfbench"} {
-		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if n := d.Name(); dir != root && (n == "testdata" || n == "perfbench" || strings.HasPrefix(n, ".")) {
-				return filepath.SkipDir
-			}
-			if _, err := build.ImportDir(dir, 0); err != nil {
-				return nil // no non-test Go files here
-			}
-			_, err = l.Import(path.Join("repro", filepath.ToSlash(dir)))
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	l := loadProgram(t)
 
 	var ifaces []*types.Interface
 	for _, p := range l.pkgs {
@@ -184,6 +161,181 @@ func TestInternalExportsHaveProductionUses(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// fieldAllowlist names the exported fields of exported struct types
+// under internal/ that program code reads but never sets, each with the
+// reason it stays.
+var fieldAllowlist = map[string]string{
+	"dns.Cache.MaxEntries":             "BenchmarkScaleThousandClients sets the LRU bound",
+	"netsim.Impairment.FlapEvery":      "perfbench reports FramesImpairFlapDropped, so the flap model stays until the benchmark changes, as ChaosSpec's jitter does",
+	"netsim.Impairment.FlapDown":       "perfbench reports FramesImpairFlapDropped, so the flap model stays until the benchmark changes, as ChaosSpec's jitter does",
+	"gateway5g.Config.AdvertisePREF64": "the RFC 8781 PREF64 option behind the allowlisted hoststack.Host.DiscoverNAT64Prefix",
+}
+
+// TestInternalReadFieldsAreSet fails when program code (the module and
+// perfbench/, test files excluded) reads an exported field of an
+// exported struct type under internal/ but never sets it, unless
+// fieldAllowlist gives the reason; a setting that only tests change
+// belongs in a constant. A stale allowlist entry fails too. A field
+// counts as set when it is a composite-literal key or position, the
+// target of an assignment or ++/-- (directly or through an index
+// expression), or has its address taken.
+func TestInternalReadFieldsAreSet(t *testing.T) {
+	l := loadProgram(t)
+
+	names := map[*types.Var]string{}
+	for pkgPath, p := range l.pkgs {
+		if !strings.HasPrefix(pkgPath, "repro/internal/") {
+			continue
+		}
+		for _, n := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					names[f] = qualifiedName(tn) + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	read, set := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, sel := range l.info.Selections {
+		if sel.Kind() == types.FieldVal {
+			read[sel.Obj().(*types.Var).Origin()] = true
+		}
+	}
+	// target marks the field that an assignment to x, or &x, sets.
+	target := func(x ast.Expr) {
+		for {
+			switch e := x.(type) {
+			case *ast.ParenExpr:
+				x = e.X
+			case *ast.IndexExpr:
+				x = e.X
+			case *ast.SelectorExpr:
+				if sel := l.info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+					set[sel.Obj().(*types.Var).Origin()] = true
+				}
+				return
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := l.info.Types[n].Type
+					if p, ok := typ.(*types.Pointer); ok {
+						typ = p.Elem() // an elided &T{…} in a slice or map literal
+					}
+					st, _ := typ.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() {
+									set[v.Origin()] = true
+								}
+							}
+						} else if st != nil {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	unset := map[string]bool{}
+	for f, name := range names {
+		if read[f] && !set[f] {
+			unset[name] = true
+		}
+	}
+	var bad []string
+	for name := range unset {
+		if _, ok := fieldAllowlist[name]; !ok {
+			bad = append(bad, name+": read by program code that never sets it; make it a constant or delete it")
+		}
+	}
+	for name := range fieldAllowlist {
+		if !unset[name] {
+			bad = append(bad, name+": allowlisted, but it is gone, unread or set by program code now; drop the entry")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+var (
+	programOnce sync.Once
+	program     *loader
+	programErr  error
+)
+
+// loadProgram type-checks every package of the module and of
+// perfbench/, test files excluded, once per test binary.
+func loadProgram(t *testing.T) *loader {
+	programOnce.Do(func() {
+		l := &loader{
+			fset:  token.NewFileSet(),
+			std:   importer.Default(),
+			pkgs:  map[string]*types.Package{},
+			files: map[string][]*ast.File{},
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+		}
+		for _, root := range []string{".", "perfbench"} {
+			err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+				if err != nil || !d.IsDir() {
+					return err
+				}
+				if n := d.Name(); dir != root && (n == "testdata" || n == "perfbench" || strings.HasPrefix(n, ".")) {
+					return filepath.SkipDir
+				}
+				if _, err := build.ImportDir(dir, 0); err != nil {
+					return nil // no non-test Go files here
+				}
+				_, err = l.Import(path.Join("repro", filepath.ToSlash(dir)))
+				return err
+			})
+			if err != nil {
+				programErr = err
+				return
+			}
+		}
+		program = l
+	})
+	if programErr != nil {
+		t.Fatal(programErr)
+	}
+	return program
 }
 
 // loader type-checks the module's packages from source on demand, test

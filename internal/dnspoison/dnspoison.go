@@ -87,7 +87,6 @@ type RPZ struct {
 	Redirect netip.Addr
 	TTL      uint32
 	Upstream dns.Resolver
-	Exempt   map[string]bool
 
 	// rpzState holds the counters; Checkpoint saves a copy in saved and
 	// Restore copies it back.
@@ -127,8 +126,7 @@ func (r *RPZ) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 	if r.Upstream == nil {
 		return nil, dns.ErrNoUpstream
 	}
-	name := dnswire.CanonicalName(q.Name)
-	if q.Type != dnswire.TypeA || r.Exempt[name] {
+	if q.Type != dnswire.TypeA {
 		r.Forwarded++
 		return r.Upstream.Resolve(q)
 	}
@@ -149,6 +147,6 @@ func (r *RPZ) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 	// client lands on the informational page.
 	r.Poisoned++
 	return dns.SingleAnswer(dnswire.RR{
-		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: r.TTL, Addr: r.Redirect,
+		Name: dnswire.CanonicalName(q.Name), Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: r.TTL, Addr: r.Redirect,
 	}), nil
 }

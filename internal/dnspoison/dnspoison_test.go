@@ -164,18 +164,6 @@ func TestRPZCostsOneUpstreamQueryPerA(t *testing.T) {
 	}
 }
 
-func TestRPZExempt(t *testing.T) {
-	r := NewRPZ(healthy())
-	r.Exempt = map[string]bool{"v4only.example.": true}
-	resp, err := r.Resolve(q("v4only.example", dnswire.TypeA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Answers[0].Addr != netip.MustParseAddr("190.92.158.4") {
-		t.Errorf("exempt name was poisoned: %+v", resp.Answers)
-	}
-}
-
 func TestRPZNoUpstream(t *testing.T) {
 	r := NewRPZ(nil)
 	if _, err := r.Resolve(q("x.test", dnswire.TypeA)); err == nil {

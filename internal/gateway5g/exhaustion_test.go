@@ -23,7 +23,7 @@ func TestExhaustionSignaledToLAN(t *testing.T) {
 	}
 	var replies []*packet.IPv6
 	var tap *netsim.NIC
-	tap = net.NewNIC("tap", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	tap = net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		if f.EtherType != netsim.EtherTypeIPv6 {
 			return
 		}
@@ -37,7 +37,7 @@ func TestExhaustionSignaledToLAN(t *testing.T) {
 		}
 	}))
 	net.Connect(gw.LANNIC(), tap)
-	wan := net.NewNIC("wan", netsim.FrameHandlerFunc(func(*netsim.NIC, netsim.Frame) {}))
+	wan := net.NewNIC(netsim.FrameHandlerFunc(func(*netsim.NIC, netsim.Frame) {}))
 	gw.ConnectWAN(wan)
 	gw.Start()
 	gw.NAT64.MaxSessionsPerSource = 1

@@ -195,8 +195,8 @@ func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 			nd:  make(map[netip.Addr]netsim.MAC),
 		},
 	}
-	g.lan = net.NewNIC("gw5g-lan", netsim.FrameHandlerFunc(g.handleLAN))
-	g.wan = net.NewNIC("gw5g-wan", netsim.FrameHandlerFunc(g.handleWAN))
+	g.lan = net.NewNIC(netsim.FrameHandlerFunc(g.handleLAN))
+	g.wan = net.NewNIC(netsim.FrameHandlerFunc(g.handleWAN))
 	g.linkLocal = ndp.LinkLocal(g.lan.MAC())
 
 	var err error

@@ -258,7 +258,7 @@ func TestOversizedLANPacketGetsPTB(t *testing.T) {
 	c := hoststack.New(net, "c", hoststack.Behavior{Name: "c", IPv6Enabled: true, SupportsRDNSS: true})
 	net.Connect(gw.LANNIC(), c.NIC)
 	// Fake a WAN so forwarding is attempted.
-	sink := net.NewNIC("wan-sink", nil)
+	sink := net.NewNIC(nil)
 	gw.ConnectWAN(sink)
 	gw.Start()
 	c.Start()

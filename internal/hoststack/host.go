@@ -166,7 +166,7 @@ func New(net *netsim.Network, name string, b Behavior) *Host {
 			pmtu:       make(map[netip.Addr]int),
 		},
 	}
-	h.NIC = net.NewNIC(name, h)
+	h.NIC = net.NewNIC(h)
 	// Declare the flood interests that mirror HandleFrame's demux guards,
 	// so a snooping switch can suppress floods this host would drop
 	// anyway (DHCPv4 DISCOVER storms never reach IPv6-only ports, and

@@ -21,7 +21,7 @@ var (
 
 // lanWith builds a switch and attaches the given hosts.
 func lanWith(net *netsim.Network, hosts ...*Host) *netsim.Switch {
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	for _, h := range hosts {
 		sw.AttachPort(h.NIC)
 	}

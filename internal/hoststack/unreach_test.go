@@ -24,7 +24,7 @@ func TestDestUnreachableFastFail(t *testing.T) {
 	// A silent peer stands in for the gateway: it swallows the SYN and
 	// answers it 50 ms later with the translator's refusal.
 	var peer *netsim.NIC
-	peer = net.NewNIC("gw", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	peer = net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		if f.EtherType != netsim.EtherTypeIPv6 {
 			return
 		}

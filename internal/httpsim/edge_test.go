@@ -14,7 +14,7 @@ func TestRedirectLoopBounded(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 
@@ -32,7 +32,7 @@ func TestBrowseFallsBackAcrossAddresses(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 	Serve(server, 80, HandlerFunc(func(req *Request) *Response {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -123,12 +124,18 @@ func parseHead(b []byte) (start []string, header map[string]string, body int, ok
 
 // appendHead appends the head of a connection-close response: the
 // status line, Content-Length, Connection: close, the extra header
-// fields and the blank line.
+// fields sorted by name (so a response renders to the same bytes every
+// run) and the blank line.
 func appendHead(b []byte, status, contentLength int, header map[string]string) []byte {
 	b = fmt.Appendf(b, "HTTP/1.1 %d %s\r\nContent-Length: %d\r\nConnection: close\r\n",
 		status, StatusText(status), contentLength)
-	for k, v := range header {
-		b = fmt.Appendf(b, "%s: %s\r\n", k, v)
+	names := make([]string, 0, len(header))
+	for k := range header {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		b = fmt.Appendf(b, "%s: %s\r\n", k, header[k])
 	}
 	return append(b, "\r\n"...)
 }

@@ -54,7 +54,7 @@ func TestGetOverSimulatedTCP(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 
@@ -87,7 +87,7 @@ func TestBrowseResolvesAndFollowsRedirect(t *testing.T) {
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
 	dnsHost := v6Host(net, "dns", "fd00:976a::53")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	for _, h := range []*hoststack.Host{client, server, dnsHost} {
 		sw.AttachPort(h.NIC)
 	}
@@ -120,7 +120,7 @@ func TestBrowseLiteralAddress(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 	Serve(server, 80, HandlerFunc(func(req *Request) *Response {
@@ -155,6 +155,23 @@ func TestParseResponseBadInputs(t *testing.T) {
 	// A negative length used to slice the body out of bounds and panic.
 	if _, err := ParseResponse([]byte("HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\nabc")); err == nil {
 		t.Error("negative Content-Length accepted")
+	}
+}
+
+// TestResponseHeaderFieldsSorted pins that a response's extra header
+// fields go on the wire sorted by name, whatever order they were set
+// in, so two renders of one response are the same bytes.
+func TestResponseHeaderFieldsSorted(t *testing.T) {
+	r := &Response{Status: 302, Header: map[string]string{}}
+	for _, k := range []string{"X-Zone", "Location", "Expires", "Cache-Control", "X-Accel"} {
+		r.Header[k] = "v"
+	}
+	want := "HTTP/1.1 302 Found\r\nContent-Length: 0\r\nConnection: close\r\n" +
+		"Cache-Control: v\r\nExpires: v\r\nLocation: v\r\nX-Accel: v\r\nX-Zone: v\r\n\r\n"
+	for i := 0; i < 20; i++ {
+		if got := string(renderResponse(r)); got != want {
+			t.Fatalf("render %d:\n got %q\nwant %q", i, got, want)
+		}
 	}
 }
 

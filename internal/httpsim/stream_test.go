@@ -17,7 +17,7 @@ func TestStreamPacedFlow(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 
@@ -60,7 +60,7 @@ func TestStreamClientAbandonsFlow(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 
@@ -96,7 +96,7 @@ func TestStreamBurstNoPace(t *testing.T) {
 	net := netsim.NewNetwork()
 	client := v6Host(net, "client", "fd00:976a::1")
 	server := v6Host(net, "server", "fd00:976a::80")
-	sw := netsim.NewSwitch(net, "sw")
+	sw := netsim.NewSwitch(net)
 	sw.AttachPort(client.NIC)
 	sw.AttachPort(server.NIC)
 
@@ -122,7 +122,7 @@ func TestStreamOrderIndependentOfRings(t *testing.T) {
 		net.SetUnicastRings(rings)
 		client := v6Host(net, "client", "fd00:976a::1")
 		server := v6Host(net, "server", "fd00:976a::80")
-		sw := netsim.NewSwitch(net, "sw")
+		sw := netsim.NewSwitch(net)
 		sw.AttachPort(client.NIC)
 		sw.AttachPort(server.NIC)
 		Serve(server, 80, HandlerFunc(func(req *Request) *Response {

@@ -61,9 +61,9 @@ type switchState struct {
 }
 
 // New creates a managed switch on the fabric.
-func New(net *netsim.Network, name string, cfg Config) *Switch {
+func New(net *netsim.Network, cfg Config) *Switch {
 	s := &Switch{
-		Switch:       netsim.NewSwitch(net, name),
+		Switch:       netsim.NewSwitch(net),
 		cfg:          cfg,
 		net:          net,
 		mac:          net.AllocMAC(),

@@ -13,7 +13,7 @@ import (
 var ula = netip.MustParsePrefix("fd00:976a::/64")
 
 func newTestSwitch(net *netsim.Network, cfg Config) *Switch {
-	return New(net, "sw", cfg)
+	return New(net, cfg)
 }
 
 func TestULARAGivesClientsSLAAC(t *testing.T) {
@@ -53,7 +53,7 @@ func TestSwitchRAIsLowPreference(t *testing.T) {
 	net := netsim.NewNetwork()
 	sw := newTestSwitch(net, Config{ULAPrefix: ula, AdvertiseULA: true})
 	var captured []netsim.Frame
-	sink := net.NewNIC("sink", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	sink := net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		captured = append(captured, f)
 	}))
 	sw.AttachPort(sink)
@@ -93,9 +93,9 @@ func TestSnoopingBlocksUntrustedPortOnly(t *testing.T) {
 	sw := newTestSwitch(net, Config{ULAPrefix: ula, SnoopDHCP: true})
 
 	var got []netsim.Frame
-	rogueNIC := net.NewNIC("rogue", nil)
-	trustedNIC := net.NewNIC("trusted", nil)
-	clientNIC := net.NewNIC("client", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	rogueNIC := net.NewNIC(nil)
+	trustedNIC := net.NewNIC(nil)
+	clientNIC := net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		got = append(got, f)
 	}))
 	roguePort := sw.AttachPort(rogueNIC)
@@ -123,10 +123,10 @@ func TestSnoopingPassesClientRequests(t *testing.T) {
 	net := netsim.NewNetwork()
 	sw := newTestSwitch(net, Config{ULAPrefix: ula, SnoopDHCP: true})
 	var got []netsim.Frame
-	gwNIC := net.NewNIC("gw", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	gwNIC := net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		got = append(got, f)
 	}))
-	clientNIC := net.NewNIC("client", nil)
+	clientNIC := net.NewNIC(nil)
 	gwPort := sw.AttachPort(gwNIC)
 	sw.AttachPort(clientNIC)
 	sw.BlockDHCPFrom(gwPort)

@@ -58,11 +58,11 @@ var golden = sync.OnceValues(func() (goldenPackets, error) {
 	})
 	inet := tb.Internet.Host.NIC
 	var gwSide, inetSide *netsim.NIC
-	gwSide = tb.Net.NewNIC("wan-tap-gw", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	gwSide = tb.Net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		f.Dst = inet.MAC()
 		inetSide.Transmit(f)
 	}))
-	inetSide = tb.Net.NewNIC("wan-tap-inet", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	inetSide = tb.Net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		var p packet.IPv4
 		if f.EtherType == netsim.EtherTypeIPv4 && p.Decode(f.Payload) == nil && p.Dst == tb.Gateway.NAT64Public() {
 			keep(&g.wan, f.Payload)

@@ -14,8 +14,8 @@ func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 		t.Skip("race instrumentation adds allocations; allocation counts are meaningless")
 	}
 	net := NewNetwork()
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", FrameHandlerFunc(func(*NIC, Frame) {}))
+	a := net.NewNIC(nil)
+	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
 	net.Connect(a, b)
 	payload := make([]byte, 128)
 	f := Frame{Dst: b.MAC(), EtherType: EtherTypeIPv4, Payload: payload}
@@ -48,8 +48,8 @@ func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 // RecycleArena must let retired chunks be reused instead of reallocated.
 func TestArenaRecycleReusesChunks(t *testing.T) {
 	net := NewNetwork()
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", FrameHandlerFunc(func(*NIC, Frame) {}))
+	a := net.NewNIC(nil)
+	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
 	net.Connect(a, b)
 	payload := make([]byte, 1024)
 
@@ -72,8 +72,8 @@ func TestArenaRecycleReusesChunks(t *testing.T) {
 // runs in between.
 func TestArenaChunksSurviveCollections(t *testing.T) {
 	net := NewNetwork()
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", FrameHandlerFunc(func(*NIC, Frame) {}))
+	a := net.NewNIC(nil)
+	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
 	net.Connect(a, b)
 	net.Checkpoint()
 	payload := make([]byte, 1024)

@@ -12,8 +12,8 @@ import (
 func ExampleImpairment() {
 	n := netsim.NewNetwork()
 	var delivered int
-	a := n.NewNIC("client", nil)
-	b := n.NewNIC("switchport", netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+	a := n.NewNIC(nil)
+	b := n.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
 		delivered++
 	}))
 	n.Connect(a, b)

@@ -167,12 +167,12 @@ func TestTimerWheelRearmAcrossHorizon(t *testing.T) {
 // broadcast IPv4 frame from the first, returning the fabric and switch.
 func broadcastIPv4(n int) (*Network, *Switch, []*collector) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	cols := make([]*collector, n)
 	var first *NIC
 	for i := 0; i < n; i++ {
 		cols[i] = &collector{}
-		nic := net.NewNIC("h"+itoa(i), cols[i])
+		nic := net.NewNIC(cols[i])
 		sw.AttachPort(nic)
 		if i == 0 {
 			first = nic
@@ -236,13 +236,13 @@ func (m *mutator) HandleFrame(_ *NIC, f Frame) {
 // negative control for the copy-on-write test below.
 func TestFanoutPayloadIsShared(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
-	src := net.NewNIC("src", nil)
+	sw := NewSwitch(net)
+	src := net.NewNIC(nil)
 	bad := &mutator{own: false}
 	after := &collector{}
 	sw.AttachPort(src)
-	sw.AttachPort(net.NewNIC("bad", bad))
-	sw.AttachPort(net.NewNIC("after", after))
+	sw.AttachPort(net.NewNIC(bad))
+	sw.AttachPort(net.NewNIC(after))
 
 	src.Transmit(Frame{Dst: Broadcast, EtherType: EtherTypeIPv4, Payload: []byte("orig")})
 	net.Run(0)
@@ -260,13 +260,13 @@ func TestFanoutPayloadIsShared(t *testing.T) {
 // view of the shared payload untouched.
 func TestFanoutCopyOnWriteIsolation(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
-	src := net.NewNIC("src", nil)
+	sw := NewSwitch(net)
+	src := net.NewNIC(nil)
 	cow := &mutator{own: true}
 	after := &collector{}
 	sw.AttachPort(src)
-	sw.AttachPort(net.NewNIC("cow", cow))
-	sw.AttachPort(net.NewNIC("after", after))
+	sw.AttachPort(net.NewNIC(cow))
+	sw.AttachPort(net.NewNIC(after))
 
 	src.Transmit(Frame{Dst: Broadcast, EtherType: EtherTypeIPv4, Payload: []byte("orig")})
 	net.Run(0)
@@ -286,11 +286,11 @@ func TestFanoutCopyOnWriteIsolation(t *testing.T) {
 // own frames never pass the filter.
 func TestSwitchLearnsOnlyAfterFiltersPass(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var attacker, victim collector
-	a := net.NewNIC("attacker", &attacker)
-	v := net.NewNIC("victim", &victim)
-	c := net.NewNIC("client", &collector{})
+	a := net.NewNIC(&attacker)
+	v := net.NewNIC(&victim)
+	c := net.NewNIC(&collector{})
 	pa := sw.AttachPort(a)
 	sw.AttachPort(v)
 	sw.AttachPort(c)
@@ -321,20 +321,20 @@ func TestSwitchLearnsOnlyAfterFiltersPass(t *testing.T) {
 // delivery.
 func TestSnoopingSuppressesEtherType(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var v6only, dual, router collector
-	src := net.NewNIC("src", nil)
+	src := net.NewNIC(nil)
 
-	v6 := net.NewNIC("v6only", &v6only)
+	v6 := net.NewNIC(&v6only)
 	v6.RestrictFlooding()
 	v6.AddEtherTypeInterest(EtherTypeIPv6)
 
-	d := net.NewNIC("dual", &dual)
+	d := net.NewNIC(&dual)
 	d.RestrictFlooding()
 	d.AddEtherTypeInterest(EtherTypeIPv4)
 	d.AddEtherTypeInterest(EtherTypeIPv6)
 
-	r := net.NewNIC("router", &router) // unmanaged: receives everything
+	r := net.NewNIC(&router) // unmanaged: receives everything
 
 	sw.AttachPort(src)
 	sw.AttachPort(v6)
@@ -365,18 +365,18 @@ func TestSnoopingSuppressesEtherType(t *testing.T) {
 // declared before AttachPort survives cabling.
 func TestSnoopingGroupMembership(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	group := MAC{0x33, 0x33, 0xff, 0x01, 0x02, 0x03}
 	var member, other collector
-	src := net.NewNIC("src", nil)
+	src := net.NewNIC(nil)
 
-	m := net.NewNIC("member", &member)
+	m := net.NewNIC(&member)
 	m.RestrictFlooding()
 	m.AddEtherTypeInterest(EtherTypeIPv6)
 	m.JoinGroup(group) // declared before attach: must sync at AttachPort
 	m.JoinGroup(group) // second address mapping to the same group MAC
 
-	o := net.NewNIC("other", &other)
+	o := net.NewNIC(&other)
 	o.RestrictFlooding()
 	o.AddEtherTypeInterest(EtherTypeIPv6)
 
@@ -415,14 +415,14 @@ func TestSnoopingGroupMembership(t *testing.T) {
 // the addressee itself, and except ARP (snooped opportunistically).
 func TestUnknownUnicastSuppression(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var target, bystander collector
-	src := net.NewNIC("src", nil)
+	src := net.NewNIC(nil)
 
-	tgt := net.NewNIC("target", &target)
+	tgt := net.NewNIC(&target)
 	tgt.RestrictFlooding()
 
-	by := net.NewNIC("bystander", &bystander)
+	by := net.NewNIC(&bystander)
 	by.RestrictFlooding()
 
 	sw.AttachPort(src)
@@ -451,10 +451,10 @@ func TestUnknownUnicastSuppression(t *testing.T) {
 // transmit semantics (each port stamps its own source MAC).
 func TestInjectAllFanout(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var a, b collector
-	sw.AttachPort(net.NewNIC("a", &a))
-	sw.AttachPort(net.NewNIC("b", &b))
+	sw.AttachPort(net.NewNIC(&a))
+	sw.AttachPort(net.NewNIC(&b))
 
 	src := net.AllocMAC()
 	sw.InjectAll(Frame{Src: src, Dst: Broadcast, EtherType: EtherTypeIPv6, Payload: []byte("ra")})
@@ -482,12 +482,12 @@ func TestInjectAllFanout(t *testing.T) {
 // consumed exactly as before the fast path existed.
 func TestFloodFallsBackWhenPortImpaired(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var a, b collector
-	src := net.NewNIC("src", nil)
+	src := net.NewNIC(nil)
 	sw.AttachPort(src)
-	sw.AttachPort(net.NewNIC("a", &a))
-	sw.AttachPort(net.NewNIC("b", &b))
+	sw.AttachPort(net.NewNIC(&a))
+	sw.AttachPort(net.NewNIC(&b))
 
 	// Jitter-only impairment on one egress port: frames still arrive,
 	// but the port must be served by per-port transmits.

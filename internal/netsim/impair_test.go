@@ -11,8 +11,8 @@ func impairPair(t *testing.T) (n *Network, a, b *NIC, got *[]Frame) {
 	t.Helper()
 	n = NewNetwork()
 	rx := &[]Frame{}
-	a = n.NewNIC("a", nil)
-	b = n.NewNIC("b", FrameHandlerFunc(func(_ *NIC, f Frame) {
+	a = n.NewNIC(nil)
+	b = n.NewNIC(FrameHandlerFunc(func(_ *NIC, f Frame) {
 		f.Payload = bytes.Clone(f.Payload)
 		*rx = append(*rx, f)
 	}))

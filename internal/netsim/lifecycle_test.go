@@ -51,8 +51,8 @@ func TestResetRewindsToPristineState(t *testing.T) {
 	if !n.Clock.Now().Equal(epoch) {
 		t.Errorf("clock after Reset = %v, want epoch %v", n.Clock.Now(), epoch)
 	}
-	if s := n.Stats(); s.QueueDepth != 0 || s.FramesDelivered != 0 || s.QueuePeak != 0 {
-		t.Errorf("Stats after Reset not pristine: %+v", s)
+	if s := n.Stats(); len(n.queue) != 0 || s.FramesDelivered != 0 || s.QueuePeak != 0 {
+		t.Errorf("Stats after Reset not pristine: %d queued, %+v", len(n.queue), s)
 	}
 
 	// The fabric accepts and runs work again.

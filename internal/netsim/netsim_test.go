@@ -51,8 +51,8 @@ func TestMACAllocatorUnique(t *testing.T) {
 func TestPointToPointDelivery(t *testing.T) {
 	net := NewNetwork()
 	var got collector
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", &got)
+	a := net.NewNIC(nil)
+	b := net.NewNIC(&got)
 	net.Connect(a, b)
 
 	a.Transmit(Frame{Dst: b.MAC(), EtherType: EtherTypeIPv4, Payload: []byte("hello")})
@@ -72,7 +72,7 @@ func TestPointToPointDelivery(t *testing.T) {
 
 func TestTransmitOnUnconnectedNICDrops(t *testing.T) {
 	net := NewNetwork()
-	a := net.NewNIC("a", nil)
+	a := net.NewNIC(nil)
 	a.Transmit(Frame{Dst: Broadcast})
 	net.Run(0)
 	if got := net.Stats().FramesDropped; got != 1 {
@@ -83,8 +83,8 @@ func TestTransmitOnUnconnectedNICDrops(t *testing.T) {
 func TestFrameCloneIsolation(t *testing.T) {
 	net := NewNetwork()
 	var got collector
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", &got)
+	a := net.NewNIC(nil)
+	b := net.NewNIC(&got)
 	net.Connect(a, b)
 
 	payload := []byte("mutable")
@@ -99,8 +99,8 @@ func TestFrameCloneIsolation(t *testing.T) {
 
 func TestVirtualClockAdvancesWithLatency(t *testing.T) {
 	net := NewNetwork()
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", &collector{})
+	a := net.NewNIC(nil)
+	b := net.NewNIC(&collector{})
 	net.Connect(a, b)
 
 	start := net.Clock.Now()
@@ -181,11 +181,11 @@ func TestRunUntilPredicate(t *testing.T) {
 
 func TestSwitchLearningAndFlooding(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var ca, cb, cc collector
-	a := net.NewNIC("a", &ca)
-	b := net.NewNIC("b", &cb)
-	c := net.NewNIC("c", &cc)
+	a := net.NewNIC(&ca)
+	b := net.NewNIC(&cb)
+	c := net.NewNIC(&cc)
 	sw.AttachPort(a)
 	sw.AttachPort(b)
 	sw.AttachPort(c)
@@ -217,11 +217,11 @@ func TestSwitchLearningAndFlooding(t *testing.T) {
 
 func TestSwitchBroadcastReachesAllButIngress(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var ca, cb, cc collector
-	a := net.NewNIC("a", &ca)
-	b := net.NewNIC("b", &cb)
-	c := net.NewNIC("c", &cc)
+	a := net.NewNIC(&ca)
+	b := net.NewNIC(&cb)
+	c := net.NewNIC(&cc)
 	sw.AttachPort(a)
 	sw.AttachPort(b)
 	sw.AttachPort(c)
@@ -238,10 +238,10 @@ func TestSwitchBroadcastReachesAllButIngress(t *testing.T) {
 
 func TestSwitchFilterDropsFrames(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var cb collector
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", &cb)
+	a := net.NewNIC(nil)
+	b := net.NewNIC(&cb)
 	pa := sw.AttachPort(a)
 	sw.AttachPort(b)
 
@@ -259,10 +259,10 @@ func TestSwitchFilterDropsFrames(t *testing.T) {
 
 func TestSwitchInjectAll(t *testing.T) {
 	net := NewNetwork()
-	sw := NewSwitch(net, "sw")
+	sw := NewSwitch(net)
 	var ca, cb collector
-	a := net.NewNIC("a", &ca)
-	b := net.NewNIC("b", &cb)
+	a := net.NewNIC(&ca)
+	b := net.NewNIC(&cb)
 	sw.AttachPort(a)
 	sw.AttachPort(b)
 
@@ -277,8 +277,8 @@ func TestSwitchInjectAll(t *testing.T) {
 func TestNICStats(t *testing.T) {
 	net := NewNetwork()
 	var cb collector
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", &cb)
+	a := net.NewNIC(nil)
+	b := net.NewNIC(&cb)
 	net.Connect(a, b)
 	a.Transmit(Frame{Dst: b.MAC(), Payload: make([]byte, 100)})
 	net.Run(0)
@@ -286,15 +286,6 @@ func TestNICStats(t *testing.T) {
 	_, rxF, _, rxB := b.Stats()
 	if txF != 1 || rxF != 1 || txB != 100 || rxB != 100 {
 		t.Errorf("stats tx=%d/%d rx=%d/%d, want 1/100 both sides", txF, txB, rxF, rxB)
-	}
-}
-
-func TestItoa(t *testing.T) {
-	cases := map[int]string{0: "0", 7: "7", 42: "42", 1234567: "1234567"}
-	for n, want := range cases {
-		if got := itoa(n); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", n, got, want)
-		}
 	}
 }
 

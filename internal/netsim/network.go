@@ -222,7 +222,6 @@ type payloadArena struct {
 	chunksNew    uint64
 	chunksReused uint64
 	served       uint64
-	servedBytes  uint64
 	oversized    uint64
 }
 
@@ -252,7 +251,6 @@ func (a *payloadArena) alloc(n int) []byte {
 	p := a.chunk[a.off : a.off+n : a.off+n]
 	a.off += n
 	a.served++
-	a.servedBytes += uint64(n)
 	return p
 }
 
@@ -279,8 +277,6 @@ func (n *Network) RecycleArena() { n.arena.recycle() }
 // Stats is a point-in-time snapshot of the fabric's hot-path counters,
 // exposed for the benchmark harness.
 type Stats struct {
-	// QueueDepth is the number of events currently pending.
-	QueueDepth int
 	// QueuePeak is the deepest the event queue has ever been.
 	QueuePeak int
 	// FramesDelivered counts every frame delivered so far;
@@ -291,8 +287,6 @@ type Stats struct {
 	// AllocsAvoided is how many of those did not hit the Go allocator.
 	PayloadsServed uint64
 	AllocsAvoided  uint64
-	// PayloadBytes is the total bytes bump-allocated for payload copies.
-	PayloadBytes uint64
 	// FanoutEvents counts flood fan-out events (one per flooded frame);
 	// FanoutDeliveries counts frames delivered through them. Their ratio
 	// is the mean flood width served by a single shared payload.
@@ -300,17 +294,13 @@ type Stats struct {
 	FanoutDeliveries uint64
 	// UnicastRingFrames counts frames delivered through per-link ring
 	// drains; UnicastRingBatches counts the drain events that carried
-	// them (their ratio is the mean batch width). UnicastRingOverflows
-	// counts frames a full ring bounced onto the legacy per-event path.
-	UnicastRingFrames    uint64
-	UnicastRingBatches   uint64
-	UnicastRingOverflows uint64
+	// them (their ratio is the mean batch width).
+	UnicastRingFrames  uint64
+	UnicastRingBatches uint64
 	// ArenaChunksAllocated / ArenaChunksReused count 32 KiB chunks the
 	// arena allocated / took back from its free list.
 	ArenaChunksAllocated uint64
 	ArenaChunksReused    uint64
-	// OversizedPayloads counts payloads too large for the arena.
-	OversizedPayloads uint64
 	// FramesImpairLost / FramesImpairFlapDropped count the frames that
 	// impaired links lost to Loss and to a flap (see Impairment).
 	FramesImpairLost        uint64
@@ -325,21 +315,17 @@ func (n *Network) Stats() Stats {
 		avoided = n.arena.served - allocs
 	}
 	return Stats{
-		QueueDepth:           len(n.queue),
 		QueuePeak:            n.queuePeak,
 		FramesDelivered:      n.frames,
 		FramesDropped:        n.dropped,
 		PayloadsServed:       n.arena.served,
 		AllocsAvoided:        avoided,
-		PayloadBytes:         n.arena.servedBytes,
 		FanoutEvents:         n.fanoutEvents,
 		FanoutDeliveries:     n.fanoutDeliveries,
 		UnicastRingFrames:    n.ringFrames,
 		UnicastRingBatches:   n.ringBatches,
-		UnicastRingOverflows: n.ringOverflows,
 		ArenaChunksAllocated: n.arena.chunksNew,
 		ArenaChunksReused:    n.arena.chunksReused,
-		OversizedPayloads:    n.arena.oversized,
 
 		FramesImpairLost:        n.impairLost,
 		FramesImpairFlapDropped: n.impairFlapDropped,
@@ -356,8 +342,8 @@ func (n *Network) AllocMAC() MAC { return n.macs.Next() }
 
 // NewNIC creates an unattached NIC owned by handler. The NIC must be
 // connected with Connect before frames can flow.
-func (n *Network) NewNIC(name string, handler FrameHandler) *NIC {
-	return &NIC{net: n, name: name, mac: n.AllocMAC(), handler: handler}
+func (n *Network) NewNIC(handler FrameHandler) *NIC {
+	return &NIC{net: n, mac: n.AllocMAC(), handler: handler}
 }
 
 // Connect wires two NICs with a point-to-point link.

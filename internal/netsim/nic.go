@@ -5,7 +5,6 @@ package netsim
 // after the link latency elapses on the virtual clock.
 type NIC struct {
 	net     *Network
-	name    string
 	mac     MAC
 	peer    *NIC
 	handler FrameHandler

@@ -23,9 +23,9 @@ func newRingWorld(rings bool) *ringWorld {
 	w := &ringWorld{net: NewNetwork(), nics: make(map[string]*NIC)}
 	w.net.SetUnicastRings(rings)
 	mk := func(name string) *NIC {
-		nc := w.net.NewNIC(name, FrameHandlerFunc(func(self *NIC, f Frame) {
+		nc := w.net.NewNIC(FrameHandlerFunc(func(self *NIC, f Frame) {
 			tag := int(f.Payload[0])<<8 | int(f.Payload[1])
-			w.log = append(w.log, fmt.Sprintf("%s %d @%s", self.name, tag, w.net.Clock.Now().Format("15:04:05.000000")))
+			w.log = append(w.log, fmt.Sprintf("%s %d @%s", name, tag, w.net.Clock.Now().Format("15:04:05.000000")))
 			if tag%3 == 0 && tag < 120 {
 				w.send(self, tag*2+1)
 			}
@@ -120,24 +120,25 @@ func TestUnicastRingMatchesLegacyOrder(t *testing.T) {
 func TestRingOverflowBackpressureOracle(t *testing.T) {
 	const burst = ringMaxCapacity + 72
 
-	run := func(rings bool) ([]int, Stats) {
+	run := func(rings bool) ([]int, *Network) {
 		net := NewNetwork()
 		net.SetUnicastRings(rings)
 		var got []int
-		rx := net.NewNIC("rx", FrameHandlerFunc(func(_ *NIC, f Frame) {
+		rx := net.NewNIC(FrameHandlerFunc(func(_ *NIC, f Frame) {
 			got = append(got, int(f.Payload[0])<<8|int(f.Payload[1]))
 		}))
-		tx := net.NewNIC("tx", nil)
+		tx := net.NewNIC(nil)
 		net.Connect(tx, rx)
 		for i := 0; i < burst; i++ {
 			tx.Transmit(Frame{Dst: rx.MAC(), EtherType: EtherTypeIPv6, Payload: []byte{byte(i >> 8), byte(i)}})
 		}
 		net.Run(0)
-		return got, net.Stats()
+		return got, net
 	}
 
 	want, _ := run(false)
-	got, st := run(true)
+	got, net := run(true)
+	st := net.Stats()
 	if len(want) != burst || len(got) != burst {
 		t.Fatalf("delivered %d ringed / %d legacy frames, want %d", len(got), len(want), burst)
 	}
@@ -146,8 +147,8 @@ func TestRingOverflowBackpressureOracle(t *testing.T) {
 			t.Fatalf("delivery %d: ring path got tag %d, oracle %d", i, got[i], want[i])
 		}
 	}
-	if st.UnicastRingOverflows != burst-ringMaxCapacity {
-		t.Errorf("UnicastRingOverflows = %d, want %d", st.UnicastRingOverflows, burst-ringMaxCapacity)
+	if net.ringOverflows != burst-ringMaxCapacity {
+		t.Errorf("ringOverflows = %d, want %d", net.ringOverflows, burst-ringMaxCapacity)
 	}
 	if st.UnicastRingFrames != ringMaxCapacity {
 		t.Errorf("UnicastRingFrames = %d, want %d", st.UnicastRingFrames, ringMaxCapacity)
@@ -163,10 +164,10 @@ func TestRingOverflowBackpressureOracle(t *testing.T) {
 func TestRingGrowth(t *testing.T) {
 	net := NewNetwork()
 	var got []int
-	rx := net.NewNIC("rx", FrameHandlerFunc(func(_ *NIC, f Frame) {
+	rx := net.NewNIC(FrameHandlerFunc(func(_ *NIC, f Frame) {
 		got = append(got, int(f.Payload[0])<<8|int(f.Payload[1]))
 	}))
-	tx := net.NewNIC("tx", nil)
+	tx := net.NewNIC(nil)
 	net.Connect(tx, rx)
 
 	send := func(n int) {
@@ -190,8 +191,8 @@ func TestRingGrowth(t *testing.T) {
 			t.Fatalf("delivery %d has tag %d after growth", i, tag)
 		}
 	}
-	if st := net.Stats(); st.UnicastRingOverflows != 0 {
-		t.Errorf("growth burst overflowed %d frames", st.UnicastRingOverflows)
+	if net.ringOverflows != 0 {
+		t.Errorf("growth burst overflowed %d frames", net.ringOverflows)
 	}
 }
 
@@ -201,8 +202,8 @@ func TestRingGrowth(t *testing.T) {
 func TestReleaseNIC(t *testing.T) {
 	net := NewNetwork()
 	got := 0
-	rx := net.NewNIC("rx", FrameHandlerFunc(func(*NIC, Frame) { got++ }))
-	tx := net.NewNIC("tx", nil)
+	rx := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) { got++ }))
+	tx := net.NewNIC(nil)
 	net.Connect(tx, rx)
 	send := func() { tx.Transmit(Frame{Dst: rx.MAC(), EtherType: EtherTypeIPv6, Payload: []byte{1}}) }
 	registered := func() bool {

@@ -63,8 +63,7 @@ func (s portSet) empty() bool {
 // are skipped) but turns broadcast-domain cost from O(ports) per flood
 // into O(interested ports).
 type Switch struct {
-	name string
-	net  *Network
+	net *Network
 
 	// switchState holds what a run changes; Checkpoint saves a copy in
 	// saved and Restore copies it back (checkpoint.go).
@@ -120,8 +119,8 @@ type switchState struct {
 }
 
 // NewSwitch creates a switch with no ports on the given fabric.
-func NewSwitch(net *Network, name string) *Switch {
-	return &Switch{name: name, net: net, switchState: switchState{table: make(map[MAC]int)}}
+func NewSwitch(net *Network) *Switch {
+	return &Switch{net: net, switchState: switchState{table: make(map[MAC]int)}}
 }
 
 // AddFilter registers a snooping filter consulted for every ingress frame.
@@ -143,7 +142,7 @@ func (s *Switch) AttachPort(peer *NIC) int {
 		return idx
 	}
 	idx := len(s.ports)
-	port := s.net.NewNIC(s.name+"-p"+itoa(idx), portHandler{s: s, port: idx})
+	port := s.net.NewNIC(portHandler{s: s, port: idx})
 	s.ports = append(s.ports, port)
 	s.net.Connect(port, peer)
 	s.syncPeerInterests(idx, peer)
@@ -211,10 +210,10 @@ func (s *Switch) IsTrunk(idx int) bool { return s.trunks.has(idx) }
 // side).
 func ConnectSwitches(a, b *Switch) (aPort, bPort int) {
 	aPort = len(a.ports)
-	an := a.net.NewNIC(a.name+"-p"+itoa(aPort), portHandler{s: a, port: aPort})
+	an := a.net.NewNIC(portHandler{s: a, port: aPort})
 	a.ports = append(a.ports, an)
 	bPort = len(b.ports)
-	bn := b.net.NewNIC(b.name+"-p"+itoa(bPort), portHandler{s: b, port: bPort})
+	bn := b.net.NewNIC(portHandler{s: b, port: bPort})
 	b.ports = append(b.ports, bn)
 	a.net.Connect(an, bn)
 	return aPort, bPort
@@ -535,18 +534,4 @@ func (s *Switch) floodLegacy(mask []uint64, f Frame) {
 			s.ports[i].Transmit(f)
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

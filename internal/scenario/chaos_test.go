@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -77,45 +76,5 @@ func TestChaosZeroImpairmentIsLegacy(t *testing.T) {
 	}
 	if chaosOff.Convergence != nil {
 		t.Error("zero-churn run grew a Convergence map")
-	}
-}
-
-// TestChaosSweepSmoke runs a tiny 2×2 grid end to end and checks the
-// rendered matrix is deterministic across repeat sweeps.
-func TestChaosSweepSmoke(t *testing.T) {
-	cfg := ChaosConfig{
-		Seed:            1,
-		N:               6,
-		LossLevels:      []float64{0, 0.20},
-		RebootLevels:    []int{0, 1},
-		Shards:          2,
-		ConvergeTimeout: 30 * time.Second,
-	}
-	m, err := ChaosSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Cells) != 4 {
-		t.Fatalf("cells = %d, want 4", len(m.Cells))
-	}
-	out := m.String()
-	if !strings.Contains(out, "degradation matrix") || !strings.Contains(out, "reconverged") {
-		t.Errorf("matrix rendering:\n%s", out)
-	}
-	// The pristine cell must report full internet+informed coverage ==
-	// population (nobody silently dropped).
-	if got := m.Cells[0].Report.InternetOK + m.Cells[0].Report.Informed; got > cfg.N {
-		t.Errorf("pristine cell outcomes %d exceed population %d", got, cfg.N)
-	}
-
-	m2, err := ChaosSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2 := m2.String(); out2 != out {
-		t.Errorf("sweep not deterministic:\n--- first\n%s--- second\n%s", out, out2)
-	}
-	if b1, b2 := m.ClassBreakdown(), m2.ClassBreakdown(); b1 != b2 {
-		t.Errorf("class breakdown not deterministic:\n--- first\n%s--- second\n%s", b1, b2)
 	}
 }

@@ -65,13 +65,13 @@ var checkpointFields = map[string]fieldClass{
 		pending: []string{"armed", "wheel", "occ", "overflow", "pending", "minCache"},
 	},
 	"netsim.Switch": {
-		config:  []string{"name", "net", "scopeTrunks"},
+		config:  []string{"net", "scopeTrunks"},
 		scratch: []string{"scratch"},
 	},
 	// A NIC's peer is wiring: switches uncable the ports attached since
 	// the checkpoint when they restore.
 	"netsim.NIC": {
-		config:  []string{"net", "name", "mac", "peer", "handler", "impair"},
+		config:  []string{"net", "mac", "peer", "handler", "impair"},
 		pending: []string{"ring", "ringHead", "ringCount", "ringDraining"},
 	},
 	"mgmtswitch.Switch": {
@@ -112,7 +112,7 @@ var checkpointFields = map[string]fieldClass{
 		config: []string{"Redirect", "TTL", "Upstream", "Exempt"},
 	},
 	"dnspoison.RPZ": {
-		config: []string{"Redirect", "TTL", "Upstream", "Exempt"},
+		config: []string{"Redirect", "TTL", "Upstream"},
 	},
 	"hoststack.Host": {
 		parts:   []string{"NIC"},

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/pathology"
@@ -23,7 +22,7 @@ func TestPathologyShardedMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		name := names[int(seed-1)%len(names)]
 		devices := Population(seed, n, DefaultMix())
-		fac := pathology.FactorySized(testbed.Factory{Spec: PathologySpec(n)}.Build, name)
+		fac := pathology.FactorySized(testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}.Build, name)
 
 		world, err := fac(n)
 		if err != nil {
@@ -41,59 +40,5 @@ func TestPathologyShardedMatchesSerial(t *testing.T) {
 				assertReportsMatch(t, serial, sharded)
 			})
 		}
-	}
-}
-
-// TestPathologySweepSmoke runs a reduced sweep end to end and checks
-// the rendered matrix is byte-identical across repeat sweeps, sharded
-// or serial.
-func TestPathologySweepSmoke(t *testing.T) {
-	cfg := PathologyConfig{
-		Seed:        1,
-		N:           8,
-		Pathologies: []string{pathology.None, "nat64-checksum-corruption", "dns-v4-interference"},
-		Shards:      2,
-	}
-	m, err := PathologySweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Cells) != 3 {
-		t.Fatalf("cells = %d, want 3", len(m.Cells))
-	}
-	out := m.String()
-	if !strings.Contains(out, "pathology degradation matrix") || !strings.Contains(out, pathology.None) {
-		t.Errorf("matrix rendering:\n%s", out)
-	}
-
-	// The baseline row must not lose devices: outcomes ≤ population and
-	// the checksum row must degrade internet reachability below it.
-	base, checksum := m.Cells[0].Report, m.Cells[1].Report
-	if base.InternetOK > cfg.N {
-		t.Errorf("baseline internet %d exceeds population %d", base.InternetOK, cfg.N)
-	}
-	if checksum.InternetOK >= base.InternetOK {
-		t.Errorf("checksum corruption did not degrade internet: base=%d pathological=%d",
-			base.InternetOK, checksum.InternetOK)
-	}
-
-	serialCfg := cfg
-	serialCfg.Shards = 1
-	m2, err := PathologySweep(serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2 := m2.String(); out2 != out {
-		t.Errorf("sweep not shard-invariant:\n--- sharded\n%s--- serial\n%s", out, out2)
-	}
-}
-
-// TestPathologySweepUnknownName pins the error path: sweeping an
-// unregistered pathology fails loudly instead of silently running the
-// baseline.
-func TestPathologySweepUnknownName(t *testing.T) {
-	_, err := PathologySweep(PathologyConfig{Seed: 1, N: 2, Pathologies: []string{"no-such-pathology"}})
-	if err == nil || !strings.Contains(err.Error(), "no-such-pathology") {
-		t.Fatalf("want unknown-pathology error, got %v", err)
 	}
 }

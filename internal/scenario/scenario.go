@@ -14,11 +14,9 @@
 // does the same over the access-switch subtrees of a fabric topology,
 // through the same shard executor. RunOptions layers fault injection on
 // every engine: per-device gateway reboots with re-convergence probing,
-// over link impairment carried by the world's topology spec. ChaosSweep
-// drives the full loss × churn grid and renders the outcome as a
-// DegradationMatrix whose String output contains only counters and
-// virtual-clock durations, so the chaos experiment's text is
-// reproducible verbatim.
+// over link impairment carried by the world's topology spec (ChaosSpec
+// builds one). The package is only the engine: the sweeps that drive it
+// over loss, churn and pathology grids live in cmd/experiments.
 package scenario
 
 import (

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/testbed"
 )
 
@@ -109,6 +111,19 @@ func deriveSeed(seed int64, shard int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
+}
+
+// ChaosSpec returns the scale topology for n devices with a link
+// impairment attached: loss and jitter on every client link, and a chaos
+// seed derived from (seed, cell) so each cell of a sweep draws its own
+// reproducible loss pattern. With loss 0 it is the plain scale topology.
+func ChaosSpec(seed int64, n int, cell int, loss float64, jitter time.Duration) testbed.Topology {
+	spec := testbed.ScaleTopology(testbed.DefaultOptions(), n)
+	if loss > 0 {
+		spec.Impair = netsim.Impairment{Loss: loss, Jitter: jitter}
+		spec.ChaosSeed = uint64(deriveSeed(seed, cell))
+	}
+	return spec
 }
 
 // RunShardedSized executes the population across opt.Shards worlds

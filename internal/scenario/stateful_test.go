@@ -26,7 +26,7 @@ func TestStatefulPathologyShardedMatchesSerial(t *testing.T) {
 	for _, name := range statefulNames {
 		for seed := int64(1); seed <= 5; seed++ {
 			devices := Population(seed, n, DefaultMix())
-			fac := pathology.FactorySized(testbed.Factory{Spec: PathologySpec(n)}.Build, name)
+			fac := pathology.FactorySized(testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}.Build, name)
 
 			world, err := fac(len(devices))
 			if err != nil {
@@ -102,35 +102,5 @@ func TestExhaustionTrafficShardedMatchesSerial(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestStatefulPathologySweepSmoke sweeps the three stateful names plus
-// the control sharded and serially, checking byte-identical rendering —
-// the stateful analog of TestPathologySweepSmoke.
-func TestStatefulPathologySweepSmoke(t *testing.T) {
-	cfg := PathologyConfig{
-		Seed:        1,
-		N:           8,
-		Pathologies: append([]string{pathology.None}, statefulNames...),
-		Shards:      2,
-	}
-	m, err := PathologySweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Cells) != 4 {
-		t.Fatalf("cells = %d, want 4", len(m.Cells))
-	}
-	out := m.String()
-
-	serialCfg := cfg
-	serialCfg.Shards = 1
-	m2, err := PathologySweep(serialCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2 := m2.String(); out2 != out {
-		t.Errorf("stateful sweep not shard-invariant:\n--- sharded\n%s--- serial\n%s", out, out2)
 	}
 }

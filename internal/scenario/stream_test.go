@@ -71,7 +71,7 @@ func streamRegimes(n int) []streamRegime {
 			name: "stateful",
 			fac: func(_ int64, _ int) SizedWorldFactory {
 				return pathology.FactorySized(
-					testbed.Factory{Spec: PathologySpec(n)}.Build, "dns64-flapping")
+					testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}.Build, "dns64-flapping")
 			},
 		},
 	}
@@ -239,7 +239,7 @@ func resetRegimes(n int) []streamRegime {
 		name: "exhaustion",
 		fac: func(_ int64, _ int) SizedWorldFactory {
 			return pathology.FactorySized(
-				testbed.Factory{Spec: PathologySpec(n)}.Build, "nat64-port-exhaustion")
+				testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}.Build, "nat64-port-exhaustion")
 		},
 	})
 	return regs
@@ -504,65 +504,4 @@ func TestWorldPoolClose(t *testing.T) {
 	}
 	pool.Put("k", tb2)
 	pool.Close()
-}
-
-// TestSweepSinksMatchLegacy drives both sweeps (the chaos loss × churn
-// grid and the pathology registry sweep, stateful cells included) with
-// a streaming sink and DiscardDevices, and pins their rendered matrices
-// byte-identical to the legacy retained runs — plus one streamed row
-// per device per cell.
-func TestSweepSinksMatchLegacy(t *testing.T) {
-	t.Run("chaos", func(t *testing.T) {
-		base := ChaosConfig{
-			Seed: 1, N: 8, Shards: 2,
-			LossLevels:   []float64{0, 0.10},
-			RebootLevels: []int{0, 1},
-		}
-		legacy, err := ChaosSweep(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := &collectSink{}
-		cfg := base
-		cfg.Sink = sink
-		cfg.DiscardDevices = true
-		streamed, err := ChaosSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := streamed.String(), legacy.String(); got != want {
-			t.Errorf("streamed chaos matrix diverged:\n--- streamed\n%s--- legacy\n%s", got, want)
-		}
-		if got, want := streamed.ClassBreakdown(), legacy.ClassBreakdown(); got != want {
-			t.Errorf("streamed class breakdown diverged:\n--- streamed\n%s--- legacy\n%s", got, want)
-		}
-		if want := len(legacy.Cells) * base.N; len(sink.rows) != want {
-			t.Errorf("streamed %d rows, want %d (%d cells × %d devices)",
-				len(sink.rows), want, len(legacy.Cells), base.N)
-		}
-	})
-	t.Run("pathology", func(t *testing.T) {
-		base := PathologyConfig{
-			Seed: 1, N: 8, Shards: 2,
-			Pathologies: []string{pathology.None, "dns64-flapping", "nat64-port-exhaustion"},
-		}
-		legacy, err := PathologySweep(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := &collectSink{}
-		cfg := base
-		cfg.Sink = sink
-		cfg.DiscardDevices = true
-		streamed, err := PathologySweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := streamed.String(), legacy.String(); got != want {
-			t.Errorf("streamed pathology matrix diverged:\n--- streamed\n%s--- legacy\n%s", got, want)
-		}
-		if want := len(legacy.Cells) * base.N; len(sink.rows) != want {
-			t.Errorf("streamed %d rows, want %d", len(sink.rows), want)
-		}
-	})
 }

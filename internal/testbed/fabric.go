@@ -223,7 +223,7 @@ func (tb *Testbed) buildFabric(spec Topology) error {
 	tb.DHCPPi.EnableNeighborGleaning()
 
 	for _, as := range f.Access {
-		asw := netsim.NewSwitch(tb.Net, as.Name)
+		asw := netsim.NewSwitch(tb.Net)
 		aPort, dPort := netsim.ConnectSwitches(asw, tb.Switch.Switch)
 		asw.MarkTrunk(aPort)
 		tb.Switch.MarkTrunk(dPort)

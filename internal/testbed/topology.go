@@ -88,7 +88,6 @@ type GatewaySpec struct {
 
 // SwitchSpec parameterizes the managed access switch.
 type SwitchSpec struct {
-	Name string
 	// ULAPrefix is the switch's low-priority RA prefix (intervention #2).
 	ULAPrefix netip.Prefix
 }
@@ -109,12 +108,12 @@ type PiSpec struct {
 	DomainName string
 }
 
-// SiteSpec is one public HTTP site: a name, its addresses (either
-// family may be absent) and a static page body served on every request.
+// SiteSpec is one public IPv4-only HTTP site: a name, its address and
+// a static page body served on every request.
 type SiteSpec struct {
-	Name   string
-	V4, V6 netip.Addr
-	Body   string
+	Name string
+	V4   netip.Addr
+	Body string
 }
 
 // DefaultSites returns the paper's three generic sites: the SC24
@@ -145,7 +144,7 @@ func DefaultTopology(opt Options) Topology {
 			PoolEnd:     netip.MustParseAddr("192.168.12.99"),
 			WANMTU:      1480, // the 5G link's encapsulation overhead
 		},
-		Switch: SwitchSpec{Name: "mgmt-switch", ULAPrefix: ULAPrefix},
+		Switch: SwitchSpec{ULAPrefix: ULAPrefix},
 		Pis: PiSpec{
 			HealthyV6:  HealthyV6,
 			HealthyV6B: HealthyV6B,
@@ -253,7 +252,7 @@ func (spec Topology) validate() error {
 		if s.Name == "" {
 			return fmt.Errorf("testbed: site with empty name")
 		}
-		if !s.V4.IsValid() && !s.V6.IsValid() {
+		if !s.V4.IsValid() {
 			return fmt.Errorf("testbed: site %s has no address", s.Name)
 		}
 	}
@@ -307,7 +306,7 @@ func Build(spec Topology) (*Testbed, error) {
 		if s.Body != "" {
 			h = staticSite(s.Body)
 		}
-		tb.Internet.AddSite(s.Name, s.V4, s.V6, h)
+		tb.Internet.AddSite(s.Name, s.V4, netip.Addr{}, h)
 	}
 	tb.Internet.BindUDPService(EcholinkV4, EcholinkPort,
 		func(src netip.Addr, srcPort uint16, dst netip.Addr, payload []byte) {
@@ -341,7 +340,7 @@ func Build(spec Topology) (*Testbed, error) {
 	tb.Internet.ConnectBehind(gw)
 
 	// The managed switch with its interventions.
-	tb.Switch = mgmtswitch.New(tb.Net, spec.Switch.Name, mgmtswitch.Config{
+	tb.Switch = mgmtswitch.New(tb.Net, mgmtswitch.Config{
 		ULAPrefix:    spec.Switch.ULAPrefix,
 		AdvertiseULA: spec.Opt.SwitchULARA,
 		SnoopDHCP:    spec.Opt.SnoopDHCP,

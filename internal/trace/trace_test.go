@@ -116,9 +116,9 @@ func TestSummarizeNeverPanics(t *testing.T) {
 
 func TestTapRecordsAndBounds(t *testing.T) {
 	net := netsim.NewNetwork()
-	sw := netsim.NewSwitch(net, "sw")
-	a := net.NewNIC("a", nil)
-	b := net.NewNIC("b", netsim.FrameHandlerFunc(func(*netsim.NIC, netsim.Frame) {}))
+	sw := netsim.NewSwitch(net)
+	a := net.NewNIC(nil)
+	b := net.NewNIC(netsim.FrameHandlerFunc(func(*netsim.NIC, netsim.Frame) {}))
 	sw.AttachPort(a)
 	sw.AttachPort(b)
 	tap := &Tap{Max: 2}
