@@ -581,10 +581,9 @@ func BenchmarkScenarioSharded(b *testing.B) {
 //     send produces when it segments a large write at one virtual
 //     instant. Legacy pays one heap push + pop per frame against a
 //     4000-event heap; rings pay one drain event per link and amortize
-//     the rest. Payloads are kept small enough that a whole round fits
-//     the arena's retired-chunk budget, so the timed loop measures
-//     scheduler cost, not payload copying — and the warmed-up ring
-//     path must not allocate at all.
+//     the rest. Payloads are small, so the timed loop measures scheduler
+//     cost, not payload copying — and once the warm-up round has filled
+//     the arena's free list, the ring path must not allocate at all.
 //   - flows-*: end-to-end — a conference-floor population streaming
 //     paced CDN flows through DNS64+NAT64/CLAT/NAT44 via the scenario
 //     traffic layer, reporting simulated flows per wall-clock minute.
@@ -596,8 +595,8 @@ func BenchmarkHeavyTraffic(b *testing.B) {
 		pairs = 500
 		burst = 8
 	)
-	// 64 B × 4000 frames/round stays inside the arena's 8 retired 32 KiB
-	// chunks, so recycling between rounds feeds every copy from the pool.
+	// Every delivery returns its 64 B buffer to the arena's free list,
+	// so after the warm-up round every copy comes from there.
 	payload := make([]byte, 64)
 	sink := netsim.FrameHandlerFunc(func(_ *netsim.NIC, _ netsim.Frame) {})
 
@@ -621,14 +620,12 @@ func BenchmarkHeavyTraffic(b *testing.B) {
 			net.Run(0)
 		}
 		// One warm-up round allocates the rings, grows the event heap and
-		// primes the arena pool, so the timed loop measures the steady
-		// state (and pins 0 allocs/op on the ring path).
+		// fills the arena's free list, so the timed loop measures the
+		// steady state (and pins 0 allocs/op on the ring path).
 		round()
-		net.RecycleArena()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			round()
-			net.RecycleArena()
 		}
 		b.StopTimer()
 		st := net.Stats()

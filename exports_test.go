@@ -22,13 +22,12 @@ import (
 // belongs in that package's export_test.go instead.
 var exportAllowlist = map[string]string{
 	// Seams that gated benchmarks and Example_fabricTopology call.
-	"dns.NewStatic":               "BenchmarkDNS64Synthesis builds its upstream with it",
-	"dns.Cache.Len":               "BenchmarkScaleThousandClients checks the cache's LRU bound with it",
-	"netsim.Network.Run":          "BenchmarkHeavyTraffic's 0-allocs loop drains the fabric with it",
-	"netsim.Network.RecycleArena": "BenchmarkHeavyTraffic's 0-allocs loop recycles payload chunks with it",
-	"hoststack.Host.V6Addresses":  "BenchmarkGatewayRenumber checks the renumbered addresses with it",
-	"testbed.Fabric.ActiveCount":  "Example_fabricTopology prints it; BenchmarkFabricScale checks it",
-	"testbed.Fabric.DomainOf":     "Example_fabricTopology prints it",
+	"dns.NewStatic":              "BenchmarkDNS64Synthesis builds its upstream with it",
+	"dns.Cache.Len":              "BenchmarkScaleThousandClients checks the cache's LRU bound with it",
+	"netsim.Network.Run":         "BenchmarkHeavyTraffic's 0-allocs loop drains the fabric with it",
+	"hoststack.Host.V6Addresses": "BenchmarkGatewayRenumber checks the renumbered addresses with it",
+	"testbed.Fabric.ActiveCount": "Example_fabricTopology prints it; BenchmarkFabricScale checks it",
+	"testbed.Fabric.DomainOf":    "Example_fabricTopology prints it",
 
 	// Seams that tests in other packages call.
 	"dhcp4.Server.LeaseCount":            "hoststack and gateway5g tests count server leases with it",

@@ -1,6 +1,7 @@
 package gateway5g
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -27,9 +28,11 @@ func TestExhaustionSignaledToLAN(t *testing.T) {
 		if f.EtherType != netsim.EtherTypeIPv6 {
 			return
 		}
-		// The tap also hears RA beacons and NS probes; keep only errors.
+		// The tap also hears RA beacons and NS probes; keep only errors,
+		// decoded from a copy because the payload is only valid during
+		// this call.
 		p := new(packet.IPv6)
-		if p.Decode(f.Payload) == nil && p.NextHeader == packet.ProtoICMPv6 {
+		if p.Decode(bytes.Clone(f.Payload)) == nil && p.NextHeader == packet.ProtoICMPv6 {
 			var ic packet.ICMP
 			if ic.DecodeV6(p.Payload, p.Src, p.Dst) == nil && ic.Type == packet.ICMPv6DestUnreachable {
 				replies = append(replies, p)

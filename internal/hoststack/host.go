@@ -35,7 +35,9 @@ type routerEntry struct {
 	expires    time.Time
 }
 
-// UDPHandler receives datagrams delivered to a bound UDP port.
+// UDPHandler receives datagrams delivered to a bound UDP port. The
+// payload is valid only during the call (see netsim.Frame); a handler
+// that keeps bytes copies them.
 type UDPHandler func(src netip.Addr, srcPort uint16, dst netip.Addr, payload []byte)
 
 // Host is one simulated machine: a NIC plus the protocol state the
@@ -69,12 +71,12 @@ type Host struct {
 
 	// l4Scratch and l3Scratch are the buffers every data-path send
 	// encodes into: the transport segment into l4Scratch, the IP packet
-	// around it into l3Scratch. NIC.Transmit copies the frame into the
-	// fabric's arena, so both are free again as soon as it returns; the
-	// sends that keep a packet longer (the ARP/ND pending queues and
-	// loopback delivery) copy it first. srcScratch holds the RFC 6724
-	// candidates candidateSources rebuilds on every call. All three are
-	// scratch, so Checkpoint/Restore skip them.
+	// around it into l3Scratch. NIC.Transmit copies the frame into a
+	// buffer of the fabric's arena, so both are free again as soon as it
+	// returns; the sends that keep a packet longer (the ARP/ND pending
+	// queues and loopback delivery) copy it first. srcScratch holds the
+	// RFC 6724 candidates candidateSources rebuilds on every call. All
+	// three are scratch, so Checkpoint/Restore skip them.
 	l4Scratch  []byte
 	l3Scratch  []byte
 	srcScratch []rfc6724.CandidateSource

@@ -169,10 +169,9 @@ func (h *Host) deliverIPv6(p *packet.IPv6) {
 // deliverViaCLAT translates an inbound NAT64-prefixed packet back to
 // IPv4 for the legacy application socket. The translation lives in the
 // CLAT's scratch until its next inbound packet. TCP copies its payload
-// into the receive buffer before anything else is received, but a UDP
-// handler may keep its payload (Query returns it), so a datagram is
-// delivered from a copy, as one from the wire stays valid until the
-// arena is recycled.
+// into the receive buffer before anything else is received; a UDP
+// datagram is delivered from a copy, which stays intact when the CLAT
+// translates the next one.
 func (h *Host) deliverViaCLAT(p *packet.IPv6) {
 	var v4 packet.IPv4
 	if h.clat.TranslateV6ToV4(p, &v4) != nil {

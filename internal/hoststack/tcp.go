@@ -96,8 +96,10 @@ func (s tcpSegment) seqLen() uint32 {
 }
 
 // Send transmits data, segmented to the current path MTU toward the
-// peer. Segments are retained until acknowledged so PTB-triggered
-// retransmission can re-split them.
+// peer. The segments are views of data, retained until acknowledged so
+// PTB-triggered retransmission can re-split them: Send keeps data, and
+// the caller must not modify it afterwards, just as Recv hands its
+// buffer over.
 func (c *TCPConn) Send(data []byte) error {
 	mss := c.h.tcpMaxPayload(c.remote)
 	if mss < 64 {
@@ -108,9 +110,8 @@ func (c *TCPConn) Send(data []byte) error {
 		if n > mss {
 			n = mss
 		}
-		chunk := append([]byte(nil), data[:n]...)
+		seg := tcpSegment{seq: c.sndNxt, payload: data[:n:n]}
 		data = data[n:]
-		seg := tcpSegment{seq: c.sndNxt, payload: chunk}
 		c.unacked = append(c.unacked, seg)
 		c.sndNxt += uint32(n)
 		if err := c.transmitData(seg); err != nil {
@@ -158,7 +159,7 @@ func (c *TCPConn) resendFrom(seq uint32) {
 			if n > mss {
 				n = mss
 			}
-			sub := tcpSegment{seq: at, payload: append([]byte(nil), data[:n]...)}
+			sub := tcpSegment{seq: at, payload: data[:n:n]}
 			rebuilt = append(rebuilt, sub)
 			_ = c.transmitData(sub)
 			at += uint32(n)

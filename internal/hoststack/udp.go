@@ -1,6 +1,7 @@
 package hoststack
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"time"
@@ -22,7 +23,8 @@ var (
 )
 
 // BindUDP registers a handler for datagrams arriving on port. Servers
-// (DNS, DHCP, portals) use this.
+// (DNS, DHCP, portals) use this. The handler's payload is valid only
+// during its call.
 func (h *Host) BindUDP(port uint16, handler UDPHandler) { h.udpBind[port] = handler }
 
 // UnbindUDP releases a bound port.
@@ -49,7 +51,8 @@ func (h *Host) srcFor(dst netip.Addr) (netip.Addr, bool) {
 
 // SendUDP transmits one datagram from an ephemeral port and delivers
 // any reply arriving on that port to reply (which may be nil for
-// fire-and-forget). It returns the chosen local port.
+// fire-and-forget); the reply's payload is valid only during its call.
+// It returns the chosen local port.
 func (h *Host) SendUDP(dst netip.Addr, dstPort uint16, payload []byte, reply UDPHandler) (uint16, error) {
 	src, ok := h.srcFor(dst)
 	if !ok {
@@ -91,12 +94,14 @@ func (h *Host) ReplyUDP(from, to netip.Addr, fromPort, toPort uint16, payload []
 
 // Query performs a UDP request/response exchange synchronously by
 // driving the network until a reply lands or the virtual-time deadline
-// passes.
+// passes. The reply is a copy the caller owns: the delivered datagram
+// is gone by the time the wait returns, since a ring drain can deliver
+// more frames after it.
 func (h *Host) Query(dst netip.Addr, dstPort uint16, payload []byte, timeout time.Duration) ([]byte, error) {
 	var resp []byte
 	done := false
 	lport, err := h.SendUDP(dst, dstPort, payload, func(_ netip.Addr, _ uint16, _ netip.Addr, data []byte) {
-		resp = data
+		resp = bytes.Clone(data)
 		done = true
 	})
 	if err != nil {

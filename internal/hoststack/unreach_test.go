@@ -1,6 +1,7 @@
 package hoststack
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"testing"
@@ -28,8 +29,10 @@ func TestDestUnreachableFastFail(t *testing.T) {
 		if f.EtherType != netsim.EtherTypeIPv6 {
 			return
 		}
+		// The reply quotes the SYN after this call returns, so decode
+		// a copy: the delivered payload is only valid during the call.
 		var p packet.IPv6
-		if p.Decode(f.Payload) != nil || p.NextHeader != packet.ProtoTCP {
+		if p.Decode(bytes.Clone(f.Payload)) != nil || p.NextHeader != packet.ProtoTCP {
 			return
 		}
 		src := f.Src

@@ -37,8 +37,9 @@ type StreamSpec struct {
 
 // streamPattern is the deterministic filler streamed bodies are built
 // from. It is read-only after init and safely shared by every world:
-// NIC.Transmit copies payloads synchronously, so concurrent sharded
-// fabrics can slice it without coordination.
+// TCPConn.Send keeps views of it until they are acknowledged, and
+// NIC.Transmit copies them, so concurrent sharded fabrics only ever
+// read it.
 var streamPattern = func() []byte {
 	b := make([]byte, DefaultStreamChunk)
 	for i := range b {

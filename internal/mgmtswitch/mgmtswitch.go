@@ -11,6 +11,7 @@
 package mgmtswitch
 
 import (
+	"bytes"
 	"net/netip"
 	"time"
 
@@ -139,9 +140,11 @@ func (s *Switch) directedBroadcastFilter(_ int, f netsim.Frame) bool {
 		return true // client is local (or unknown): the flood reaches it
 	}
 	// Deliver after the broadcast itself has been processed, mirroring
-	// rsWatcher's ordering.
+	// rsWatcher's ordering. The delivered payload is only valid during
+	// this call, so the re-transmit carries a copy.
 	directed := f
 	directed.Dst = mac
+	directed.Payload = bytes.Clone(f.Payload)
 	s.net.Clock.AfterFunc(0, func() { s.PortNIC(port).Transmit(directed) })
 	return true
 }

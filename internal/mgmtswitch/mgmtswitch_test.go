@@ -1,6 +1,7 @@
 package mgmtswitch
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -54,6 +55,7 @@ func TestSwitchRAIsLowPreference(t *testing.T) {
 	sw := newTestSwitch(net, Config{ULAPrefix: ula, AdvertiseULA: true})
 	var captured []netsim.Frame
 	sink := net.NewNIC(netsim.FrameHandlerFunc(func(_ *netsim.NIC, f netsim.Frame) {
+		f.Payload = bytes.Clone(f.Payload) // valid only during this call
 		captured = append(captured, f)
 	}))
 	sw.AttachPort(sink)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 
 // One frame hop — Transmit plus delivery through the event loop — must
 // stay amortised allocation-free: no closure per delivery, no interface
-// boxing in the heap, and payload copies bump-allocated from the arena.
+// boxing in the heap, and payload copies in buffers the arena reuses.
 func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; allocation counts are meaningless")
@@ -20,7 +21,7 @@ func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 	payload := make([]byte, 128)
 	f := Frame{Dst: b.MAC(), EtherType: EtherTypeIPv4, Payload: payload}
 
-	// Warm up: grow the event queue slice and the first arena chunk.
+	// Warm up: grow the event queue slice and the arena's free list.
 	for i := 0; i < 16; i++ {
 		a.Transmit(f)
 	}
@@ -30,7 +31,7 @@ func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 		a.Transmit(f)
 		net.Run(0)
 	})
-	// A 32 KiB chunk serves ~250 copies of a 128-byte payload, so the
+	// Each hop reuses the buffer the previous hop released, so the
 	// amortised cost must be well under one allocation per hop.
 	if avg > 0.1 {
 		t.Errorf("frame delivery allocates %.3f times per hop, want ~0", avg)
@@ -45,52 +46,79 @@ func TestFrameDeliveryAmortisedAllocFree(t *testing.T) {
 	}
 }
 
-// RecycleArena must let retired chunks be reused instead of reallocated.
-func TestArenaRecycleReusesChunks(t *testing.T) {
+// A payload buffer lives for one delivery, so a long stream through
+// one link reuses the few buffers its largest burst needs, however many
+// bytes it carries and however often the collector runs meanwhile.
+func TestArenaReusesBuffersWithinRun(t *testing.T) {
+	const (
+		burst = 8
+		total = 2 << 20
+	)
 	net := NewNetwork()
 	a := net.NewNIC(nil)
-	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
+	got := 0
+	b := net.NewNIC(FrameHandlerFunc(func(_ *NIC, f Frame) { got += len(f.Payload) }))
 	net.Connect(a, b)
-	payload := make([]byte, 1024)
-
-	for round := 0; round < 8; round++ {
-		for i := 0; i < 64; i++ { // 64 KiB per round: retires chunks
+	payload := make([]byte, 1500)
+	sent, bursts := 0, 0
+	var send func()
+	send = func() {
+		for i := 0; i < burst && sent < total; i++ {
 			a.Transmit(Frame{Dst: b.MAC(), Payload: payload})
+			sent += len(payload)
 		}
-		net.Run(0)
-		net.RecycleArena()
+		if bursts++; bursts%64 == 0 {
+			runtime.GC()
+		}
+		if sent < total {
+			net.Clock.AfterFunc(time.Millisecond, send)
+		}
+	}
+	send()
+	net.Run(0)
+	if got != sent {
+		t.Fatalf("delivered %d bytes, want %d", got, sent)
 	}
 	st := net.Stats()
-	if st.ArenaChunksReused == 0 {
-		t.Errorf("no chunk reuse after RecycleArena: %+v", st)
+	if st.PayloadBuffers != burst {
+		t.Errorf("streaming %d bytes in %d-frame bursts allocated %d payload buffers, want %d",
+			sent, burst, st.PayloadBuffers, burst)
+	}
+	if st.AllocsAvoided != st.PayloadsServed-st.PayloadBuffers {
+		t.Errorf("AllocsAvoided = %d, want served %d - allocated %d",
+			st.AllocsAvoided, st.PayloadsServed, st.PayloadBuffers)
 	}
 }
 
-// The arena's recycled chunks must survive garbage collections: a world
-// that sends the same traffic after every Restore stops allocating
-// chunks once its free list has warmed up, however often the collector
-// runs in between.
-func TestArenaChunksSurviveCollections(t *testing.T) {
+// A handler that keeps a payload past its delivery breaks the ownership
+// rule (see Frame). In a test binary the arena zeroes every buffer it
+// takes back, so the kept view reads garbage at once instead of stale
+// bytes that happen to be right until the buffer is reused.
+func TestKeptPayloadIsScribbledAfterDelivery(t *testing.T) {
 	net := NewNetwork()
-	a := net.NewNIC(nil)
-	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
-	net.Connect(a, b)
-	net.Checkpoint()
-	payload := make([]byte, 1024)
-	var after [5]uint64
-	for cycle := range after {
-		for i := 0; i < 128; i++ { // 128 KiB: retires four chunks
-			a.Transmit(Frame{Dst: b.MAC(), Payload: payload})
+	sw := NewSwitch(net)
+	src := net.NewNIC(nil)
+	var kept [][]byte
+	keep := FrameHandlerFunc(func(_ *NIC, f Frame) {
+		if cap(f.Payload) != len(f.Payload) {
+			t.Errorf("delivered payload has capacity %d past its length %d", cap(f.Payload), len(f.Payload))
 		}
-		net.Run(0)
-		net.Restore()
-		runtime.GC()
-		runtime.GC()
-		after[cycle] = net.Stats().ArenaChunksAllocated
+		if string(f.Payload) != "hello" {
+			t.Errorf("payload during delivery = %q, want %q", f.Payload, "hello")
+		}
+		kept = append(kept, f.Payload)
+	})
+	sw.AttachPort(src)
+	sw.AttachPort(net.NewNIC(keep))
+	sw.AttachPort(net.NewNIC(keep))
+	src.Transmit(Frame{Dst: Broadcast, EtherType: EtherTypeIPv4, Payload: []byte("hello")})
+	net.Run(0)
+	if len(kept) != 2 {
+		t.Fatalf("kept %d payloads, want 2", len(kept))
 	}
-	for cycle := 2; cycle < len(after); cycle++ {
-		if after[cycle] != after[1] {
-			t.Fatalf("chunks allocated after each cycle = %v: still growing after the second cycle", after)
+	for i, p := range kept {
+		if !bytes.Equal(p, make([]byte, len("hello"))) {
+			t.Errorf("receiver %d: kept payload reads %q after its delivery, want it scribbled", i, p)
 		}
 	}
 }

@@ -69,8 +69,7 @@ func (n *Network) Checkpoint() {
 // (their owners are expected to be discarded by the caller); earlier
 // rings keep their warmed-up storage.
 func (n *Network) Restore() {
-	n.queue = nil
-	n.clearRings()
+	n.dropPending()
 	// A NIC that took a ring since the checkpoint drops out of the ring
 	// list below, so it gives the ring up too: its next frame then
 	// registers it again, and the next Restore clears it. Left holding
@@ -81,7 +80,6 @@ func (n *Network) Restore() {
 			nc.ring = nil
 		}
 	}
-	n.arena.recycle()
 	n.saved.copyInto(&n.netState)
 	n.Clock.restore()
 }

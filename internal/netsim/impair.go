@@ -125,8 +125,6 @@ func (nc *NIC) transmitImpaired(peer *NIC, f Frame, st *impairState, rng *splitm
 	if st.spec.Jitter > 0 {
 		delay += time.Duration(rng.float64() * float64(st.spec.Jitter))
 	}
-	p := n.arena.alloc(len(f.Payload))
-	copy(p, f.Payload)
-	f.Payload = p
+	f.Payload = n.arena.copyOf(f.Payload)
 	n.scheduleFrame(delay, peer, f)
 }

@@ -17,8 +17,7 @@ import "time"
 // cannot make progress again until Restore. Stop is idempotent.
 func (n *Network) Stop() {
 	n.stopped = true
-	n.queue = nil
-	n.clearRings()
+	n.dropPending()
 	n.Clock.purge()
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,7 +11,12 @@ type collector struct {
 	frames []Frame
 }
 
-func (c *collector) HandleFrame(_ *NIC, f Frame) { c.frames = append(c.frames, f) }
+// HandleFrame keeps a copy of f's payload: the delivered one is valid
+// only until HandleFrame returns.
+func (c *collector) HandleFrame(_ *NIC, f Frame) {
+	f.Payload = bytes.Clone(f.Payload)
+	c.frames = append(c.frames, f)
+}
 
 func TestMACString(t *testing.T) {
 	m := MAC{0x02, 0x00, 0x5e, 0x00, 0x00, 0x01}

@@ -1,19 +1,24 @@
 package netsim
 
-import "time"
+import (
+	"math/bits"
+	"testing"
+	"time"
+)
 
 // Frame is an Ethernet-style layer-2 frame. Payload holds an encoded
 // layer-3 packet (ARP, IPv4 or IPv6).
 //
 // Payload ownership, one rule for every delivered frame: Transmit copies
-// the payload into the fabric's arena, and receivers decode that copy in
-// place — the packet and ndp decoders return views (Payload, Options,
-// Body) that alias it rather than copies. A delivered payload is
-// read-only: a flood hands one shared copy to every port, and a decoded
-// view may already be in another component's hands. The payload and its
-// views stay valid until the fabric recycles its arena (RecycleArena,
-// run by Restore). A receiver that keeps bytes past that point, or
-// wants to write them, copies them first.
+// the payload into a buffer from the fabric's arena, and receivers
+// decode that copy in place — the packet and ndp decoders return views
+// (Payload, Options, Body) that alias it rather than copies. A delivered
+// payload is read-only: a flood hands one shared copy to every port,
+// and a decoded view may already be in another component's hands. The
+// payload and its views are valid until HandleFrame returns; then the
+// fabric takes the buffer back for a later frame. A receiver that keeps
+// bytes past its HandleFrame call, or wants to write them, copies them
+// first.
 type Frame struct {
 	Src       MAC
 	Dst       MAC
@@ -71,6 +76,7 @@ type Network struct {
 	// ringsOff disables the unicast ring fast path (SetUnicastRings).
 	ringsOff bool
 
+	// arena holds the payload copies of frames in flight.
 	arena payloadArena
 
 	// fanoutFree recycles destination-set slices between fan-out events,
@@ -192,87 +198,70 @@ func (q *eventQueue) pop() event {
 	return root
 }
 
-// arenaChunkSize is the bump-allocation block the payload arena carves
-// frame copies from. Oversized payloads bypass the arena.
-const arenaChunkSize = 32 << 10
+// Payload buffers come in power-of-two size classes from
+// payloadMinClass to payloadMaxClass bytes, so a small frame never pins
+// a large buffer; a larger payload gets a buffer of its own.
+const (
+	payloadMinClass = 64
+	payloadMaxClass = 8 << 10
+	payloadClasses  = 8
+)
 
-// arenaMaxPayload bounds what the arena serves; larger payloads get a
-// dedicated allocation so one jumbo frame cannot burn a whole chunk.
-const arenaMaxPayload = arenaChunkSize / 4
+// scribbleReleased makes the arena zero every buffer it takes back, so
+// in a test binary a receiver that keeps a payload past its delivery
+// reads garbage in every test instead of stale bytes that happen to be
+// right.
+var scribbleReleased = testing.Testing()
 
-// arenaMaxRetired bounds how many spare chunks the arena keeps, retired
-// and free together; beyond it, exhausted chunks are dropped for the GC
-// to reclaim.
-const arenaMaxRetired = 8
-
-// payloadArena bump-allocates per-hop frame payload copies out of
-// reused chunks, so delivering a frame costs one chunk allocation per
-// ~hundreds of hops instead of one per hop. Exhausted chunks are parked
-// on a retired list and only moved to the free list by an explicit
-// RecycleArena call (Restore makes one), because receivers decode
-// payloads in place and may hold the views until then (see Frame). The
-// free list belongs to the network, so the chunks survive garbage
-// collections and a Reset after the first allocates none.
+// payloadArena holds the per-hop copies of in-flight frame payloads.
+// A copy lives for one delivery: Transmit and the flood path take a
+// buffer from the free list of its size class, and the network puts it
+// back when the delivery's last handler returns, or when Stop or
+// Restore drops the frame (see Frame). The free lists belong to the
+// network, so the buffers survive garbage collections, and a fabric
+// that has carried its peak in-flight load once allocates no more.
 type payloadArena struct {
-	chunk   []byte // the chunk being carved; off bytes of it are served
-	off     int
-	retired [][]byte
-	free    [][]byte
+	free [payloadClasses][][]byte
 
-	chunksNew    uint64
-	chunksReused uint64
-	served       uint64
-	oversized    uint64
+	served    uint64 // payload copies made
+	reused    uint64 // copies served from a free list
+	allocated uint64 // size-class buffers allocated
 }
 
-func (a *payloadArena) alloc(n int) []byte {
-	if n > arenaMaxPayload {
-		a.oversized++
-		return make([]byte, n)
-	}
-	if len(a.chunk)-a.off < n {
-		spent := a.chunk
-		if k := len(a.free); k > 0 {
-			a.chunksReused++
-			a.chunk = a.free[k-1]
-			a.free[k-1] = nil
-			a.free = a.free[:k-1]
-		} else {
-			a.chunksNew++
-			a.chunk = make([]byte, arenaChunkSize)
-		}
-		a.off = 0
-		// Retire after taking the next chunk, so swapping a spent chunk
-		// for a free one never drops a chunk at the bound.
-		if spent != nil && len(a.retired)+len(a.free) < arenaMaxRetired {
-			a.retired = append(a.retired, spent)
-		}
-	}
-	p := a.chunk[a.off : a.off+n : a.off+n]
-	a.off += n
+// sizeClass returns the free-list index for n bytes, n <= payloadMaxClass.
+func sizeClass(n int) int { return bits.Len(uint(max(n, 1)-1) / payloadMinClass) }
+
+// copyOf returns a copy of p in an arena buffer. Its capacity is the
+// whole buffer, which release needs back; deliveries clip it.
+func (a *payloadArena) copyOf(p []byte) []byte {
 	a.served++
-	return p
-}
-
-func (a *payloadArena) recycle() {
-	if a.free == nil {
-		// Retired and free chunks never number more than
-		// arenaMaxRetired, so later recycles never grow the list.
-		a.free = make([][]byte, 0, arenaMaxRetired)
+	if len(p) > payloadMaxClass {
+		return append(make([]byte, 0, len(p)), p...)
 	}
-	a.free = append(a.free, a.retired...)
-	clear(a.retired)
-	a.retired = a.retired[:0]
+	c := sizeClass(len(p))
+	var buf []byte
+	if k := len(a.free[c]); k > 0 {
+		a.reused++
+		buf = a.free[c][k-1]
+		a.free[c] = a.free[c][:k-1]
+	} else {
+		a.allocated++
+		buf = make([]byte, payloadMinClass<<c)
+	}
+	return buf[:copy(buf, p)]
 }
 
-// RecycleArena moves exhausted payload chunks to the arena's free list
-// for reuse. The caller asserts that no previously delivered frame
-// payload, nor any decoded view of one, is still referenced — e.g.
-// between iterations of a benchmark or scenario sweep after the fabric
-// has gone quiescent. Without explicit recycling the arena stays safe:
-// it allocates fresh chunks and leaves the exhausted ones beyond its
-// bound to the garbage collector.
-func (n *Network) RecycleArena() { n.arena.recycle() }
+// release takes back a payload copyOf made, once nothing reads it.
+func (a *payloadArena) release(p []byte) {
+	p = p[:cap(p)]
+	if scribbleReleased {
+		clear(p)
+	}
+	if len(p) >= payloadMinClass && len(p) <= payloadMaxClass {
+		c := sizeClass(len(p))
+		a.free[c] = append(a.free[c], p)
+	}
+}
 
 // Stats is a point-in-time snapshot of the fabric's hot-path counters,
 // exposed for the benchmark harness.
@@ -284,9 +273,12 @@ type Stats struct {
 	FramesDelivered uint64
 	FramesDropped   uint64
 	// PayloadsServed counts per-hop payload copies served by the arena;
-	// AllocsAvoided is how many of those did not hit the Go allocator.
+	// AllocsAvoided is how many of those reused a released buffer, and
+	// PayloadBuffers counts the size-class buffers the arena allocated
+	// (a payload over 8 KiB gets a buffer of its own, counted in none).
 	PayloadsServed uint64
 	AllocsAvoided  uint64
+	PayloadBuffers uint64
 	// FanoutEvents counts flood fan-out events (one per flooded frame);
 	// FanoutDeliveries counts frames delivered through them. Their ratio
 	// is the mean flood width served by a single shared payload.
@@ -297,10 +289,6 @@ type Stats struct {
 	// them (their ratio is the mean batch width).
 	UnicastRingFrames  uint64
 	UnicastRingBatches uint64
-	// ArenaChunksAllocated / ArenaChunksReused count 32 KiB chunks the
-	// arena allocated / took back from its free list.
-	ArenaChunksAllocated uint64
-	ArenaChunksReused    uint64
 	// FramesImpairLost / FramesImpairFlapDropped count the frames that
 	// impaired links lost to Loss and to a flap (see Impairment).
 	FramesImpairLost        uint64
@@ -309,23 +297,17 @@ type Stats struct {
 
 // Stats returns the current hot-path counters.
 func (n *Network) Stats() Stats {
-	allocs := n.arena.chunksNew + n.arena.oversized
-	avoided := uint64(0)
-	if n.arena.served > allocs {
-		avoided = n.arena.served - allocs
-	}
 	return Stats{
-		QueuePeak:            n.queuePeak,
-		FramesDelivered:      n.frames,
-		FramesDropped:        n.dropped,
-		PayloadsServed:       n.arena.served,
-		AllocsAvoided:        avoided,
-		FanoutEvents:         n.fanoutEvents,
-		FanoutDeliveries:     n.fanoutDeliveries,
-		UnicastRingFrames:    n.ringFrames,
-		UnicastRingBatches:   n.ringBatches,
-		ArenaChunksAllocated: n.arena.chunksNew,
-		ArenaChunksReused:    n.arena.chunksReused,
+		QueuePeak:          n.queuePeak,
+		FramesDelivered:    n.frames,
+		FramesDropped:      n.dropped,
+		PayloadsServed:     n.arena.served,
+		AllocsAvoided:      n.arena.reused,
+		PayloadBuffers:     n.arena.allocated,
+		FanoutEvents:       n.fanoutEvents,
+		FanoutDeliveries:   n.fanoutDeliveries,
+		UnicastRingFrames:  n.ringFrames,
+		UnicastRingBatches: n.ringBatches,
 
 		FramesImpairLost:        n.impairLost,
 		FramesImpairFlapDropped: n.impairFlapDropped,
@@ -371,6 +353,7 @@ func (n *Network) schedule(d time.Duration, fn func()) {
 // closure allocation.
 func (n *Network) scheduleFrame(d time.Duration, dst *NIC, f Frame) {
 	if n.stopped {
+		n.arena.release(f.Payload)
 		return
 	}
 	if d < 0 {
@@ -408,10 +391,11 @@ func (n *Network) releaseFanout(buf []*NIC) {
 // receiver — the flood costs one payload copy and one heap push no
 // matter how many ports it reaches. Ownership of dsts passes to the
 // fabric (it is recycled after delivery). A stopped fabric recycles the
-// buffer immediately and delivers nothing.
+// buffer and the payload immediately and delivers nothing.
 func (n *Network) scheduleFanout(d time.Duration, dsts []*NIC, f Frame) {
 	if n.stopped {
 		n.releaseFanout(dsts)
+		n.arena.release(f.Payload)
 		return
 	}
 	if d < 0 {
@@ -424,33 +408,64 @@ func (n *Network) scheduleFanout(d time.Duration, dsts []*NIC, f Frame) {
 	}
 }
 
-// run executes one popped event.
+// run executes one popped event. A frame's payload goes back to the
+// arena once its last handler has returned.
 func (n *Network) run(ev event) {
-	if ev.dst != nil {
-		n.frames++
-		ev.dst.rxFrames++
-		ev.dst.rxBytes += uint64(len(ev.frame.Payload))
-		if ev.dst.handler != nil {
-			ev.dst.handler.HandleFrame(ev.dst, ev.frame)
-		}
-		return
-	}
-	if ev.dsts != nil {
+	switch {
+	case ev.dst != nil:
+		n.deliver(ev.dst, ev.frame.clipped())
+	case ev.dsts != nil:
+		// The per-port body is deliver's, written out: a call per port
+		// (deliver does not inline) costs a wide flood about a third.
 		n.fanoutEvents++
-		size := uint64(len(ev.frame.Payload))
+		f := ev.frame.clipped()
+		size := uint64(len(f.Payload))
 		for _, dst := range ev.dsts {
 			n.frames++
 			n.fanoutDeliveries++
 			dst.rxFrames++
 			dst.rxBytes += size
 			if dst.handler != nil {
-				dst.handler.HandleFrame(dst, ev.frame)
+				dst.handler.HandleFrame(dst, f)
 			}
 		}
 		n.releaseFanout(ev.dsts)
+	default:
+		ev.fn()
 		return
 	}
-	ev.fn()
+	n.arena.release(ev.frame.Payload)
+}
+
+// clipped returns f with its payload's capacity clipped to its length,
+// as handlers see it, so an append cannot run into the rest of the
+// arena buffer.
+func (f Frame) clipped() Frame {
+	f.Payload = f.Payload[:len(f.Payload):len(f.Payload)]
+	return f
+}
+
+// deliver counts f and hands it to nc's handler.
+func (n *Network) deliver(nc *NIC, f Frame) {
+	n.frames++
+	nc.rxFrames++
+	nc.rxBytes += uint64(len(f.Payload))
+	if nc.handler != nil {
+		nc.handler.HandleFrame(nc, f)
+	}
+}
+
+// dropPending discards every queued event and ring frame, returning
+// their payload buffers and destination sets for reuse.
+func (n *Network) dropPending() {
+	for _, ev := range n.queue {
+		if ev.dsts != nil {
+			n.releaseFanout(ev.dsts)
+		}
+		n.arena.release(ev.frame.Payload)
+	}
+	n.queue = nil
+	n.clearRings()
 }
 
 // step executes the single earliest pending event or timer. When

@@ -172,8 +172,9 @@ func (nc *NIC) SetHandler(h FrameHandler) { nc.handler = h }
 
 // Transmit sends a frame out this interface. If Src is unset it is
 // stamped with the NIC's own MAC. Delivery happens after the link latency.
-// The payload is copied synchronously (into the fabric's arena), so the
-// caller may reuse its buffer as soon as Transmit returns.
+// The payload is copied synchronously into a buffer from the fabric's
+// arena, so the caller may reuse its buffer as soon as Transmit returns;
+// the receiver's copy is valid until its HandleFrame returns (see Frame).
 func (nc *NIC) Transmit(f Frame) {
 	if f.Src.IsZero() {
 		f.Src = nc.mac
@@ -198,9 +199,7 @@ func (nc *NIC) Transmit(f Frame) {
 		nc.transmitImpaired(peer, f, peer.impair, &peer.impair.rx)
 		return
 	}
-	p := nc.net.arena.alloc(len(f.Payload))
-	copy(p, f.Payload)
-	f.Payload = p
+	f.Payload = nc.net.arena.copyOf(f.Payload)
 	nc.net.scheduleFrameRing(peer, f)
 }
 

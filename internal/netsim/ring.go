@@ -74,6 +74,7 @@ func (n *Network) UnicastRingsEnabled() bool { return !n.ringsOff }
 // scheduler, so the global delivery order is unchanged.
 func (n *Network) scheduleFrameRing(dst *NIC, f Frame) {
 	if n.stopped {
+		n.arena.release(f.Payload)
 		return
 	}
 	if n.ringsOff {
@@ -135,17 +136,13 @@ func (n *Network) drainRing(nc *NIC, deadline time.Time, useDeadline bool) {
 		slot := &nc.ring[nc.ringHead]
 		f := slot.frame
 		when := slot.when
-		slot.frame = Frame{} // release the payload reference
+		slot.frame = Frame{} // the slot no longer owns the payload
 		nc.ringHead = (nc.ringHead + 1) & (len(nc.ring) - 1)
 		nc.ringCount--
 		n.Clock.advance(when)
-		n.frames++
 		n.ringFrames++
-		nc.rxFrames++
-		nc.rxBytes += uint64(len(f.Payload))
-		if nc.handler != nil {
-			nc.handler.HandleFrame(nc, f)
-		}
+		n.deliver(nc, f.clipped())
+		n.arena.release(f.Payload)
 		if n.stopped {
 			// Stop ran inside the handler: rings were cleared, nothing to
 			// re-arm.
@@ -180,12 +177,14 @@ func (n *Network) drainRing(nc *NIC, deadline time.Time, useDeadline bool) {
 	}
 }
 
-// clearRings empties every allocated link ring, releasing payload
-// references. Called from Stop and Restore; the ring storage itself stays
-// allocated so a reused fabric does not pay the warm-up again.
+// clearRings empties every allocated link ring, returning the queued
+// payloads to the arena. Called from Stop and Restore; the ring storage
+// itself stays allocated so a reused fabric does not pay the warm-up
+// again.
 func (n *Network) clearRings() {
 	for _, nc := range n.ringNICs {
 		for i := range nc.ring {
+			n.arena.release(nc.ring[i].frame.Payload)
 			nc.ring[i] = inflight{}
 		}
 		nc.ringHead, nc.ringCount = 0, 0

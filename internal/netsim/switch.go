@@ -517,9 +517,7 @@ func (s *Switch) floodMulticast(ingress int, f Frame) {
 		return
 	}
 	s.fanoutFloods++
-	payload := s.net.arena.alloc(len(f.Payload))
-	copy(payload, f.Payload)
-	f.Payload = payload
+	f.Payload = s.net.arena.copyOf(f.Payload)
 	s.net.scheduleFanout(DefaultLinkLatency, dsts, f)
 }
 

@@ -23,11 +23,11 @@
 // the bytes that follow. A decoded view therefore aliases its input, and
 // on the simulated fabric that input is a netsim.Frame payload, so the
 // frame's ownership rule applies to the view: receivers never write
-// through it, and it stays valid until the fabric recycles its payload
-// arena (netsim.Network.RecycleArena, run by ResetTo). A
-// receiver that needs the bytes for longer copies them. Receive paths
-// keep decoded headers in stack variables, so a frame costs no heap
-// allocation to parse.
+// through it, and it is valid only until the frame handler that received
+// the payload returns, when the fabric takes the buffer back for a later
+// frame. A receiver that needs the bytes for longer copies them. Receive
+// paths keep decoded headers in stack variables, so a frame costs no
+// heap allocation to parse.
 package packet
 
 import (

@@ -591,9 +591,10 @@ func dirtyPending(tb *testbed.Testbed) {
 
 // checkNothingPending fails unless the world's pending work after Reset
 // is exactly the checkpoint's: no queued event, no frame in the ring of
-// any infrastructure or switch-port NIC, no retired arena chunk, the
-// checkpoint's timers and only those, and in a fabric world every Table
-// row back in its just-registered state.
+// any infrastructure or switch-port NIC, every payload buffer the arena
+// allocated back on its free lists, the checkpoint's timers and only
+// those, and in a fabric world every Table row back in its
+// just-registered state.
 func checkNothingPending(t *testing.T, tb *testbed.Testbed, snap worldSnapshot) {
 	t.Helper()
 	net := reflect.ValueOf(tb.Net).Elem()
@@ -615,8 +616,13 @@ func checkNothingPending(t *testing.T, tb *testbed.Testbed, snap worldSnapshot) 
 			t.Errorf("NIC %v still holds %d frames in its ring after Reset", nc.MAC(), n)
 		}
 	}
-	if n := field(field(net, "arena"), "retired").Len(); n != 0 {
-		t.Errorf("%d retired arena chunks not recycled by Reset", n)
+	arena := field(net, "arena")
+	free := 0
+	for c := 0; c < field(arena, "free").Len(); c++ {
+		free += field(arena, "free").Index(c).Len()
+	}
+	if allocated := field(arena, "allocated").Uint(); uint64(free) != allocated {
+		t.Errorf("Reset left %d of %d payload buffers outstanding", allocated-uint64(free), allocated)
 	}
 	if got := pendingTimers(tb); got != snap.timers {
 		t.Errorf("pending timers after Reset:\n  got:  %s\n  want: %s", got, snap.timers)
@@ -850,8 +856,8 @@ func TestResetRewindsNICGroups(t *testing.T) {
 // cycle, Reset copies every component's state into storage the
 // component already holds, and the clock puts back the timers pending
 // at the checkpoint instead of arming new ones, so Reset allocates
-// nothing; the run's payload chunks go back to the arena's free list,
-// which grows only while it warms up and survives collections. The
+// nothing; the payloads of the frames it drops go back to the arena's
+// free lists, which grow only while they warm up. The
 // test measures with the collector off and one P, so that runtime work
 // outside Reset (a collection, another P's cache) cannot count against
 // it.
