@@ -90,6 +90,66 @@ func TestArenaReusesBuffersWithinRun(t *testing.T) {
 	}
 }
 
+// The buffers one Run's deliveries released are what the next Run's
+// frames are copied into: rounds of the same traffic allocate buffers
+// only in the first round, with no call between the rounds.
+func TestArenaRecycleReusesChunks(t *testing.T) {
+	const (
+		rounds = 8
+		frames = 64
+	)
+	net := NewNetwork()
+	a := net.NewNIC(nil)
+	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
+	net.Connect(a, b)
+	payload := make([]byte, 1024)
+
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < frames; i++ { // all 64 in flight before the Run
+			a.Transmit(Frame{Dst: b.MAC(), Payload: payload})
+		}
+		net.Run(0)
+	}
+	st := net.Stats()
+	if st.PayloadBuffers != frames {
+		t.Errorf("%d rounds of %d frames allocated %d payload buffers, want %d",
+			rounds, frames, st.PayloadBuffers, frames)
+	}
+	if want := uint64((rounds - 1) * frames); st.AllocsAvoided != want {
+		t.Errorf("AllocsAvoided = %d, want %d: later rounds did not reuse the first round's buffers",
+			st.AllocsAvoided, want)
+	}
+}
+
+// The free lists must survive garbage collections and Restore: a world
+// that sends the same traffic after every Restore allocates buffers in
+// its first cycle only, however often the collector runs in between.
+func TestArenaChunksSurviveCollections(t *testing.T) {
+	const frames = 128
+	net := NewNetwork()
+	a := net.NewNIC(nil)
+	b := net.NewNIC(FrameHandlerFunc(func(*NIC, Frame) {}))
+	net.Connect(a, b)
+	net.Checkpoint()
+	payload := make([]byte, 1024)
+	var after [5]uint64
+	for cycle := range after {
+		for i := 0; i < frames; i++ {
+			a.Transmit(Frame{Dst: b.MAC(), Payload: payload})
+		}
+		net.Run(0)
+		net.Restore()
+		runtime.GC()
+		runtime.GC()
+		after[cycle] = net.Stats().PayloadBuffers
+	}
+	for cycle := range after {
+		if after[cycle] != frames {
+			t.Fatalf("payload buffers allocated after each cycle = %v, want %d throughout", after, frames)
+		}
+	}
+}
+
 // A handler that keeps a payload past its delivery breaks the ownership
 // rule (see Frame). In a test binary the arena zeroes every buffer it
 // takes back, so the kept view reads garbage at once instead of stale
