@@ -712,19 +712,19 @@ func BenchmarkTCPFlow(b *testing.B) {
 //   - million-clients: one process builds a 1000-access-switch ×
 //     1000-client fabric world — a million registered clients — and
 //     reports the marginal heap cost per registered client (GC-settled
-//     HeapAlloc delta across the build). A registered client is a
-//     struct-of-arrays table row, so the figure must stay in the
-//     hundreds of bytes, not the kilobytes a full Host costs; the
-//     benchmark fails outright past 512 B/client. A sample of clients
-//     across domains then materializes, browses through DNS64+NAT64
-//     and parks again, proving the world is live, after which the
-//     active working set must be back to zero.
+//     HeapAlloc delta across the build). A registered client is a row
+//     index that holds no state until it acts, so the figure must stay
+//     in the hundreds of bytes, not the kilobytes a full Host costs;
+//     the benchmark fails outright past 512 B/client. A sample of
+//     clients across domains then materializes, browses through
+//     DNS64+NAT64 and parks again, proving the world is live, after
+//     which the active working set must be back to zero.
 //   - subtree-sharded: the fabric execution engine end-to-end — an
 //     8-domain world run as 4 subtree shards, each shard rebuilding
 //     its access switches as an independent world.
 //
-// BENCH_5.json records the measured bytes/client; CI regresses it (and
-// allocs/op) against the snapshot via tools/benchgate.
+// BENCH_13.json records the measured bytes/client; CI regresses it
+// (and allocs/op) against the snapshot via tools/benchgate.
 func BenchmarkFabricScale(b *testing.B) {
 	b.Run("million-clients", func(b *testing.B) {
 		b.ReportAllocs()
@@ -749,7 +749,7 @@ func BenchmarkFabricScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			fb := tb.Fabric
-			if got := fb.Table.Len(); got != access*clientsPer {
+			if _, got := fb.Rows(access - 1); got != access*clientsPer {
 				b.Fatalf("registered %d clients, want %d", got, access*clientsPer)
 			}
 

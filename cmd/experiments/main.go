@@ -484,7 +484,7 @@ func scale(w io.Writer) {
 func fabric(w io.Writer) {
 	fmt.Fprintln(w, "engine: the hierarchical fabric tier — clients live behind access switches")
 	fmt.Fprintln(w, "        trunked into the distribution switch, floods stay inside their access")
-	fmt.Fprintln(w, "        domain, and a registered client is a ~32-byte table row until it acts")
+	fmt.Fprintln(w, "        domain, and a registered client holds no state until it acts")
 	for _, shape := range []struct{ access, per int }{{2, 250}, {4, 1000}, {8, 4000}} {
 		spec := testbed.FabricTopology(testbed.DefaultOptions(), shape.access, shape.per)
 		start := time.Now()

@@ -94,7 +94,7 @@ func run(args []string, stdout io.Writer) error {
 		tap = &trace.Tap{Max: *pcap}
 		tb.Switch.AddFilter(tap.Filter())
 	}
-	// In fabric mode the probes materialize from the client table,
+	// In fabric mode the probes materialize from the registered rows,
 	// round-robin across access domains; on the flat LAN they attach to
 	// the managed switch directly. Either way each probe is evaluated
 	// right after it joins, and clients collects them for the churn
@@ -111,8 +111,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if fb := tb.Fabric; fb != nil {
+		_, rows := fb.Rows(len(fb.Switches) - 1)
 		fmt.Fprintf(stdout, "fabric: %d access switches × %d registered clients (%d table rows)\n",
-			*fabric, *clientsPer, fb.Table.Len())
+			*fabric, *clientsPer, rows)
 		for i, b := range profiles.All() {
 			sw := i % *fabric
 			lo, hi := fb.Rows(sw)

@@ -59,9 +59,9 @@ func ExampleEvaluate() {
 
 // A two-tier world built from a spec: two access switches of four
 // registered clients each trunk into the managed switch. A registered
-// client is a ~32-byte table row until Materialize builds the full
-// host; Park returns it to its row, so the active working set stays
-// tiny no matter how many clients the spec registers.
+// client is a row index that holds no state until Materialize builds
+// the full host; Park returns it to its row, so the active working set
+// stays tiny no matter how many clients the spec registers.
 func Example_fabricTopology() {
 	spec := testbed.FabricTopology(testbed.DefaultOptions(), 2, 4)
 	tb, err := testbed.Build(spec)
@@ -72,8 +72,9 @@ func Example_fabricTopology() {
 	defer tb.Close()
 
 	fb := tb.Fabric
+	_, registered := fb.Rows(len(fb.Switches) - 1)
 	fmt.Printf("registered %d clients on %d access switches\n",
-		fb.Table.Len(), len(fb.Switches))
+		registered, len(fb.Switches))
 
 	for sw := 0; sw < 2; sw++ {
 		row, _ := fb.Rows(sw)

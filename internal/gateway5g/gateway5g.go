@@ -67,15 +67,12 @@ type Config struct {
 	// DHCPLeaseTime overrides the built-in DHCPv4 server's lease time
 	// (default one hour, matching the real device).
 	DHCPLeaseTime time.Duration
-	// NAT64UDPTimeout/NAT64TCPTimeout/NAT64TCPTransTimeout/
-	// NAT64ICMPTimeout override the translator's session lifetimes; zero
-	// fields keep the RFC 6146 defaults. The sharded scenario engine sets
-	// these effectively infinite so live-session counts are
-	// position-independent and merge associatively across worlds.
-	NAT64UDPTimeout      time.Duration
-	NAT64TCPTimeout      time.Duration
-	NAT64TCPTransTimeout time.Duration
-	NAT64ICMPTimeout     time.Duration
+	// NAT64SessionTimeout, when positive, is every NAT64 session's idle
+	// timeout (nat64.Config.SessionTimeout); zero keeps the RFC 6146
+	// per-protocol defaults. Scale and fabric worlds set it effectively
+	// infinite so live-session counts are position-independent and
+	// merge associatively across worlds.
+	NAT64SessionTimeout time.Duration
 }
 
 // Gateway is the device.
@@ -226,10 +223,7 @@ func New(net *netsim.Network, cfg Config) (*Gateway, error) {
 		// Disjoint port ranges keep inbound WAN dispatch unambiguous
 		// between the two translators.
 		PortMin: 32768, PortMax: 49151,
-		UDPTimeout:      cfg.NAT64UDPTimeout,
-		TCPTimeout:      cfg.NAT64TCPTimeout,
-		TCPTransTimeout: cfg.NAT64TCPTransTimeout,
-		ICMPTimeout:     cfg.NAT64ICMPTimeout,
+		SessionTimeout: cfg.NAT64SessionTimeout,
 	}, net.Clock.Now)
 	if err != nil {
 		return nil, err

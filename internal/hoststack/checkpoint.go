@@ -46,11 +46,3 @@ func (s *hostState) copyInto(dst *hostState) {
 	dst.DNSOverride = append(live.DNSOverride[:0], s.DNSOverride...)
 	dst.journal = append(live.journal[:0], s.journal...)
 }
-
-// ResetRows rewinds every Table row to its just-registered state: zero
-// sequence counters and never active. Used by testbed world reuse to
-// forget a run's population without reallocating the table.
-func (t *Table) ResetRows() {
-	clear(t.seq)
-	clear(t.everActive)
-}

@@ -126,6 +126,17 @@ func (h *Host) stopDHCPRetry() {
 	}
 }
 
+// StopTimers cancels the host's persistent timers (DHCP retransmit and
+// renew — the only ones a quiescent host keeps armed) so a parked host
+// leaves nothing in the event loop.
+func (h *Host) StopTimers() {
+	h.stopDHCPRetry()
+	if h.dhcp.renewTimer != nil {
+		h.dhcp.renewTimer.Stop()
+		h.dhcp.renewTimer = nil
+	}
+}
+
 // dhcpRetransmit resends the message the client is waiting on. Lost
 // REQUESTs eventually fall back to a new DISCOVER (the offer may have
 // been forgotten — e.g. the gateway rebooted); lost renewals fall back

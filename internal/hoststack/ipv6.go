@@ -168,17 +168,14 @@ func (h *Host) deliverIPv6(p *packet.IPv6) {
 
 // deliverViaCLAT translates an inbound NAT64-prefixed packet back to
 // IPv4 for the legacy application socket. The translation lives in the
-// CLAT's scratch until its next inbound packet. TCP copies its payload
-// into the receive buffer before anything else is received; a UDP
-// datagram is delivered from a copy, which stays intact when the CLAT
-// translates the next one.
+// CLAT's scratch until its next inbound packet, which is at least as
+// long as every delivered payload is valid: TCP copies its payload into
+// the receive buffer, and a UDP handler's payload is valid only during
+// the call (BindUDP).
 func (h *Host) deliverViaCLAT(p *packet.IPv6) {
 	var v4 packet.IPv4
 	if h.clat.TranslateV6ToV4(p, &v4) != nil {
 		return
-	}
-	if v4.Protocol == packet.ProtoUDP {
-		v4.Payload = bytes.Clone(v4.Payload)
 	}
 	h.deliverIPv4(&v4)
 }

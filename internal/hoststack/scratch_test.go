@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clat"
 	"repro/internal/dns64"
+	"repro/internal/netsim"
 	"repro/internal/packet"
 )
 
@@ -96,10 +97,10 @@ func TestLoopbackPayloadSurvivesNextSend(t *testing.T) {
 	}
 }
 
-// TestCLATDatagramSurvivesNextTranslation: a UDP handler that keeps
-// the payload of a datagram delivered through the CLAT (as Query does)
-// still holds the right bytes after the CLAT has translated the next
-// inbound datagram into its scratch.
+// TestCLATDatagramSurvivesNextTranslation: a UDP handler that copies
+// what it keeps of each datagram delivered through the CLAT (as Query
+// does) holds every datagram intact, though the CLAT translates the
+// next inbound datagram into the same scratch.
 func TestCLATDatagramSurvivesNextTranslation(t *testing.T) {
 	net := newTestNet()
 	h := New(net, "h", serverBehavior())
@@ -111,8 +112,8 @@ func TestCLATDatagramSurvivesNextTranslation(t *testing.T) {
 	h.clat = clat.New(self)
 	h.trackCLATPort(packet.ProtoUDP, 5000)
 
-	var got [][]byte
-	h.BindUDP(5000, func(_ netip.Addr, _ uint16, _ netip.Addr, payload []byte) { got = append(got, payload) })
+	var got []string
+	h.BindUDP(5000, func(_ netip.Addr, _ uint16, _ netip.Addr, payload []byte) { got = append(got, string(payload)) })
 	remote, err := dns64.Synthesize(dns64.WellKnownPrefix, netip.MustParseAddr("198.51.100.1"))
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +124,40 @@ func TestCLATDatagramSurvivesNextTranslation(t *testing.T) {
 		}
 	}
 	net.RunFor(time.Second)
-	if len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "XXXXX" {
+	if len(got) != 2 || got[0] != "first" || got[1] != "XXXXX" {
 		t.Errorf("handler holds %q, want [first XXXXX]", got)
+	}
+}
+
+// TestCLATDeliveryAllocatesNothing pins a datagram the CLAT delivers to
+// a UDP handler at 0 allocs on a warmed host: the handler reads it from
+// the CLAT's scratch, not from a copy.
+func TestCLATDeliveryAllocatesNothing(t *testing.T) {
+	h := New(newTestNet(), "h", serverBehavior())
+	self := netip.MustParseAddr("fd00:976a::1")
+	h.AddIPv6Static(self, ulaPrefix)
+	h.clat = clat.New(self)
+	h.trackCLATPort(packet.ProtoUDP, 5000)
+	delivered := 0
+	h.BindUDP(5000, func(_ netip.Addr, _ uint16, _ netip.Addr, payload []byte) {
+		if string(payload) == "answer" {
+			delivered++
+		}
+	})
+	remote, err := dns64.Synthesize(dns64.WellKnownPrefix, netip.MustParseAddr("198.51.100.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := packet.UDP{SrcPort: 53, DstPort: 5000, Payload: []byte("answer")}
+	p := packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: remote, Dst: self, Payload: u.Marshal(remote, self)}
+	f := netsim.Frame{Src: netsim.MAC{0x02, 0, 0, 0, 0, 0x09}, Dst: h.MAC(), EtherType: netsim.EtherTypeIPv6, Payload: p.Marshal()}
+
+	h.HandleFrame(h.NIC, f) // warm the CLAT's scratch
+	if allocs := testing.AllocsPerRun(100, func() { h.HandleFrame(h.NIC, f) }); allocs != 0 {
+		t.Errorf("a CLAT-delivered datagram allocates %.1f times, want 0", allocs)
+	}
+	if delivered != 102 {
+		t.Errorf("handler saw %d intact datagrams, want 102", delivered)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/hoststack"
+	"repro/internal/ndp"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 )
@@ -60,7 +61,8 @@ func TestSwitchRAIsLowPreference(t *testing.T) {
 	}))
 	sw.AttachPort(sink)
 	sw.Start()
-	net.Run(0)
+	// The beacon re-arms itself, so run one interval, not to quiescence.
+	net.RunFor(ndp.RAInterval)
 
 	if len(captured) == 0 {
 		t.Fatal("no RA captured")

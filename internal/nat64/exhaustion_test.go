@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/dns64"
+	"repro/internal/nat64/napt"
 	"repro/internal/packet"
 )
 
@@ -41,7 +42,7 @@ func TestPerSourceQuotaRefusal(t *testing.T) {
 
 	// Recovery rides expiry: once the first session idles out, the same
 	// source binds again.
-	clk.t = clk.t.Add(tr.Config().UDPTimeout + time.Second)
+	clk.t = clk.t.Add(tr.table.Timeouts().UDP + time.Second)
 	if _, err := v6ToV4(tr, udp6(t, clientV6, 5001, 53, serverV4, "d")); err != nil {
 		t.Fatalf("post-expiry flow: %v", err)
 	}
@@ -95,19 +96,41 @@ func TestSetPortRange(t *testing.T) {
 	}
 }
 
-// TestSetSessionTimeoutsPartial pins that non-positive arguments leave
-// the corresponding timeout untouched.
-func TestSetSessionTimeoutsPartial(t *testing.T) {
+// TestSetSessionTimeout pins the one timeout knob: a zero or negative
+// timeout keeps the four RFC 6146 defaults, and a positive one sets
+// all four, in New and in SetSessionTimeout alike.
+func TestSetSessionTimeout(t *testing.T) {
 	clk := newClock()
 	tr := newT(t, clk)
-	orig := tr.Config()
-	tr.SetSessionTimeouts(5*time.Second, 0, -time.Second, 0)
-	got := tr.Config()
-	if got.UDPTimeout != 5*time.Second {
-		t.Errorf("UDPTimeout = %v, want 5s", got.UDPTimeout)
+	if got := tr.table.Timeouts(); got != defaultTimeouts {
+		t.Errorf("default timeouts = %+v, want %+v", got, defaultTimeouts)
 	}
-	if got.TCPTimeout != orig.TCPTimeout || got.ICMPTimeout != orig.ICMPTimeout || got.TCPTransTimeout != orig.TCPTransTimeout {
-		t.Errorf("untouched timeouts changed: %+v vs %+v", got, orig)
+	if got := tr.Config().SessionTimeout; got != 0 {
+		t.Errorf("Config().SessionTimeout = %v under the defaults, want 0", got)
+	}
+	for _, d := range []time.Duration{0, -time.Second} {
+		tr.SetSessionTimeout(d)
+		if got := tr.table.Timeouts(); got != defaultTimeouts {
+			t.Errorf("SetSessionTimeout(%v) changed the timeouts to %+v", d, got)
+		}
+	}
+	all := napt.Timeouts{UDP: 5 * time.Second, TCP: 5 * time.Second, ICMP: 5 * time.Second, TCPTrans: 5 * time.Second}
+	tr.SetSessionTimeout(5 * time.Second)
+	if got := tr.table.Timeouts(); got != all {
+		t.Errorf("SetSessionTimeout(5s) timeouts = %+v, want %+v", got, all)
+	}
+	if got := tr.Config().SessionTimeout; got != 5*time.Second {
+		t.Errorf("Config().SessionTimeout = %v, want 5s", got)
+	}
+
+	cfg := tr.Config()
+	cfg.SessionTimeout = time.Minute
+	built, err := New(cfg, clk.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := built.Config(); got != cfg {
+		t.Errorf("New(%+v).Config() = %+v", cfg, got)
 	}
 }
 

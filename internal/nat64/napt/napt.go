@@ -96,19 +96,8 @@ func (t *Table) SetPortRange(portMin, portMax uint16) error {
 // PortRange returns the external port range.
 func (t *Table) PortRange() (portMin, portMax uint16) { return t.portMin, t.portMax }
 
-// SetTimeouts replaces the idle timeouts; a non-positive field keeps
-// the current one.
-func (t *Table) SetTimeouts(idle Timeouts) {
-	set := func(cur *time.Duration, d time.Duration) {
-		if d > 0 {
-			*cur = d
-		}
-	}
-	set(&t.idle.UDP, idle.UDP)
-	set(&t.idle.TCP, idle.TCP)
-	set(&t.idle.ICMP, idle.ICMP)
-	set(&t.idle.TCPTrans, idle.TCPTrans)
-}
+// SetTimeouts replaces the idle timeouts.
+func (t *Table) SetTimeouts(idle Timeouts) { t.idle = idle }
 
 // Timeouts returns the idle timeouts.
 func (t *Table) Timeouts() Timeouts { return t.idle }

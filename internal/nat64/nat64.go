@@ -40,17 +40,20 @@ type Config struct {
 	// PortMin/PortMax bound the external port pool.
 	PortMin, PortMax uint16
 
-	UDPTimeout  time.Duration
-	TCPTimeout  time.Duration
-	ICMPTimeout time.Duration
-	// TCPTransTimeout is the RFC 6146 §5.2 TCP_TRANS timer applied to
-	// closing TCP sessions (FIN/RST seen). Zero means the RFC default.
-	TCPTransTimeout time.Duration
+	// SessionTimeout, when positive, is every session's idle timeout:
+	// UDP, TCP, ICMP and the TCP_TRANS timer of closing TCP sessions
+	// alike. Zero keeps the RFC 6146 per-protocol defaults.
+	SessionTimeout time.Duration
 }
 
 // DefaultTCPTransTimeout is the RFC 6146 §5.2 TCP_TRANS timer: once a
 // FIN or RST is seen, the session only lingers briefly.
 const DefaultTCPTransTimeout = 4 * time.Minute
+
+// defaultTimeouts are the RFC 6146 session idle timeouts.
+var defaultTimeouts = napt.Timeouts{
+	UDP: DefaultUDPTimeout, TCP: DefaultTCPTimeout, ICMP: DefaultICMPTimeout, TCPTrans: DefaultTCPTransTimeout,
+}
 
 // Translator is a stateful NAT64.
 type Translator struct {
@@ -107,8 +110,8 @@ type translatorState struct {
 	PortsExhausted uint64
 }
 
-// New creates a translator. Zero timeout fields take the RFC defaults;
-// a zero port range defaults to 32768..65535.
+// New creates a translator. A zero SessionTimeout keeps the RFC
+// defaults; a zero port range defaults to 32768..65535.
 func New(cfg Config, now func() time.Time) (*Translator, error) {
 	if cfg.Prefix.Bits() != 96 {
 		return nil, fmt.Errorf("nat64: prefix %v must be a /96", cfg.Prefix)
@@ -119,25 +122,24 @@ func New(cfg Config, now func() time.Time) (*Translator, error) {
 	if cfg.PortMin == 0 && cfg.PortMax == 0 {
 		cfg.PortMin, cfg.PortMax = 32768, 65535
 	}
-	table, err := napt.New(cfg.PortMin, cfg.PortMax, napt.Timeouts{
-		UDP: DefaultUDPTimeout, TCP: DefaultTCPTimeout, ICMP: DefaultICMPTimeout, TCPTrans: DefaultTCPTransTimeout,
-	}, now)
+	table, err := napt.New(cfg.PortMin, cfg.PortMax, defaultTimeouts, now)
 	if err != nil {
 		return nil, fmt.Errorf("nat64: %w", err)
 	}
 	t := &Translator{prefix: cfg.Prefix, public: cfg.PublicV4, table: table}
-	t.SetSessionTimeouts(cfg.UDPTimeout, cfg.TCPTimeout, cfg.ICMPTimeout, cfg.TCPTransTimeout)
+	t.SetSessionTimeout(cfg.SessionTimeout)
 	return t, nil
 }
 
-// Config returns the active configuration.
+// Config returns the active configuration. SessionTimeout reads zero
+// while the RFC 6146 defaults are in force.
 func (t *Translator) Config() Config {
 	portMin, portMax := t.table.PortRange()
-	idle := t.table.Timeouts()
-	return Config{
-		Prefix: t.prefix, PublicV4: t.public, PortMin: portMin, PortMax: portMax,
-		UDPTimeout: idle.UDP, TCPTimeout: idle.TCP, ICMPTimeout: idle.ICMP, TCPTransTimeout: idle.TCPTrans,
+	cfg := Config{Prefix: t.prefix, PublicV4: t.public, PortMin: portMin, PortMax: portMax}
+	if idle := t.table.Timeouts(); idle != defaultTimeouts {
+		cfg.SessionTimeout = idle.UDP
 	}
+	return cfg
 }
 
 // FlushSessions drops every binding at once — the effect of a gateway
@@ -176,10 +178,13 @@ func (t *Translator) SetPortRange(min, max uint16) error {
 	return t.table.SetPortRange(min, max)
 }
 
-// SetSessionTimeouts overrides the session idle timeouts in place.
-// Non-positive arguments leave the corresponding timeout untouched.
-func (t *Translator) SetSessionTimeouts(udp, tcp, icmp, tcpTrans time.Duration) {
-	t.table.SetTimeouts(napt.Timeouts{UDP: udp, TCP: tcp, ICMP: icmp, TCPTrans: tcpTrans})
+// SetSessionTimeout sets every session idle timeout (UDP, TCP, ICMP
+// and TCP_TRANS) to d in place. A non-positive d keeps the current
+// timeouts.
+func (t *Translator) SetSessionTimeout(d time.Duration) {
+	if d > 0 {
+		t.table.SetTimeouts(napt.Timeouts{UDP: d, TCP: d, ICMP: d, TCPTrans: d})
+	}
 }
 
 // TranslateV6ToV4 translates one outbound IPv6 packet into IPv4 per

@@ -188,15 +188,17 @@ func TestKeptPayloadIsScribbledAfterDelivery(t *testing.T) {
 func TestEventQueueOrdering(t *testing.T) {
 	net := NewNetwork()
 	var got []int
-	// Schedule in a scrambled pattern of delays; same-delay events must
-	// run in scheduling order.
+	dst := net.NewNIC(FrameHandlerFunc(func(_ *NIC, f Frame) { got = append(got, int(f.EtherType)) }))
+	// Queue frames in a scrambled pattern of delays, each carrying its
+	// id in the EtherType; same-delay frames must arrive in queueing
+	// order.
 	delays := []int{5, 1, 3, 1, 5, 0, 3, 1, 0, 5, 2, 4, 2, 0, 4}
 	seqPerDelay := map[int]int{}
 	for _, d := range delays {
 		s := seqPerDelay[d]
 		seqPerDelay[d]++
 		id := d*100 + s
-		net.schedule(time.Duration(d)*time.Millisecond, func() { got = append(got, id) })
+		net.scheduleFrame(time.Duration(d)*time.Millisecond, dst, Frame{EtherType: uint16(id)})
 	}
 	net.Run(0)
 	if len(got) != len(delays) {

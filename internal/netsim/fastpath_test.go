@@ -447,8 +447,7 @@ func TestUnknownUnicastSuppression(t *testing.T) {
 
 // TestInjectAllFanout checks that switch-originated multicast injections
 // (Router Advertisements from the managed switch) ride the shared
-// fan-out path, while zero-source injections keep the legacy per-port
-// transmit semantics (each port stamps its own source MAC).
+// fan-out path.
 func TestInjectAllFanout(t *testing.T) {
 	net := NewNetwork()
 	sw := NewSwitch(net)
@@ -464,42 +463,5 @@ func TestInjectAllFanout(t *testing.T) {
 	}
 	if len(a.frames) != 1 || len(b.frames) != 1 || a.frames[0].Src != src {
 		t.Fatalf("fan-out injection misdelivered: a=%d b=%d", len(a.frames), len(b.frames))
-	}
-
-	sw.InjectAll(Frame{Dst: Broadcast, EtherType: EtherTypeIPv6, Payload: []byte("legacy")})
-	net.Run(0)
-	if st := sw.Stats(); st.FanoutFloods != 1 {
-		t.Errorf("zero-source InjectAll took the fan-out path; must stay per-port (per-port source stamping)")
-	}
-	if len(a.frames) != 2 || len(b.frames) != 2 {
-		t.Fatalf("legacy injection misdelivered: a=%d b=%d", len(a.frames), len(b.frames))
-	}
-}
-
-// TestFloodFallsBackWhenPortImpaired checks the determinism escape
-// hatch: if any eligible egress port carries an impairment, the flood
-// abandons fan-out and delivers per-port so impairment PRNG streams are
-// consumed exactly as before the fast path existed.
-func TestFloodFallsBackWhenPortImpaired(t *testing.T) {
-	net := NewNetwork()
-	sw := NewSwitch(net)
-	var a, b collector
-	src := net.NewNIC(nil)
-	sw.AttachPort(src)
-	sw.AttachPort(net.NewNIC(&a))
-	sw.AttachPort(net.NewNIC(&b))
-
-	// Jitter-only impairment on one egress port: frames still arrive,
-	// but the port must be served by per-port transmits.
-	sw.PortNIC(2).SetImpairment(Impairment{Jitter: time.Millisecond}, 42)
-
-	src.Transmit(Frame{Dst: Broadcast, EtherType: EtherTypeIPv4, Payload: []byte("x")})
-	net.Run(0)
-
-	if st := sw.Stats(); st.FanoutFloods != 0 {
-		t.Errorf("FanoutFloods = %d, want 0 (impaired egress must fall back to per-port)", st.FanoutFloods)
-	}
-	if len(a.frames) != 1 || len(b.frames) != 1 {
-		t.Errorf("fallback flood misdelivered: a=%d b=%d, want 1/1", len(a.frames), len(b.frames))
 	}
 }

@@ -78,7 +78,10 @@ const rxStreamOffset = 0x632be59bd9b4e019
 // unpredictable set of ports, so tying PRNG consumption to it would
 // make the stream depend on unrelated devices. Periodic RA beacons are
 // therefore modelled as reliable; unicast (and the impaired client's
-// own broadcasts, e.g. DHCP DISCOVER) are where loss bites.
+// own broadcasts, e.g. DHCP DISCOVER) are where loss bites. For the
+// same reason a switch's flood fan-out consults no impairment, not even
+// one set on the switch-side port it egresses: only a port's unicast
+// transmits draw from its streams.
 //
 // The flap schedule is anchored at the virtual time of this call.
 func (nc *NIC) SetImpairment(spec Impairment, seed uint64) {

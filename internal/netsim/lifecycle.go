@@ -11,10 +11,10 @@ import "time"
 // and Restore to reuse them.
 
 // Stop shuts the fabric down: every pending event and timer is
-// discarded, and any further scheduling — frame transmission, timer
-// arming, deferred callbacks — becomes a silent no-op. Devices stay
-// attached and their state is preserved for inspection, but the world
-// cannot make progress again until Restore. Stop is idempotent.
+// discarded, and any further scheduling — frame transmission or timer
+// arming — becomes a silent no-op. Devices stay attached and their
+// state is preserved for inspection, but the world cannot make progress
+// again until Restore. Stop is idempotent.
 func (n *Network) Stop() {
 	n.stopped = true
 	n.dropPending()

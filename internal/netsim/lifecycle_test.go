@@ -21,7 +21,8 @@ func TestStopDiscardsPendingAndRefusesNewWork(t *testing.T) {
 
 	// New work after Stop is a silent no-op.
 	n.Clock.AfterFunc(time.Millisecond, func() { fired = true })
-	n.schedule(time.Millisecond, func() { fired = true })
+	rx := n.NewNIC(FrameHandlerFunc(func(*NIC, Frame) { fired = true }))
+	n.scheduleFrame(time.Millisecond, rx, Frame{})
 	if got := n.Run(0); got != 0 {
 		t.Errorf("Run processed %d events on a stopped fabric", got)
 	}
@@ -37,7 +38,7 @@ func TestResetRewindsToPristineState(t *testing.T) {
 	epoch := n.Clock.Now()
 	n.Checkpoint()
 
-	n.schedule(time.Millisecond, func() {})
+	n.scheduleFrame(time.Millisecond, n.NewNIC(nil), Frame{})
 	n.RunFor(5 * time.Second)
 	if n.Clock.Now().Equal(epoch) {
 		t.Fatal("clock did not advance before Reset")

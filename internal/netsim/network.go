@@ -52,12 +52,11 @@ const DefaultLinkLatency = 10 * time.Microsecond
 // single goroutine, in deterministic (time, sequence) order.
 //
 // Pending work lives in three cooperating structures: the global event
-// heap (eventQueue) holds one-off occurrences — callbacks, legacy
-// per-frame deliveries, flood fan-outs and ring drain events; the
-// hierarchical timer wheel (Clock) holds armed timers; and per-link
-// frame rings (ring.go) hold in-flight pristine unicast frames, each
-// ring represented in the heap by a single drain event keyed at its
-// head frame's (when, seq). The scheduler (step) always executes the
+// heap (eventQueue) holds frame deliveries — per-frame deliveries, flood
+// fan-outs and ring drain events; the hierarchical timer wheel (Clock)
+// holds armed timers; and per-link frame rings (ring.go) hold in-flight
+// pristine unicast frames, each ring represented in the heap by a
+// single drain event keyed at its head frame's (when, seq). The scheduler (step) always executes the
 // globally earliest occurrence across all three, with events winning
 // ties against timers at equal timestamps and seq breaking ties between
 // events, so delivery order is a total order independent of which
@@ -114,18 +113,17 @@ type netState struct {
 	ringOverflows uint64 // frames bounced to the legacy path by a full ring
 }
 
-// event is one pending occurrence on the fabric, ordered by (when, seq).
-// Frame deliveries are stored inline (dst != nil) so the hot path never
-// allocates a closure; everything else carries a callback in fn. A
-// fan-out delivery (dsts != nil) carries one shared payload and the
-// whole destination set of a flooded frame in a single event. A ring
-// drain (ringNIC != nil) carries no frame at all: it stands in for
-// every frame queued in that NIC's link ring, keyed at the head frame's
-// (when, seq).
+// event is one pending frame delivery on the fabric, ordered by (when,
+// seq); callbacks are Clock timers, not events. A single delivery
+// (dst != nil) carries its frame inline, so the hot path never
+// allocates a closure. A fan-out delivery (dsts != nil) carries one
+// shared payload and the whole destination set of a flooded frame in a
+// single event. A ring drain (ringNIC != nil) carries no frame at all:
+// it stands in for every frame queued in that NIC's link ring, keyed at
+// the head frame's (when, seq).
 type event struct {
 	when    time.Time
 	seq     uint64
-	fn      func()
 	dst     *NIC
 	dsts    []*NIC
 	ringNIC *NIC
@@ -333,21 +331,6 @@ func (n *Network) Connect(a, b *NIC) {
 	a.peer, b.peer = b, a
 }
 
-// schedule enqueues fn to run at virtual time now+d.
-func (n *Network) schedule(d time.Duration, fn func()) {
-	if n.stopped {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	n.seq++
-	n.queue.push(event{when: n.Clock.Now().Add(d), seq: n.seq, fn: fn})
-	if len(n.queue) > n.queuePeak {
-		n.queuePeak = len(n.queue)
-	}
-}
-
 // scheduleFrame enqueues delivery of f to dst at virtual time now+d.
 // The frame rides inside the event itself, so a delivery costs no
 // closure allocation.
@@ -408,13 +391,12 @@ func (n *Network) scheduleFanout(d time.Duration, dsts []*NIC, f Frame) {
 	}
 }
 
-// run executes one popped event. A frame's payload goes back to the
-// arena once its last handler has returned.
+// run executes one popped delivery event. A frame's payload goes back
+// to the arena once its last handler has returned.
 func (n *Network) run(ev event) {
-	switch {
-	case ev.dst != nil:
+	if ev.dst != nil {
 		n.deliver(ev.dst, ev.frame.clipped())
-	case ev.dsts != nil:
+	} else {
 		// The per-port body is deliver's, written out: a call per port
 		// (deliver does not inline) costs a wide flood about a third.
 		n.fanoutEvents++
@@ -430,9 +412,6 @@ func (n *Network) run(ev event) {
 			}
 		}
 		n.releaseFanout(ev.dsts)
-	default:
-		ev.fn()
-		return
 	}
 	n.arena.release(ev.frame.Payload)
 }

@@ -116,23 +116,6 @@ func (nc *NIC) AddEtherTypeInterest(et uint16) {
 	}
 }
 
-// wantsEtherType reports whether a flooded frame of the given EtherType
-// should reach this NIC (unrestricted NICs want everything).
-func (nc *NIC) wantsEtherType(et uint16) bool {
-	if !nc.managed {
-		return true
-	}
-	switch et {
-	case EtherTypeARP:
-		return nc.wantARP
-	case EtherTypeIPv4:
-		return nc.wantIPv4
-	case EtherTypeIPv6:
-		return nc.wantIPv6
-	}
-	return false
-}
-
 // JoinGroup registers membership in a multicast MAC group (e.g. the
 // all-nodes or a solicited-node 33:33:ff:… group). Joins are refcounted:
 // every JoinGroup needs a matching LeaveGroup before membership lapses,

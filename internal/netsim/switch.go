@@ -282,22 +282,11 @@ func (s *Switch) leaveGroup(port int, g MAC) {
 // e.g. the managed switch's own Router Advertisements).
 func (s *Switch) PortNIC(i int) *NIC { return s.ports[i] }
 
-// InjectAll transmits a frame out of every port, as if originated by the
-// switch itself. Multicast injections with a stamped source ride the
-// shared-payload fan-out path (one event, one payload copy, snooping
-// suppression applied); anything else falls back to per-port transmits.
-func (s *Switch) InjectAll(f Frame) {
-	if f.Src.IsZero() || !f.Dst.IsMulticast() {
-		for i, p := range s.ports {
-			if p.peer == nil || (s.scopeTrunks && s.trunks.has(i)) {
-				continue
-			}
-			p.Transmit(f)
-		}
-		return
-	}
-	s.floodMulticast(-1, f)
-}
+// InjectAll floods a frame out of every port, as if originated by the
+// switch itself, on the shared-payload fan-out path (one event, one
+// payload copy, snooping suppression applied). f must be multicast and
+// carry its source MAC: the fan-out stamps no per-port source.
+func (s *Switch) InjectAll(f Frame) { s.floodMulticast(-1, f) }
 
 // SwitchStats is a point-in-time snapshot of a switch's forwarding and
 // flood-suppression counters.
@@ -431,9 +420,8 @@ func isV6GroupMAC(m MAC) bool { return m[0] == 0x33 && m[1] == 0x33 }
 // ports (switch-originated injection). Eligibility is computed 64 ports
 // at a time from the snooped interest bitsets; delivery order (port
 // index order at one virtual instant) is identical to the legacy
-// per-port loop, so behaviour is bit-for-bit preserved. If any eligible
-// egress port carries an impairment the flood falls back to per-port
-// transmits, keeping impairment PRNG stream consumption unchanged.
+// per-port loop, so behaviour is bit-for-bit preserved. The fan-out
+// consults no egress impairment (see NIC.SetImpairment).
 func (s *Switch) floodMulticast(ingress int, f Frame) {
 	n := len(s.ports)
 	if n == 0 {
@@ -485,17 +473,6 @@ func (s *Switch) floodMulticast(ingress int, f Frame) {
 		mask[w] = mw
 	}
 
-	for w, m := range mask {
-		for m != 0 {
-			i := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			if s.ports[i].impair != nil {
-				s.floodLegacy(mask, f)
-				return
-			}
-		}
-	}
-
 	dsts := s.net.takeFanout()
 	size := uint64(len(f.Payload))
 	for w, m := range mask {
@@ -519,17 +496,4 @@ func (s *Switch) floodMulticast(ingress int, f Frame) {
 	s.fanoutFloods++
 	f.Payload = s.net.arena.copyOf(f.Payload)
 	s.net.scheduleFanout(DefaultLinkLatency, dsts, f)
-}
-
-// floodLegacy delivers a flood to the masked ports via individual
-// transmits — the fallback when an egress link is impaired and per-frame
-// PRNG draws must happen in the same order as always.
-func (s *Switch) floodLegacy(mask []uint64, f Frame) {
-	for w, m := range mask {
-		for m != 0 {
-			i := w<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			s.ports[i].Transmit(f)
-		}
-	}
 }

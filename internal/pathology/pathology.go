@@ -351,7 +351,7 @@ func init() {
 			"external port pool to block × devices, so shard worlds split the serial pool pro rata",
 		InstallGated: func(tb *testbed.Testbed, gate *Gate) error {
 			nat := tb.Gateway.NAT64
-			nat.SetSessionTimeouts(exhaustionTimeout, exhaustionTimeout, exhaustionTimeout, exhaustionTimeout)
+			nat.SetSessionTimeout(exhaustionTimeout)
 			gate.OnTransition(func(active bool) {
 				if active {
 					nat.MaxSessionsPerSource = exhaustionQuota

@@ -44,8 +44,6 @@ type fieldClass struct {
 	// drops them, and the clock re-arms the timers pending at the
 	// checkpoint.
 	pending []string
-	// zeroed is rewound to its Build-time value without a saved copy.
-	zeroed []string
 	// state names the state field when it is not the embedded struct
 	// whose type saved points to.
 	state string
@@ -124,12 +122,9 @@ var checkpointFields = map[string]fieldClass{
 	"testbed.switchableResolver": {
 		state: "active",
 	},
-	// No client has acted at the checkpoint, so every Table row is in
-	// its just-registered state and Restore re-zeroes the rows.
 	"testbed.Fabric": {
 		parts:  []string{"Switches"},
 		config: []string{"tb", "spec", "rowStart"},
-		zeroed: []string{"Table"},
 	},
 }
 
@@ -258,7 +253,7 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			declared := map[string]string{}
 			for kind, names := range map[string][]string{
 				"parts": class.parts, "config": class.config, "scratch": class.scratch,
-				"pending": class.pending, "zeroed": class.zeroed,
+				"pending": class.pending,
 			} {
 				for _, n := range names {
 					if prev, dup := declared[n]; dup {
@@ -592,9 +587,8 @@ func dirtyPending(tb *testbed.Testbed) {
 // checkNothingPending fails unless the world's pending work after Reset
 // is exactly the checkpoint's: no queued event, no frame in the ring of
 // any infrastructure or switch-port NIC, every payload buffer the arena
-// allocated back on its free lists, the checkpoint's timers and only
-// those, and in a fabric world every Table row back in its
-// just-registered state.
+// allocated back on its free lists, and the checkpoint's timers and
+// only those.
 func checkNothingPending(t *testing.T, tb *testbed.Testbed, snap worldSnapshot) {
 	t.Helper()
 	net := reflect.ValueOf(tb.Net).Elem()
@@ -626,17 +620,6 @@ func checkNothingPending(t *testing.T, tb *testbed.Testbed, snap worldSnapshot) 
 	}
 	if got := pendingTimers(tb); got != snap.timers {
 		t.Errorf("pending timers after Reset:\n  got:  %s\n  want: %s", got, snap.timers)
-	}
-	if tb.Fabric != nil {
-		table := reflect.ValueOf(tb.Fabric.Table).Elem()
-		for _, col := range []string{"seq", "everActive"} {
-			rows := field(table, col)
-			for i := 0; i < rows.Len(); i++ {
-				if !rows.Index(i).IsZero() {
-					t.Fatalf("fabric Table row %d keeps its %s after Reset", i, col)
-				}
-			}
-		}
 	}
 }
 

@@ -74,7 +74,7 @@ func actorsOf(actors int, as testbed.AccessSwitchSpec) int {
 // runFabricWorld runs the acting population (drawn from DefaultMix) of
 // every access switch in tb's world, one device at a time: materialize
 // the row, run the trial, park the row. Parking returns the device to
-// its table row, so the world never holds more than one full client
+// its stateless row, so the world never holds more than one full client
 // Host at once.
 func runFabricWorld(tb *testbed.Testbed, seed int64, actors int, ro RunOptions) *Report {
 	r := newTrialRunner(tb, ro)

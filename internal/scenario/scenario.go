@@ -312,8 +312,8 @@ func RunWith(tb *testbed.Testbed, devices []DeviceSpec, opt RunOptions) *Report 
 
 // trialRunner is the per-world engine both execution shapes share: the
 // flat path (RunWith attaches every device to the single switch) and
-// the fabric path (RunFabric materializes table rows on their access
-// switches). It owns the SSID monitor, the per-trial chaos machinery
+// the fabric path (RunFabric materializes registered rows on their
+// access switches). It owns the SSID monitor, the per-trial chaos machinery
 // and the report under construction; only how a device joins the world
 // differs, which runTrial takes as a closure.
 type trialRunner struct {

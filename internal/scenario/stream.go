@@ -64,10 +64,8 @@ func (s *lockedSink) ObserveRow(r Row) {
 // sized factory differ only in that), RunFabric keys by subtree index
 // (a serial fabric run is subtree 0). A caller may park a checkpointed
 // world under the matching key ahead of a run, and the run then builds
-// nothing.
-// Worlds that cannot checkpoint (built clients) are closed on Put and
-// rebuilt on Get, so the pool degrades to build-per-run rather than
-// failing. Safe for concurrent use by shard workers.
+// nothing. A world that cannot checkpoint fails Get. Safe for
+// concurrent use by shard workers.
 type WorldPool struct {
 	mu   sync.Mutex
 	idle map[any][]*testbed.Testbed
@@ -79,9 +77,11 @@ func NewWorldPool() *WorldPool {
 }
 
 // Get returns a world for key: an idle pooled world reset to its
-// checkpoint if one is available, else a fresh build (checkpointed so
-// it can be pooled on Put). A pooled world that fails Reset is closed
-// and replaced by a fresh build.
+// checkpoint if one is available, else a fresh build, checkpointed so
+// it can be pooled on Put. A pooled world that fails Reset is closed
+// and replaced by a fresh build; a fresh build that fails Checkpoint
+// (testbed.ErrClientsBuilt: a client joined before it) is closed and
+// its error returned.
 func (p *WorldPool) Get(key any, build func() (*testbed.Testbed, error)) (*testbed.Testbed, error) {
 	for {
 		p.mu.Lock()
@@ -102,20 +102,17 @@ func (p *WorldPool) Get(key any, build func() (*testbed.Testbed, error)) (*testb
 	if err != nil {
 		return nil, err
 	}
-	// Checkpoint may refuse (worlds with built clients); the world is
-	// still usable, it just won't be pooled.
-	_ = tb.Checkpoint()
+	if err := tb.Checkpoint(); err != nil {
+		tb.Close()
+		return nil, err
+	}
 	return tb, nil
 }
 
-// Put parks tb for reuse under key. Worlds without a checkpoint cannot
-// rewind and are closed instead.
+// Put parks tb, a checkpointed world (one Get returned, or one the
+// caller checkpointed), for reuse under key.
 func (p *WorldPool) Put(key any, tb *testbed.Testbed) {
 	if tb == nil {
-		return
-	}
-	if !tb.Checkpointed() {
-		tb.Close()
 		return
 	}
 	p.mu.Lock()

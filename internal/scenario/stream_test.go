@@ -3,6 +3,7 @@ package scenario
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pathology"
+	"repro/internal/profiles"
 	"repro/internal/testbed"
 )
 
@@ -367,7 +369,8 @@ func TestWorldPoolFabricReuse(t *testing.T) {
 // keyed by shard device count and a serial fabric run by subtree 0, so
 // a world parked under that key serves the run with no build at all;
 // with no pool, every shard builds its own world exactly once and the
-// engine closes it.
+// engine closes it. A pooled run whose factory returns a world that
+// cannot checkpoint fails instead of running it unpooled.
 func TestWorldPoolContracts(t *testing.T) {
 	t.Run("sized-keys", func(t *testing.T) {
 		const n, k = 10, 4 // shard sizes 2, 3, 2, 3
@@ -474,6 +477,39 @@ func TestWorldPoolContracts(t *testing.T) {
 		for i, tb := range built {
 			if !tb.Net.Stopped() {
 				t.Errorf("world %d still running after the run (want Close)", i)
+			}
+		}
+	})
+
+	t.Run("clients-built", func(t *testing.T) {
+		const n, k = 4, 2
+		devices := Population(3, n, DefaultMix())
+		fac := testbed.Factory{Spec: testbed.ScaleTopology(testbed.DefaultOptions(), n)}
+		var mu sync.Mutex
+		var built []*testbed.Testbed
+		early := func(int) (*testbed.Testbed, error) {
+			tb, err := fac.Build()
+			if err != nil {
+				return nil, err
+			}
+			tb.AddClient("early", profiles.IOS())
+			mu.Lock()
+			built = append(built, tb)
+			mu.Unlock()
+			return tb, nil
+		}
+		pool := NewWorldPool()
+		defer pool.Close()
+		_, err := RunShardedSized(early, devices, ShardOptions{Shards: k, Seed: 3, Pool: pool})
+		if !errors.Is(err, testbed.ErrClientsBuilt) {
+			t.Fatalf("pooled run on worlds with a client: err = %v, want ErrClientsBuilt", err)
+		}
+		if len(built) == 0 {
+			t.Fatal("factory never called")
+		}
+		for i, tb := range built {
+			if !tb.Net.Stopped() {
+				t.Errorf("world %d still running after the failed Get (want Close)", i)
 			}
 		}
 	})

@@ -14,9 +14,9 @@ import (
 // This file is the hierarchical fabric tier: instead of one flat
 // broadcast domain, clients hang off access switches trunked into the
 // managed (distribution) switch, which scopes floods so broadcast-heavy
-// protocol chatter stays inside its own access domain. Combined with
-// the hoststack memory diet (a registered client is a 9-byte table
-// row until it first acts), a single process holds million-client
+// protocol chatter stays inside its own access domain. A registered
+// client is only a row index, costing nothing until Materialize builds
+// its Host when it first acts, so a single process holds million-client
 // worlds. Flat worlds — Fabric unset — never touch any of this code.
 
 // FabricSpec describes the access tier of a Topology. The zero value
@@ -74,11 +74,7 @@ func FabricTopology(opt Options, access, clientsPer int) Topology {
 	t.Gateway.PoolEnd = addrPlus(t.Gateway.PoolStart, access*stride-1)
 	t.Gateway.DHCPLeaseTime = 240 * time.Hour
 
-	const never = 10 * 365 * 24 * time.Hour
-	t.Gateway.NAT64UDPTimeout = never
-	t.Gateway.NAT64TCPTimeout = never
-	t.Gateway.NAT64TCPTransTimeout = never
-	t.Gateway.NAT64ICMPTimeout = never
+	t.Gateway.NAT64SessionTimeout = 10 * 365 * 24 * time.Hour
 
 	t.Fabric = FabricSpec{DomainStride: stride}
 	for i := 0; i < access; i++ {
@@ -158,17 +154,17 @@ func (spec Topology) validateFabric() error {
 	return nil
 }
 
-// Fabric is the runtime access tier of a fabric world.
+// Fabric is the runtime access tier of a fabric world. Its registered
+// clients are the rows 0..n-1, numbered switch by switch in spec order;
+// a row holds no state until Materialize builds its Host.
 type Fabric struct {
 	tb   *Testbed
 	spec FabricSpec
 
 	// Switches holds the access switches in spec order.
 	Switches []*netsim.Switch
-	// Table is the struct-of-arrays store for every registered client.
-	Table *hoststack.Table
-	// rowStart[i] is the first Table row of access switch i;
-	// rowStart[len(Access)] is Table.Len().
+	// rowStart[i] is the first row of access switch i;
+	// rowStart[len(Access)] is the number of registered clients.
 	rowStart []int
 
 	// fabricState holds the materialized clients; Checkpoint saves a
@@ -178,7 +174,7 @@ type Fabric struct {
 }
 
 // fabricState is the part of a Fabric that a run changes, on top of its
-// access switches' own state and the Table rows.
+// access switches' own state.
 type fabricState struct {
 	active    map[int]*activeClient
 	macDomain map[netsim.MAC]int
@@ -192,18 +188,14 @@ type activeClient struct {
 }
 
 // buildFabric assembles the access tier: per-domain trunked switches,
-// the client table, flood scoping on the distribution switch, and
+// the client row ranges, flood scoping on the distribution switch, and
 // per-domain lease scoping on both DHCP servers.
 func (tb *Testbed) buildFabric(spec Topology) error {
 	f := spec.Fabric
-	total := 0
-	for _, as := range f.Access {
-		total += as.Clients
-	}
 	fb := &Fabric{
-		tb:    tb,
-		spec:  f,
-		Table: hoststack.NewTable(total),
+		tb:       tb,
+		spec:     f,
+		rowStart: make([]int, 1, len(f.Access)+1),
 		fabricState: fabricState{
 			active:    make(map[int]*activeClient),
 			macDomain: make(map[netsim.MAC]int),
@@ -228,12 +220,8 @@ func (tb *Testbed) buildFabric(spec Topology) error {
 		asw.MarkTrunk(aPort)
 		tb.Switch.MarkTrunk(dPort)
 		fb.Switches = append(fb.Switches, asw)
-		fb.rowStart = append(fb.rowStart, fb.Table.Len())
-		for j := 0; j < as.Clients; j++ {
-			fb.Table.Add()
-		}
+		fb.rowStart = append(fb.rowStart, fb.rowStart[len(fb.rowStart)-1]+as.Clients)
 	}
-	fb.rowStart = append(fb.rowStart, fb.Table.Len())
 
 	piPools := make(map[int]dhcp4.DomainPool, len(f.Access))
 	gwPools := make(map[int]dhcp4.DomainPool, len(f.Access))
@@ -262,18 +250,18 @@ func (fb *Fabric) domainOfMAC(ch [6]byte) int {
 }
 
 // SwitchIndexOf returns the position index of the access switch owning
-// a table row.
+// a row.
 func (fb *Fabric) SwitchIndexOf(row int) int {
 	return sort.Search(len(fb.rowStart)-1, func(i int) bool { return fb.rowStart[i+1] > row })
 }
 
-// DomainOf returns the access-domain index owning a table row.
+// DomainOf returns the access-domain index owning a row.
 func (fb *Fabric) DomainOf(row int) int {
 	return fb.spec.Access[fb.SwitchIndexOf(row)].Domain
 }
 
-// Rows returns the half-open table-row range [lo, hi) registered on
-// access switch i.
+// Rows returns the half-open row range [lo, hi) registered on access
+// switch i.
 func (fb *Fabric) Rows(i int) (lo, hi int) { return fb.rowStart[i], fb.rowStart[i+1] }
 
 // ActiveCount reports how many clients are currently materialized.
@@ -282,8 +270,9 @@ func (fb *Fabric) ActiveCount() int { return len(fb.active) }
 // Materialize allocates the full Host for a registered client, attaches
 // it to its access switch (reusing detached port slots), applies the
 // world's impairment keyed by name, and boots the stack — the lazy
-// counterpart of AddClient. The row's saved sequence counters carry
-// over, so a re-materialized client keeps issuing fresh identifiers.
+// counterpart of AddClient. A row materialized again after Park boots
+// a fresh Host, as a rebooted device does: its new MAC seeds a new
+// DHCP transaction-ID range, and its DNS and ping IDs start over.
 func (fb *Fabric) Materialize(row int, name string, b hoststack.Behavior) *hoststack.Host {
 	if a, ok := fb.active[row]; ok {
 		return a.host
@@ -296,26 +285,24 @@ func (fb *Fabric) Materialize(row int, name string, b hoststack.Behavior) *hosts
 		h.NIC.SetImpairment(tb.Spec.Impair, chaosSeed(tb.Spec.ChaosSeed, name))
 	}
 	fb.macDomain[h.MAC()] = fb.spec.Access[sw].Domain
-	fb.Table.MarkMaterialized(row, h)
 	fb.active[row] = &activeClient{host: h, sw: sw, port: port}
 	h.Start()
 	tb.Net.RunFor(2 * time.Second)
 	return h
 }
 
-// Park returns a materialized client to its table row: sequence
-// counters are saved, persistent timers stopped, the access port
-// detached (its slot recycles), every switch forgets the MAC and the
-// fabric drops the NIC from its ring list. The Host reference dies with
-// the parked row, so a million registered clients never hold more than
-// the active working set of full Hosts.
+// Park returns a materialized client to its stateless row: persistent
+// timers stopped, the access port detached (its slot recycles), every
+// switch forgets the MAC and the fabric drops the NIC from its ring
+// list. The Host reference dies with the parked row, so a million
+// registered clients never hold more than the active working set of
+// full Hosts.
 func (fb *Fabric) Park(row int) {
 	a, ok := fb.active[row]
 	if !ok {
 		return
 	}
 	a.host.StopTimers()
-	fb.Table.Park(row, a.host)
 	fb.Switches[a.sw].DetachPort(a.port)
 	fb.tb.Net.ReleaseNIC(a.host.NIC)
 	fb.tb.Switch.Unlearn(a.host.MAC())

@@ -24,7 +24,7 @@ func TestFabricClientBringup(t *testing.T) {
 	if fb == nil {
 		t.Fatal("fabric world built without a Fabric runtime")
 	}
-	if got := fb.Table.Len(); got != 32 {
+	if _, got := fb.Rows(3); got != 32 {
 		t.Fatalf("registered rows = %d, want 32", got)
 	}
 
@@ -49,45 +49,6 @@ func TestFabricClientBringup(t *testing.T) {
 	}
 	if fb.ActiveCount() != 0 {
 		t.Errorf("ActiveCount = %d after parking all", fb.ActiveCount())
-	}
-}
-
-// TestFabricParkResumesSequenceState pins what a parked row keeps: the
-// re-materialized client continues its DHCP, DNS and ping identifier
-// streams instead of starting them over, until Reset returns the row to
-// its just-registered state.
-func TestFabricParkResumesSequenceState(t *testing.T) {
-	tb, err := Build(FabricTopology(DefaultOptions(), 1, 2))
-	if err != nil {
-		t.Fatalf("building fabric world: %v", err)
-	}
-	defer tb.Close()
-	if err := tb.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	fb := tb.Fabric
-
-	c := fb.Materialize(0, "fab-resume", profiles.MacOS())
-	booted := c.SequenceState()
-	if _, err := httpsim.Browse(c, "http://sc24.supercomputing.org/"); err != nil {
-		t.Fatalf("browse: %v", err)
-	}
-	parked := c.SequenceState()
-	if parked.DNSID == 0 {
-		t.Fatal("browse issued no DNS query")
-	}
-	fb.Park(0)
-	got := fb.Materialize(0, "fab-resume", profiles.MacOS()).SequenceState()
-	if got.DHCPXID <= parked.DHCPXID || got.DNSID < parked.DNSID || got.PingID < parked.PingID {
-		t.Errorf("re-materialized sequence state %+v restarted below parked %+v", got, parked)
-	}
-	fb.Park(0)
-
-	if err := tb.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fb.Materialize(0, "fab-resume", profiles.MacOS()).SequenceState(); got != booted {
-		t.Errorf("after Reset the row booted with %+v, want a fresh row's %+v", got, booted)
 	}
 }
 

@@ -25,10 +25,10 @@ import (
 // the two RA beacons, which the network clock re-arms; everything else is
 // state with no events in flight.
 
-// ErrClientsBuilt is returned by Checkpoint for worlds whose spec
-// populates Clients at build time: those hosts hold live DHCP timers
-// that a clock rewind cannot reconstruct. Scenario worlds register
-// clients per trial and never trip this.
+// ErrClientsBuilt is returned by Checkpoint when a client joined the
+// world (AddClient) before it: the client's host holds live DHCP
+// timers that a clock rewind cannot reconstruct. Scenario worlds add
+// clients per trial, after the checkpoint, and never trip this.
 var ErrClientsBuilt = errors.New("testbed: cannot checkpoint a world with built clients")
 
 // ErrNoCheckpoint is returned by Reset when Checkpoint was never taken.
@@ -43,8 +43,8 @@ type component interface {
 
 // Checkpoint captures the world's complete dynamic state at the current
 // (quiescent) instant so Reset can rewind to it. It must be called
-// before any client attaches; worlds built with spec.Clients populated
-// return ErrClientsBuilt.
+// before any client joins; a world a client already joined returns
+// ErrClientsBuilt.
 func (tb *Testbed) Checkpoint() error {
 	if len(tb.Clients) > 0 {
 		return ErrClientsBuilt
@@ -72,10 +72,6 @@ func (tb *Testbed) Checkpoint() error {
 	}
 	return nil
 }
-
-// Checkpointed reports whether Checkpoint has captured this world's
-// post-Build state (i.e. whether Reset can rewind it).
-func (tb *Testbed) Checkpointed() bool { return tb.components != nil }
 
 // Reset rewinds the world to its captured checkpoint: pending events
 // and timers are dropped and re-armed, every component's dynamic tables
@@ -105,9 +101,7 @@ func (s *switchableResolver) Checkpoint() { s.saved = s.active.Load() }
 func (s *switchableResolver) Restore() { s.active.Store(s.saved) }
 
 // Checkpoint saves the fabric's materialized-client tables and its
-// access switches' state. The Table rows need no copy: at the
-// checkpoint no client has acted, so every row is in its
-// just-registered state, which Restore re-zeroes.
+// access switches' state. The rows themselves hold no state to save.
 func (fb *Fabric) Checkpoint() {
 	fb.saved = new(fabricState)
 	fb.fabricState.copyInto(fb.saved)
@@ -116,14 +110,13 @@ func (fb *Fabric) Checkpoint() {
 	}
 }
 
-// Restore rewinds the access tier to its checkpoint and forgets the
-// run's population without reallocating the Table.
+// Restore rewinds the access tier to its checkpoint, forgetting the
+// run's materialized clients.
 func (fb *Fabric) Restore() {
 	fb.saved.copyInto(&fb.fabricState)
 	for _, asw := range fb.Switches {
 		asw.Restore()
 	}
-	fb.Table.ResetRows()
 }
 
 func (s *fabricState) copyInto(dst *fabricState) {

@@ -58,9 +58,10 @@ type Topology struct {
 
 	// Fabric, when populated, grows the world into a two-tier routed
 	// fabric: access switches trunked into the managed switch, flood
-	// scoping per access domain, per-domain DHCP sub-pools, and a lazy
-	// struct-of-arrays client table (see fabric.go). Zero value = the
-	// classic flat world, bit-identical to pre-fabric builds.
+	// scoping per access domain, per-domain DHCP sub-pools, and
+	// registered clients that cost nothing until they materialize (see
+	// fabric.go). Zero value = the classic flat world, bit-identical to
+	// pre-fabric builds.
 	Fabric FabricSpec
 }
 
@@ -77,13 +78,11 @@ type GatewaySpec struct {
 	WANMTU int
 	// DHCPLeaseTime overrides the built-in server's one-hour lease.
 	DHCPLeaseTime time.Duration
-	// NAT64*Timeout override the translator session lifetimes (zero =
-	// RFC 6146 defaults). ScaleTopology stretches these so live-session
-	// counts become position-independent across shards.
-	NAT64UDPTimeout      time.Duration
-	NAT64TCPTimeout      time.Duration
-	NAT64TCPTransTimeout time.Duration
-	NAT64ICMPTimeout     time.Duration
+	// NAT64SessionTimeout, when positive, is every translator
+	// session's idle timeout (zero = RFC 6146 per-protocol defaults).
+	// ScaleTopology stretches it so live-session counts become
+	// position-independent across shards.
+	NAT64SessionTimeout time.Duration
 }
 
 // SwitchSpec parameterizes the managed access switch.
@@ -189,11 +188,7 @@ func ScaleTopology(opt Options, n int) Topology {
 	t.Gateway.PoolEnd = addrPlus(t.Gateway.PoolStart, capacity)
 	t.Gateway.DHCPLeaseTime = 240 * time.Hour
 
-	const never = 10 * 365 * 24 * time.Hour
-	t.Gateway.NAT64UDPTimeout = never
-	t.Gateway.NAT64TCPTimeout = never
-	t.Gateway.NAT64TCPTransTimeout = never
-	t.Gateway.NAT64ICMPTimeout = never
+	t.Gateway.NAT64SessionTimeout = 10 * 365 * 24 * time.Hour
 	return t
 }
 
@@ -316,22 +311,19 @@ func Build(spec Topology) (*Testbed, error) {
 
 	// The 5G gateway.
 	gw, err := gateway5g.New(tb.Net, gateway5g.Config{
-		LANv4:                spec.GatewayLANv4,
-		LANv4Prefix:          spec.LANPrefix,
-		PoolStart:            spec.Gateway.PoolStart,
-		PoolEnd:              spec.Gateway.PoolEnd,
-		GUAPrefixes:          spec.Gateway.GUAPrefixes,
-		ULARDNSS:             []netip.Addr{spec.Pis.HealthyV6, spec.Pis.HealthyV6B},
-		WANv4:                spec.Gateway.WANv4,
-		WANv4NAT44:           spec.Gateway.WANv4NAT44,
-		CarrierDNS:           tb.Internet.Resolver(),
-		WANMTU:               spec.Gateway.WANMTU,
-		DHCPLeaseTime:        spec.Gateway.DHCPLeaseTime,
-		NAT64UDPTimeout:      spec.Gateway.NAT64UDPTimeout,
-		NAT64TCPTimeout:      spec.Gateway.NAT64TCPTimeout,
-		NAT64TCPTransTimeout: spec.Gateway.NAT64TCPTransTimeout,
-		NAT64ICMPTimeout:     spec.Gateway.NAT64ICMPTimeout,
-		ScopedRA:             spec.Fabric.Enabled(),
+		LANv4:               spec.GatewayLANv4,
+		LANv4Prefix:         spec.LANPrefix,
+		PoolStart:           spec.Gateway.PoolStart,
+		PoolEnd:             spec.Gateway.PoolEnd,
+		GUAPrefixes:         spec.Gateway.GUAPrefixes,
+		ULARDNSS:            []netip.Addr{spec.Pis.HealthyV6, spec.Pis.HealthyV6B},
+		WANv4:               spec.Gateway.WANv4,
+		WANv4NAT44:          spec.Gateway.WANv4NAT44,
+		CarrierDNS:          tb.Internet.Resolver(),
+		WANMTU:              spec.Gateway.WANMTU,
+		DHCPLeaseTime:       spec.Gateway.DHCPLeaseTime,
+		NAT64SessionTimeout: spec.Gateway.NAT64SessionTimeout,
+		ScopedRA:            spec.Fabric.Enabled(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("testbed: gateway: %w", err)

@@ -109,8 +109,8 @@ func TestScaleTopologyDecouplesDevices(t *testing.T) {
 	if !spec.LANPrefix.Contains(spec.Pis.PoolStart) || !spec.LANPrefix.Contains(spec.Pis.PoolEnd) {
 		t.Error("pi pool escaped the LAN")
 	}
-	if spec.Gateway.NAT64TCPTransTimeout < 1000*time.Hour {
-		t.Errorf("NAT64 TCP_TRANS %v too short for position independence", spec.Gateway.NAT64TCPTransTimeout)
+	if spec.Gateway.NAT64SessionTimeout < 1000*time.Hour {
+		t.Errorf("NAT64 session timeout %v too short for position independence", spec.Gateway.NAT64SessionTimeout)
 	}
 	if _, err := Build(spec); err != nil {
 		t.Fatalf("scale spec does not build: %v", err)
