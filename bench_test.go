@@ -488,6 +488,75 @@ func BenchmarkBroadcastDomain(b *testing.B) {
 	}
 }
 
+// BenchmarkClockTimers is the virtual clock alone. n timers sit pending
+// in the background: 4 and 104 are the most any one clock holds at once
+// in perfbench's million and grid workloads. They are armed ten years
+// out, beyond what any -benchtime reaches, and fail the benchmark if one
+// fires. One op arms timers 1 ms, 4 s and 10 s out, stops the 4 s one
+// and runs 11 s of virtual time, so two of the three fire.
+func BenchmarkClockTimers(b *testing.B) {
+	for _, n := range []int{4, 104} {
+		b.Run(fmt.Sprintf("pending-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			net := netsim.NewNetwork()
+			for i := 0; i < n; i++ {
+				net.Clock.AfterFunc(10*365*24*time.Hour+time.Duration(i)*time.Second, func() {
+					b.Fatal("a background timer fired")
+				})
+			}
+			fired := 0
+			count := func() { fired++ }
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Clock.AfterFunc(time.Millisecond, count)
+				stopped := net.Clock.AfterFunc(4*time.Second, count)
+				net.Clock.AfterFunc(10*time.Second, count)
+				stopped.Stop()
+				net.RunFor(11 * time.Second)
+			}
+			b.StopTimer()
+			if fired != 2*b.N {
+				b.Fatalf("%d timers fired in %d ops, want 2 per op", fired, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkSwitchUnicast is switch forwarding alone: one op is one
+// 1500-byte unicast frame between two NICs whose MACs the switch has
+// learned, through a switch of 2 or 200 ports.
+func BenchmarkSwitchUnicast(b *testing.B) {
+	sink := netsim.FrameHandlerFunc(func(_ *netsim.NIC, _ netsim.Frame) {})
+	for _, n := range []int{2, 200} {
+		b.Run(fmt.Sprintf("ports-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			net := netsim.NewNetwork()
+			sw := netsim.NewSwitch(net)
+			nics := make([]*netsim.NIC, n)
+			for i := range nics {
+				nics[i] = net.NewNIC(sink)
+				sw.AttachPort(nics[i])
+			}
+			src, dst := nics[0], nics[n-1]
+			frame := netsim.Frame{Dst: dst.MAC(), EtherType: netsim.EtherTypeIPv4, Payload: make([]byte, 1500)}
+			// Teach the switch both MACs before timing.
+			dst.Transmit(netsim.Frame{Dst: src.MAC(), EtherType: netsim.EtherTypeIPv4, Payload: frame.Payload})
+			src.Transmit(frame)
+			net.Run(0)
+			before := sw.Stats().Forwarded
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Transmit(frame)
+				net.Run(0)
+			}
+			b.StopTimer()
+			if fwd := sw.Stats().Forwarded - before; fwd < uint64(b.N) {
+				b.Fatalf("switch forwarded %d of %d frames", fwd, b.N)
+			}
+		})
+	}
+}
+
 // BenchmarkGatewayRenumber is the renumbering fan-out the reboot cells
 // replay: a flat world of 200 brought-up clients, where one op is a
 // gateway power cycle plus the 50 ms in which its RA reaches every

@@ -15,6 +15,7 @@ package dnspoison
 
 import (
 	"net/netip"
+	"sync/atomic"
 
 	"repro/internal/dns"
 	"repro/internal/dnswire"
@@ -41,7 +42,9 @@ type Wildcard struct {
 	saved *wildcardState
 }
 
-// wildcardState is the part of a Wildcard that queries change.
+// wildcardState is the part of a Wildcard that queries change. Resolve
+// counts with atomic adds, because a resolver shared by several
+// goroutines may resolve through one poisoner concurrently.
 type wildcardState struct {
 	// Poisoned counts A queries answered with the redirect address.
 	Poisoned uint64
@@ -70,7 +73,7 @@ func (w *Wildcard) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 	if q.Type == dnswire.TypeA && !w.Exempt[name] {
 		// dnsmasq address=/#/X: answer immediately, never checking whether
 		// the name exists. Non-existent FQDNs therefore get answers too.
-		w.Poisoned++
+		atomic.AddUint64(&w.Poisoned, 1)
 		return dns.SingleAnswer(dnswire.RR{
 			Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: w.TTL, Addr: w.Redirect,
 		}), nil
@@ -78,7 +81,7 @@ func (w *Wildcard) Resolve(q dnswire.Question) (*dnswire.Message, error) {
 	if w.Upstream == nil {
 		return nil, dns.ErrNoUpstream
 	}
-	w.Forwarded++
+	atomic.AddUint64(&w.Forwarded, 1)
 	return w.Upstream.Resolve(q)
 }
 

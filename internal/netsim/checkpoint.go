@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"maps"
-	"math/bits"
 	"slices"
 )
 
@@ -90,31 +89,25 @@ func (s *netState) copyInto(dst *netState) {
 	dst.ringNICs = refill(live.ringNICs, s.ringNICs)
 }
 
+// checkpoint saves the clock's position and sequence counter, and
+// copies the heap of pending timers into armed.
 func (c *Clock) checkpoint() {
 	saved := c.clockState
 	c.saved = &saved
-	c.armed = c.armed[:0]
-	for l := range c.wheel {
-		for occ := c.occ[l]; occ != 0; occ &= occ - 1 {
-			c.armed = append(c.armed, c.wheel[l][bits.TrailingZeros64(occ)]...)
-		}
-	}
-	c.armed = append(c.armed, c.overflow...)
+	c.armed = refill(c.armed, c.timers)
 }
 
 // restore drops every pending timer, rewinds to the checkpoint and
-// re-arms the timers that were pending then (in a built world, the RA
-// beacons). They keep their deadline and arm sequence, so they fire in
-// the same order against later timers as in a fresh world, and the
-// clock's sequence counter needs no adjustment. With the wheel emptied
-// first, copying cur back is exactly what advancing a fresh clock to
-// the checkpoint instant would compute.
+// pushes the timers that were pending then (in a built world, the RA
+// beacons) back onto the heap. They keep their deadline and arm
+// sequence, so they fire in the same order against later timers as in
+// a fresh world, and the clock's sequence counter needs no adjustment.
 func (c *Clock) restore() {
 	c.dropAll()
 	c.clockState = *c.saved
 	for _, t := range c.armed {
 		t.stopped = false
-		c.insert(t)
+		c.timers.push(t)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// refTimer is the oracle's view of one armed timer in the wheel
+// refTimer is the oracle's view of one armed timer in the clock
 // cross-check below.
 type refTimer struct {
 	id   int
@@ -16,18 +16,34 @@ type refTimer struct {
 	tm   *Timer
 }
 
-// TestTimerWheelMatchesReferenceModel drives the hierarchical timer
-// wheel with randomized arm/stop/advance traffic — zero delays, sub-tick
-// delays, multi-level delays and far-future deadlines beyond the wheel
-// horizon — and checks the exact firing sequence against a brute-force
-// sorted oracle. The wheel must pop in precise (deadline, arm-order)
-// order or the simulator's determinism guarantee is void.
-func TestTimerWheelMatchesReferenceModel(t *testing.T) {
+// sortRef orders timers as the clock must fire them: by deadline, then
+// by arm order (ids are handed out in arm order, as seq is).
+func sortRef(ts []refTimer) {
+	sort.Slice(ts, func(i, j int) bool {
+		if !ts[i].when.Equal(ts[j].when) {
+			return ts[i].when.Before(ts[j].when)
+		}
+		return ts[i].id < ts[j].id
+	})
+}
+
+// TestClockMatchesReferenceModel drives the clock with randomized
+// arm/stop/advance traffic — zero delays, sub-millisecond delays,
+// delays of milliseconds, seconds and minutes, and deadlines days out —
+// and checks the exact firing sequence against a brute-force sorted
+// oracle. The clock must pop in precise (deadline, arm-order) order or
+// the simulator's determinism guarantee is void. A checkpoint taken
+// after the first round must bring back exactly the timers pending
+// then: Restore, called after the drain with a fresh batch pending,
+// replays them in (deadline, arm-order) order, the ones stopped or
+// fired since included, and none armed after the checkpoint.
+func TestClockMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := NewNetwork()
 
 	var fired, expected []int
 	pending := make(map[int]refTimer)
+	var atCheckpoint []refTimer
 	nextID := 0
 
 	delays := func() time.Duration {
@@ -35,15 +51,15 @@ func TestTimerWheelMatchesReferenceModel(t *testing.T) {
 		case 0:
 			return 0 // immediate
 		case 1:
-			return time.Duration(rng.Intn(1000)) * time.Microsecond // sub-tick
+			return time.Duration(rng.Intn(1000)) * time.Microsecond
 		case 2:
-			return time.Duration(rng.Intn(64)) * time.Millisecond // level 0
+			return time.Duration(rng.Intn(64)) * time.Millisecond
 		case 3:
-			return time.Duration(rng.Intn(5000)) * time.Millisecond // level 1-2
+			return time.Duration(rng.Intn(5000)) * time.Millisecond
 		case 4:
-			return time.Duration(rng.Intn(120)) * time.Minute // level 3
+			return time.Duration(rng.Intn(120)) * time.Minute
 		default:
-			return 5*time.Hour + time.Duration(rng.Intn(100))*time.Hour // overflow heap
+			return 5*time.Hour + time.Duration(rng.Intn(100))*time.Hour
 		}
 	}
 
@@ -64,8 +80,8 @@ func TestTimerWheelMatchesReferenceModel(t *testing.T) {
 				delete(pending, id)
 			}
 		}
-		// Advance by a random window, including big jumps that skip
-		// whole wheel blocks.
+		// Advance by a random window, from under a second to hours
+		// past many pending deadlines at once.
 		var window time.Duration
 		switch rng.Intn(3) {
 		case 0:
@@ -83,16 +99,17 @@ func TestTimerWheelMatchesReferenceModel(t *testing.T) {
 				delete(pending, id)
 			}
 		}
-		sort.Slice(due, func(i, j int) bool {
-			if !due[i].when.Equal(due[j].when) {
-				return due[i].when.Before(due[j].when)
-			}
-			return due[i].id < due[j].id // arm order == seq order
-		})
+		sortRef(due)
 		for _, rt := range due {
 			expected = append(expected, rt.id)
 		}
 		net.RunFor(window)
+		if round == 0 {
+			net.Checkpoint()
+			for _, rt := range pending {
+				atCheckpoint = append(atCheckpoint, rt)
+			}
+		}
 	}
 
 	// Drain the rest.
@@ -100,34 +117,49 @@ func TestTimerWheelMatchesReferenceModel(t *testing.T) {
 	for _, rt := range pending {
 		rest = append(rest, rt)
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if !rest[i].when.Equal(rest[j].when) {
-			return rest[i].when.Before(rest[j].when)
-		}
-		return rest[i].id < rest[j].id
-	})
+	sortRef(rest)
 	for _, rt := range rest {
 		expected = append(expected, rt.id)
 	}
 	net.Run(0)
 
-	if len(fired) != len(expected) {
-		t.Fatalf("fired %d timers, oracle expected %d", len(fired), len(expected))
-	}
-	for i := range fired {
-		if fired[i] != expected[i] {
-			t.Fatalf("firing order diverges from oracle at index %d: got id %d, want id %d",
-				i, fired[i], expected[i])
+	checkOrder := func(what string, fired, expected []int) {
+		t.Helper()
+		if len(fired) != len(expected) {
+			t.Fatalf("%s: fired %d timers, oracle expected %d", what, len(fired), len(expected))
+		}
+		for i := range fired {
+			if fired[i] != expected[i] {
+				t.Fatalf("%s: firing order diverges from oracle at index %d: got id %d, want id %d",
+					what, i, fired[i], expected[i])
+			}
+		}
+		if len(fired) == 0 {
+			t.Fatalf("%s: oracle produced no firings; test is vacuous", what)
 		}
 	}
-	if len(fired) == 0 {
-		t.Fatal("oracle produced no firings; test is vacuous")
+	checkOrder("run", fired, expected)
+
+	// Replay from the checkpoint, with a batch armed since still pending.
+	sortRef(atCheckpoint)
+	expected = expected[:0]
+	for _, rt := range atCheckpoint {
+		expected = append(expected, rt.id)
 	}
+	fired = fired[:0]
+	for i := 0; i < 250; i++ {
+		id := nextID
+		nextID++
+		net.Clock.AfterFunc(delays(), func() { fired = append(fired, id) })
+	}
+	net.Restore()
+	net.Run(0)
+	checkOrder("replay after Restore", fired, expected)
 }
 
-// TestTimerWheelStopDuringCallback stops a later timer from inside an
-// earlier one's callback, exercising detach while the wheel is mid-pop.
-func TestTimerWheelStopDuringCallback(t *testing.T) {
+// TestClockStopDuringCallback stops a later timer from inside an
+// earlier one's callback, removing it from the heap between two pops.
+func TestClockStopDuringCallback(t *testing.T) {
 	net := NewNetwork()
 	var later *Timer
 	firedLater := false
@@ -139,14 +171,14 @@ func TestTimerWheelStopDuringCallback(t *testing.T) {
 	}
 }
 
-// TestTimerWheelRearmAcrossHorizon re-arms a timer chain whose deadlines
-// walk from the wheel into the overflow heap and back (cascade path).
-func TestTimerWheelRearmAcrossHorizon(t *testing.T) {
+// TestClockRearmFromCallback arms a 1 ms timer from inside the callback
+// of a timer 6 h out; each must fire at its exact deadline.
+func TestClockRearmFromCallback(t *testing.T) {
 	net := NewNetwork()
 	var hits []time.Time
-	net.Clock.AfterFunc(6*time.Hour, func() { // overflow at arm time
+	net.Clock.AfterFunc(6*time.Hour, func() {
 		hits = append(hits, net.Clock.Now())
-		net.Clock.AfterFunc(time.Millisecond, func() { // wheel level 0
+		net.Clock.AfterFunc(time.Millisecond, func() {
 			hits = append(hits, net.Clock.Now())
 		})
 	})
@@ -156,7 +188,7 @@ func TestTimerWheelRearmAcrossHorizon(t *testing.T) {
 		t.Fatalf("fired %d timers, want 2", len(hits))
 	}
 	if got := hits[0].Sub(start); got != 6*time.Hour {
-		t.Errorf("overflow timer fired after %v, want 6h", got)
+		t.Errorf("first timer fired after %v, want 6h", got)
 	}
 	if got := hits[1].Sub(start); got != 6*time.Hour+time.Millisecond {
 		t.Errorf("chained timer fired after %v, want 6h1ms", got)

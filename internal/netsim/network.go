@@ -51,16 +51,16 @@ const DefaultLinkLatency = 10 * time.Microsecond
 // frame deliveries and timer callbacks execute from Run/RunFor in a
 // single goroutine, in deterministic (time, sequence) order.
 //
-// Pending work lives in three cooperating structures: the global event
-// heap (eventQueue) holds frame deliveries — per-frame deliveries, flood
-// fan-outs and ring drain events; the hierarchical timer wheel (Clock)
-// holds armed timers; and per-link frame rings (ring.go) hold in-flight
-// pristine unicast frames, each ring represented in the heap by a
-// single drain event keyed at its head frame's (when, seq). The scheduler (step) always executes the
-// globally earliest occurrence across all three, with events winning
-// ties against timers at equal timestamps and seq breaking ties between
-// events, so delivery order is a total order independent of which
-// structure the work sat in.
+// Pending work lives in three cooperating structures: the event heap
+// (eventQueue) holds frame deliveries — per-frame deliveries, flood
+// fan-outs and ring drain events; the Clock's timer heap holds armed
+// timers; and per-link frame rings (ring.go) hold in-flight pristine
+// unicast frames, each ring represented in the event heap by a single
+// drain event keyed at its head frame's (when, seq). The scheduler
+// (step) always executes the globally earliest occurrence across all
+// three, with events winning ties against timers at equal timestamps
+// and seq breaking ties between events, so delivery order is a total
+// order independent of which structure the work sat in.
 type Network struct {
 	Clock *Clock
 
@@ -134,11 +134,11 @@ type event struct {
 // hand-rolled heap (rather than container/heap) avoids boxing every
 // event in an interface on Push/Pop and lets the compare inline; the
 // wider fan-out halves tree depth for the deep queues a large client
-// population produces. The heap is no longer the only scheduler: armed
-// timers live in the Clock's hierarchical timer wheel and in-flight
-// pristine unicast frames live in per-link rings (ring.go), with step
-// and drainRing interleaving all three sources into one global
-// (when, seq) order — events before timers at equal instants.
+// population produces. It is not the only scheduler: armed timers live
+// in the Clock's own timer heap and in-flight pristine unicast frames
+// in per-link rings (ring.go), with step and drainRing interleaving all
+// three sources into one global (when, seq) order — events before
+// timers at equal instants.
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
@@ -167,7 +167,7 @@ func (q *eventQueue) pop() event {
 	n := len(h)
 	root := h[0]
 	h[0] = h[n-1]
-	h[n-1] = event{} // release fn/payload references
+	h[n-1] = event{} // release the NIC and payload references
 	h = h[:n-1]
 	*q = h
 	n--

@@ -59,8 +59,7 @@ var checkpointFields = map[string]fieldClass{
 		pending: []string{"queue"},
 	},
 	"netsim.Clock": {
-		config:  []string{"epoch"},
-		pending: []string{"armed", "wheel", "occ", "overflow", "pending", "minCache"},
+		pending: []string{"armed", "timers"},
 	},
 	"netsim.Switch": {
 		config:  []string{"net", "scopeTrunks"},
@@ -535,19 +534,9 @@ func usable(v reflect.Value) reflect.Value {
 
 // eachTimer calls fn for every timer pending on the world's clock.
 func eachTimer(tb *testbed.Testbed, fn func(*netsim.Timer)) {
-	clk := reflect.ValueOf(tb.Net.Clock).Elem()
-	wheel := field(clk, "wheel")
-	for l := 0; l < wheel.Len(); l++ {
-		for s := 0; s < wheel.Index(l).Len(); s++ {
-			b := wheel.Index(l).Index(s)
-			for i := 0; i < b.Len(); i++ {
-				fn(usable(b.Index(i)).Interface().(*netsim.Timer))
-			}
-		}
-	}
-	overflow := field(clk, "overflow")
-	for i := 0; i < overflow.Len(); i++ {
-		fn(usable(overflow.Index(i)).Interface().(*netsim.Timer))
+	timers := field(reflect.ValueOf(tb.Net.Clock).Elem(), "timers")
+	for i := 0; i < timers.Len(); i++ {
+		fn(usable(timers.Index(i)).Interface().(*netsim.Timer))
 	}
 }
 
